@@ -84,7 +84,6 @@ from .mzveval import (
     UnsupportedWordError,
     check_assumptions,
     iterint_num,
-    make_evaluator,
     verify_harmonic_hom,
     word_to_mzv,
     zeta,

@@ -12,8 +12,10 @@ Three verbs:
   (``symbolic``), in S/T normal form (``zst``) or numerically (``znum``).
 
 Defaults honour the environment variables ``HSW_ORDER``, ``HSW_MZV_N`` and
-``HSW_TOL``; explicit flags win.  Exit codes: 0 pass, 1 verification failure,
-2 usage or input error.
+``HSW_TOL``; explicit flags win.  A variable's value is checked like the flag
+it stands for, so a bad one exits 2 unless that flag is given.  Exit codes:
+0 pass, 1 verification failure (a run with no items fails too), 2 usage or
+input error.
 """
 
 from __future__ import annotations
@@ -26,14 +28,15 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
-from .halg import HPoly, ParseError, format_poly, parse_poly
+from .halg import HPoly, ParseError, combine, format_poly, format_terms, parse_poly
 from .monoid import UNIT, MonoidElement, parse_element
 from .mzveval import (
     DEFAULT_CUTOFF,
+    MIN_CUTOFF,
+    H0Evaluator,
     UnsupportedWordError,
-    make_evaluator,
     verify_harmonic_hom,
     word_to_mzv,
 )
@@ -66,7 +69,8 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
-        return all(item.passed for item in self.items)
+        """True when there was at least one item and every item passed."""
+        return bool(self.items) and all(item.passed for item in self.items)
 
     def summary_dict(self) -> dict:
         return {
@@ -80,18 +84,29 @@ class VerificationReport:
         }
 
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
+def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool], requirement: str):
+    """An argparse ``type`` that also checks the converted value.
+
+    argparse passes a string default through ``type`` too, whenever the flag
+    is absent; that is how a bad ``HSW_*`` value exits 2 like a bad flag.
+    """
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, default))
-    except ValueError:
-        return default
+_ORDER = _checked(int, lambda n: 0 <= n <= MAX_ORDER, f"an integer from 0 to {MAX_ORDER}")
+_COUNT = _checked(int, lambda n: n >= 1, "a positive integer")
+_CUTOFF = _checked(int, lambda n: n >= MIN_CUTOFF, f"an integer >= {MIN_CUTOFF}")
+_TOLERANCE = _checked(float, lambda x: 0 < x < math.inf, "a finite positive number")
 
 
 def _emit_items(
@@ -140,13 +155,10 @@ def _parse_z(parser: argparse.ArgumentParser, text: str) -> MonoidElement:
 
 
 def _relation_terms(poly: HPoly) -> list[tuple[Fraction, tuple[int, ...]]]:
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for w, c in poly.terms.items():
-        idx = word_to_mzv(w)
-        acc[idx.ks] = acc.get(idx.ks, Fraction(0)) + c * idx.sign
-    terms = [(c, ks) for ks, c in acc.items() if c]
-    terms.sort(key=lambda t: (len(t[1]), t[1]), reverse=True)
-    return terms
+    indexed = ((word_to_mzv(w), c) for w, c in poly.terms.items())
+    acc = combine((idx.ks, c * idx.sign) for idx, c in indexed)
+    terms = [(c, ks) for ks, c in acc.items()]
+    return sorted(terms, key=lambda t: (len(t[1]), t[1]), reverse=True)
 
 
 def _normalize_terms(
@@ -169,16 +181,8 @@ def _normalize_terms(
 
 
 def _relation_text(terms: list[tuple[int, tuple[int, ...]]]) -> str:
-    chunks = []
-    for c, ks in terms:
-        body = f"z({','.join(map(str, ks))})" if ks else "1"
-        mag = abs(c)
-        piece = body if mag == 1 and ks else f"{mag}*{body}"
-        if not chunks:
-            chunks.append(piece if c > 0 else f"-{piece}")
-        else:
-            chunks.append(f" + {piece}" if c > 0 else f" - {piece}")
-    return "".join(chunks) + " = 0"
+    zetas = ((c, f"z({','.join(map(str, ks))})" if ks else "") for c, ks in terms)
+    return format_terms(zetas) + " = 0"
 
 
 def relation_records(weight: int, evaluator) -> Iterator[dict]:
@@ -221,9 +225,6 @@ def relation_records(weight: int, evaluator) -> Iterator[dict]:
 
 
 def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    order = args.order
-    if order is not None and not 0 <= order <= MAX_ORDER:
-        parser.error(f"--order must be between 0 and {MAX_ORDER}")
     theorem = args.theorem
     if theorem == "coincidence":
         if not 1 <= args.k <= 6:
@@ -231,7 +232,7 @@ def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> in
         if not 0 <= args.max_n <= 8:
             parser.error("--max-n must be between 0 and 8")
         z = _parse_z(parser, args.z)
-        order = DEFAULT_ORDER if order is None else order
+        order = args.order
         items = verify_coincidence(z, k=args.k, max_n=args.max_n, order=order)
         params = {"k": args.k, "order": order, "max_n": args.max_n, "z": args.z}
         reflection = verify_reflection_product(z, order=min(order, 8))
@@ -289,7 +290,7 @@ def _cmd_relations(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
         parser.error("--weight must be a positive even integer")
     if args.weight > MAX_RELATION_WEIGHT:
         parser.error(f"--weight must be at most {MAX_RELATION_WEIGHT}")
-    evaluator = make_evaluator(n_terms=args.mzv_n)
+    evaluator = H0Evaluator(n_terms=args.mzv_n)
     for record in relation_records(args.weight, evaluator):
         if args.format == "json":
             print(json.dumps(record), flush=True)
@@ -315,7 +316,7 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.mode == "zst":
         print(z_st(poly))
         return 0
-    evaluator = make_evaluator(n_terms=args.mzv_n, tol=args.tol)
+    evaluator = H0Evaluator(n_terms=args.mzv_n, tol=args.tol)
     try:
         value, bound = z_num_with_bound(poly, evaluator)
     except UnsupportedWordError as exc:
@@ -326,9 +327,10 @@ def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    default_order = _env_int("HSW_ORDER", DEFAULT_ORDER)
-    default_mzv_n = _env_int("HSW_MZV_N", DEFAULT_CUTOFF)
-    default_tol = _env_float("HSW_TOL", 1e-7)
+    # Raw strings when set: argparse checks them through the flag's ``type``.
+    default_order = os.environ.get("HSW_ORDER", DEFAULT_ORDER)
+    default_mzv_n = os.environ.get("HSW_MZV_N", DEFAULT_CUTOFF)
+    default_tol = os.environ.get("HSW_TOL", 1e-7)
 
     parser = argparse.ArgumentParser(
         prog="hsw",
@@ -342,30 +344,28 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["coincidence", "addition", "pythagoras", "regularization", "harmonic-hom"],
     )
     verify.add_argument("--format", choices=["text", "json"], default="text")
-    verify.add_argument("--order", type=int, default=None, help=f"truncation order (default {default_order})")
+    verify.add_argument("--order", type=_ORDER, default=default_order, help=f"truncation order (default {default_order}; HSW_ORDER)")
     verify.add_argument("--k", type=int, default=2, help="block length for coincidence")
-    verify.add_argument("--max-n", type=int, default=5, dest="max_n", help="coefficient identities to check")
+    verify.add_argument("--max-n", "--max-N", type=int, default=5, dest="max_n", help="coefficient identities (coincidence) or coefficients (pythagoras)")
     verify.add_argument("--max-degree", type=int, default=9, dest="max_degree")
-    verify.add_argument("--max-N", type=int, default=5, dest="max_n_pyth")
     verify.add_argument("--z", default="z", help="monoid element literal (default the cyclic generator)")
-    verify.add_argument("--count", type=int, default=100, help="random inputs for regularization")
+    verify.add_argument("--count", type=_COUNT, default=100, help="random inputs for regularization")
     verify.add_argument("--max-weight", type=int, default=None, dest="max_weight")
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--letters", default="2,3,5/2")
-    verify.add_argument("--tol", type=float, default=1e-5)
-    verify.add_argument("--quad-tol", type=float, default=default_tol, dest="quad_tol")
-    verify.set_defaults(order_default=default_order)
+    verify.add_argument("--tol", type=_TOLERANCE, default=1e-5)
+    verify.add_argument("--quad-tol", type=_TOLERANCE, default=default_tol, dest="quad_tol", help="quadrature tolerance (HSW_TOL)")
 
     relations = sub.add_parser("relations", help="emit zeta-value relations at a weight")
     relations.add_argument("--weight", type=int, required=True)
     relations.add_argument("--format", choices=["text", "json"], default="text")
-    relations.add_argument("--mzv-n", type=int, default=default_mzv_n, dest="mzv_n")
+    relations.add_argument("--mzv-n", type=_CUTOFF, default=default_mzv_n, dest="mzv_n", help="zeta sum cutoff (HSW_MZV_N)")
 
     ev = sub.add_parser("eval", help="parse and evaluate a polynomial expression")
     ev.add_argument("expr")
     ev.add_argument("--mode", choices=["symbolic", "zst", "znum"], default="symbolic")
-    ev.add_argument("--mzv-n", type=int, default=default_mzv_n, dest="mzv_n")
-    ev.add_argument("--tol", type=float, default=default_tol)
+    ev.add_argument("--mzv-n", type=_CUTOFF, default=default_mzv_n, dest="mzv_n", help="zeta sum cutoff (HSW_MZV_N)")
+    ev.add_argument("--tol", type=_TOLERANCE, default=default_tol, help="quadrature tolerance (HSW_TOL)")
 
     return parser
 
@@ -375,12 +375,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            if args.order is None:
-                args.order = args.order_default if args.theorem == "coincidence" else None
             if args.max_weight is None:
                 args.max_weight = 5 if args.theorem == "regularization" else 2
-            if args.theorem == "pythagoras":
-                args.max_n = args.max_n_pyth
             return _cmd_verify(parser, args)
         if args.command == "relations":
             return _cmd_relations(parser, args)

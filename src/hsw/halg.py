@@ -20,6 +20,10 @@ notation; in terms of them the recursion reads
     s_{a,k} w * s_{b,l} w' =
         s_{ab,k}(w * s_{b,l}w') + s_{ab,l}(s_{a,k}w * w') - s_{ab,k+l}(w * w').
 
+:class:`LinComb` is the sparse linear combination shared by ``HPoly``, the
+W-polynomials of :mod:`hsw.wcalc` and the S/T normal forms of :mod:`hsw.reg`;
+:func:`format_terms` is their one signed-sum printer.
+
 All coefficients are arbitrary-precision rationals; nothing in this module
 rounds.  Polynomial values are immutable by convention (operations build new
 dictionaries), so they can be shared freely across threads.  The word-pair
@@ -42,7 +46,7 @@ from __future__ import annotations
 import functools
 import re
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Any, Hashable, Iterable, Iterator
 
 from .monoid import (
     ZERO,
@@ -56,7 +60,9 @@ __all__ = [
     "Word",
     "EMPTY_WORD",
     "HPoly",
+    "LinComb",
     "ParseError",
+    "combine",
     "concat",
     "harmonic",
     "star_words",
@@ -65,6 +71,7 @@ __all__ = [
     "word_sort_key",
     "parse_poly",
     "format_poly",
+    "format_terms",
     "format_word",
     "clear_caches",
 ]
@@ -132,50 +139,137 @@ def _check_single_instance(letters: Iterable[MonoidElement]) -> None:
             )
 
 
-class HPoly:
-    """Exact-rational linear combination of words.
+def combine(pairs: Iterable[tuple[Hashable, Any]]) -> dict:
+    """Sum ``(key, coefficient)`` pairs into a map that never stores a zero coefficient."""
+    out: dict = {}
+    for key, c in pairs:
+        prev = out.get(key)
+        if prev is not None:
+            c = prev + c
+        if c:
+            out[key] = c
+        elif prev is not None:
+            del out[key]
+    return out
 
-    The term map never stores a zero coefficient.  Instances are treated as
-    immutable; all arithmetic returns fresh objects.
+
+class LinComb:
+    """Sparse linear combination: ``terms`` maps monomial keys to nonzero coefficients.
+
+    Coefficients are rationals, or polynomials for
+    :class:`~hsw.reg.RegularizedValue`; both kinds are false exactly when zero.
+    A subclass fixes its monomials through ``_key`` (normalize and check one
+    key) and ``_ONE_KEY`` (the constant monomial), its coefficients through
+    ``_coefficient``, and adds its products and its text form.  Instances are
+    treated as immutable; all arithmetic returns fresh objects.
     """
 
     __slots__ = ("terms",)
 
+    _ONE_KEY: Hashable
+    _coefficient = Fraction
+
+    @staticmethod
+    def _key(key):
+        return key
+
     def __init__(self, terms=None):
-        data: dict[Word, Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for w, c in items:
-                c = Fraction(c)
-                if not c:
-                    continue
-                if not isinstance(w, Word):
-                    w = Word(w)
-                acc = data.get(w, _F0) + c
-                if acc:
-                    data[w] = acc
-                elif w in data:
-                    del data[w]
-        self.terms = data
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        self.terms = combine((self._key(k), self._coefficient(c)) for k, c in items)
 
     @classmethod
-    def _raw(cls, terms: dict[Word, Fraction]) -> "HPoly":
+    def _raw(cls, terms: dict):
         obj = object.__new__(cls)
         obj.terms = terms
         return obj
 
     @classmethod
-    def zero(cls) -> "HPoly":
+    def zero(cls):
         return cls._raw({})
 
     @classmethod
-    def one(cls) -> "HPoly":
-        return cls._raw({EMPTY_WORD: _F1})
+    def one(cls):
+        return cls.rational(1)
 
     @classmethod
-    def rational(cls, c: Rational) -> "HPoly":
-        c = Fraction(c)
-        return cls._raw({EMPTY_WORD: c} if c else {})
+    def rational(cls, c):
+        """The constant ``c``, a multiple of the constant monomial."""
+        c = cls._coefficient(c)
+        return cls._raw({cls._ONE_KEY: c} if c else {})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if not self.terms:
+            return other
+        if not other.terms:
+            return self
+        # combine() inlined: polynomial addition sits on every hot path.
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            prev = out.get(k)
+            if prev is not None:
+                c = prev + c
+                if not c:
+                    del out[k]
+                    continue
+            out[k] = c
+        return self._raw(out)
+
+    def __sub__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self + (-other)
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, scalar):
+        """Scaling by a rational; subclasses with a product extend this."""
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        c = Fraction(scalar)
+        if not c:
+            return self.zero()
+        return self._raw({k: v * c for k, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        return self * (_F1 / Fraction(scalar))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = self.rational(other)
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    __hash__ = None  # mutable container; not hashable
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({str(self)!r})"
+
+
+class HPoly(LinComb):
+    """Exact-rational linear combination of words."""
+
+    __slots__ = ()
+
+    _ONE_KEY = EMPTY_WORD
+
+    @staticmethod
+    def _key(w) -> Word:
+        return w if isinstance(w, Word) else Word(w)
 
     @classmethod
     def from_word(cls, w: Word, coeff: Rational = 1) -> "HPoly":
@@ -185,14 +279,8 @@ class HPoly:
         c = Fraction(coeff)
         return cls._raw({w: c} if c else {})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, w: Word) -> Fraction:
-        if not isinstance(w, Word):
-            w = Word(w)
-        return self.terms.get(w, _F0)
+        return self.terms.get(self._key(w), _F0)
 
     def words(self) -> Iterator[tuple[Word, Fraction]]:
         return iter(self.terms.items())
@@ -203,54 +291,6 @@ class HPoly:
     def max_weight(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
-    def __add__(self, other: "HPoly") -> "HPoly":
-        if not isinstance(other, HPoly):
-            return NotImplemented
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            acc = out.get(w, _F0) + c
-            if acc:
-                out[w] = acc
-            elif w in out:
-                del out[w]
-        return HPoly._raw(out)
-
-    def __sub__(self, other: "HPoly") -> "HPoly":
-        if not isinstance(other, HPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "HPoly":
-        return HPoly._raw({w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, scalar: Rational) -> "HPoly":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        c = Fraction(scalar)
-        if not c:
-            return HPoly.zero()
-        return HPoly._raw({w: v * c for w, v in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: Rational) -> "HPoly":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return self * (_F1 / Fraction(scalar))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, HPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == HPoly.rational(other).terms
-        return NotImplemented
-
-    __hash__ = None  # mutable container; not hashable
-
     def concat(self, other: "HPoly") -> "HPoly":
         return concat(self, other)
 
@@ -259,9 +299,6 @@ class HPoly:
 
     def __str__(self) -> str:
         return format_poly(self)
-
-    def __repr__(self) -> str:
-        return f"HPoly({format_poly(self)!r})"
 
 
 def concat(p: HPoly, q: HPoly) -> HPoly:
@@ -373,28 +410,30 @@ def format_word(w: Word) -> str:
     return "".join(parts)
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c)
+def format_terms(terms: Iterable[tuple[Rational, str]]) -> str:
+    """Signed-sum text ``a - 2*b + 1/3`` of ``(coefficient, monomial text)`` pairs, in order.
 
-
-def format_poly(p: HPoly) -> str:
-    """Canonical text; terms in descending word order, parseable back."""
-    if p.is_zero:
-        return "0"
+    An empty monomial text stands for the constant monomial; no pairs give ``0``.
+    """
     chunks: list[str] = []
-    for w, c in p.sorted_terms():
+    for c, mono in terms:
         mag = abs(c)
-        if not w:
-            body = _format_coeff(mag)
+        if not mono:
+            body = str(mag)
         elif mag == 1:
-            body = format_word(w)
+            body = mono
         else:
-            body = f"{_format_coeff(mag)}*{format_word(w)}"
+            body = f"{mag}*{mono}"
         if not chunks:
             chunks.append(body if c > 0 else f"-{body}")
         else:
             chunks.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(chunks)
+    return "".join(chunks) or "0"
+
+
+def format_poly(p: HPoly) -> str:
+    """Canonical text; terms in descending word order, parseable back."""
+    return format_terms((c, format_word(w) if w else "") for w, c in p.sorted_terms())
 
 
 _TOKEN_RE = re.compile(

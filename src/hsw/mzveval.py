@@ -42,6 +42,7 @@ from . import reg
 
 __all__ = [
     "DEFAULT_CUTOFF",
+    "MIN_CUTOFF",
     "MzvIndex",
     "InadmissibleIndexError",
     "UnsupportedWordError",
@@ -50,12 +51,12 @@ __all__ = [
     "zeta",
     "iterint_num",
     "H0Evaluator",
-    "make_evaluator",
     "check_assumptions",
     "verify_harmonic_hom",
 ]
 
 DEFAULT_CUTOFF = 1_000_000
+MIN_CUTOFF = 16
 
 _EPS = 2.220446049250313e-16
 
@@ -143,8 +144,8 @@ def zeta(
     if r == 0:
         return 1.0, 0.0
     n_terms = int(n_terms)
-    if n_terms < 16:
-        raise ValueError("cutoff must be at least 16")
+    if n_terms < MIN_CUTOFF:
+        raise ValueError(f"cutoff must be at least {MIN_CUTOFF}")
 
     n = np.arange(1, n_terms + 1, dtype=np.float64)
     half = n_terms // 2
@@ -348,10 +349,6 @@ class H0Evaluator:
         return _iterint_estimate(w, self.tol)
 
 
-def make_evaluator(n_terms: int = DEFAULT_CUTOFF, tol: float = 1e-7) -> H0Evaluator:
-    return H0Evaluator(n_terms=n_terms, tol=tol)
-
-
 _EVEN_ZETA = {
     2: Fraction(1, 6),
     4: Fraction(1, 90),
@@ -376,7 +373,7 @@ def check_assumptions(
     (ii)  Z(s[1,1]) = 0 exactly (the T-coefficient is discarded by construction);
     (iii) Z(s[1,k]) = -zeta(k) for 2 <= k <= k_max.
     """
-    evaluator = make_evaluator(n_terms=n_terms)
+    evaluator = H0Evaluator(n_terms=n_terms)
     for n in range(n_max + 1):
         w_poly = HPoly.from_word(s_chain(UNIT, 2, n)) * math.factorial(2 * n + 1)
         value = reg.z_num(w_poly, evaluator)
@@ -423,7 +420,7 @@ def verify_harmonic_hom(
         for a in elems:
             for b in elems:
                 words.append(Word((a, b)))
-    evaluator = make_evaluator(tol=quad_tol)
+    evaluator = H0Evaluator(tol=quad_tol)
     for i, u in enumerate(words):
         for v in words[i:]:
             lhs_u, bu = evaluator(u)

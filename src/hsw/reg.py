@@ -36,12 +36,14 @@ from fractions import Fraction
 from typing import Callable, Iterator
 
 from .halg import (
-    EMPTY_WORD,
     HPoly,
+    LinComb,
     Word,
+    combine,
+    format_terms,
+    format_word,
     harmonic,
     star_words,
-    word_sort_key,
 )
 from .monoid import UNIT, ZERO, cyclic
 from .reporting import CheckResult
@@ -59,10 +61,6 @@ __all__ = [
     "z_num_with_bound",
     "verify_regularization",
 ]
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 class RegularizationError(ValueError):
     """Input outside the class a regularization step can handle."""
@@ -104,13 +102,8 @@ def _trailing_unit_run(w: Word) -> int:
 
 def strip_e0(p: HPoly) -> dict[int, HPoly]:
     """Peel maximal leading zero-letter powers: ``p = sum_s e_0^s (result[s])``."""
-    out: dict[int, HPoly] = {}
-    for w, c in p.terms.items():
-        s = _leading_zero_run(w)
-        rest = Word(w[s:])
-        bucket = out.get(s)
-        out[s] = (bucket if bucket is not None else HPoly.zero()) + HPoly.from_word(rest, c)
-    return {s: h for s, h in out.items() if not h.is_zero}
+    runs = ((_leading_zero_run(w), w, c) for w, c in p.terms.items())
+    return combine((s, HPoly.from_word(Word(w[s:]), c)) for s, w, c in runs)
 
 
 _E1_WORD = Word((UNIT,))
@@ -136,16 +129,10 @@ def _reg_word(w: Word) -> tuple[tuple[int, HPoly], ...]:
     # in the (nonzero-count, trailing-run) order.
     product = star_words(base, _E1_WORD)
     rest = product - HPoly.from_word(w, m)
-    acc: dict[int, HPoly] = {}
-    for t, h in _reg_word(base):
-        acc[t + 1] = acc.get(t + 1, HPoly.zero()) + h
-    for word, c in rest.terms.items():
-        for t, h in _reg_word(word):
-            acc[t] = acc.get(t, HPoly.zero()) - h * c
+    lifted = [(t + 1, h) for t, h in _reg_word(base)]
+    lowered = [(t, h * -c) for word, c in rest.terms.items() for t, h in _reg_word(word)]
     inv_m = Fraction(1, m)
-    return tuple(
-        sorted((t, h * inv_m) for t, h in acc.items() if not (h * inv_m).is_zero)
-    )
+    return tuple(sorted((t, h * inv_m) for t, h in combine(lifted + lowered).items()))
 
 
 def reg_t(p: HPoly) -> dict[int, HPoly]:
@@ -154,50 +141,42 @@ def reg_t(p: HPoly) -> dict[int, HPoly]:
     Every coefficient is supported on admissible words; substituting the unit
     letter back for ``T`` reproduces ``p`` exactly.
     """
-    out: dict[int, HPoly] = {}
-    for w, c in p.terms.items():
-        if classify(w) is WordClass.GENERAL:
-            raise RegularizationError(f"word {w} has leading zero letters")
-        for t, h in _reg_word(w):
-            out[t] = out.get(t, HPoly.zero()) + h * c
-    return {t: h for t, h in out.items() if not h.is_zero}
+    return combine((t, h * c) for w, c in p.terms.items() for t, h in _reg_word(w))
 
 
-class RegularizedValue:
-    """Polynomial in the central symbols S, T with admissible coefficients."""
+def _st_text(s: int, t: int) -> str:
+    """``S^2*T`` for the exponents ``(2, 1)``; empty for ``(0, 0)``."""
+    parts = []
+    if s:
+        parts.append("S" if s == 1 else f"S^{s}")
+    if t:
+        parts.append("T" if t == 1 else f"T^{t}")
+    return "*".join(parts)
 
-    __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        data: dict[tuple[int, int], HPoly] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, h in items:
-                if h.is_zero:
-                    continue
-                s, t = key
-                if s < 0 or t < 0:
-                    raise ValueError("S/T exponents must be non-negative")
-                prev = data.get((s, t))
-                h = h if prev is None else prev + h
-                if h.is_zero:
-                    data.pop((s, t), None)
-                else:
-                    data[(s, t)] = h
-        self.terms = data
+class RegularizedValue(LinComb):
+    """Polynomial in the central symbols S, T with admissible coefficients.
 
-    @classmethod
-    def _raw(cls, terms: dict[tuple[int, int], HPoly]) -> "RegularizedValue":
-        obj = object.__new__(cls)
-        obj.terms = terms
-        return obj
+    ``terms`` maps the exponents ``(s, t)`` to the coefficient of ``S^s T^t``.
+    """
+
+    __slots__ = ()
+
+    _ONE_KEY = (0, 0)
+
+    @staticmethod
+    def _key(key) -> tuple[int, int]:
+        s, t = key
+        if s < 0 or t < 0:
+            raise ValueError("S/T exponents must be non-negative")
+        return (s, t)
+
+    @staticmethod
+    def _coefficient(h) -> HPoly:
+        return h if isinstance(h, HPoly) else HPoly.rational(h)
 
     def coeff(self, s: int, t: int) -> HPoly:
         return self.terms.get((s, t), HPoly.zero())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def validate(self) -> None:
         """Assert the admissibility invariant on every coefficient."""
@@ -208,98 +187,31 @@ class RegularizedValue:
                         f"coefficient of S^{s}T^{t} contains inadmissible word {w}"
                     )
 
-    def __add__(self, other: "RegularizedValue") -> "RegularizedValue":
-        out = dict(self.terms)
-        for key, h in other.terms.items():
-            acc = out.get(key, HPoly.zero()) + h
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-        return RegularizedValue._raw(out)
-
-    def __mul__(self, other: "RegularizedValue") -> "RegularizedValue":
-        """Product: exponents add, coefficients multiply harmonically."""
+    def __mul__(self, other):
+        """Product: exponents add, coefficients multiply harmonically; a rational scales."""
         if not isinstance(other, RegularizedValue):
-            return NotImplemented
-        out: dict[tuple[int, int], HPoly] = {}
-        for (s1, t1), h1 in self.terms.items():
-            for (s2, t2), h2 in other.terms.items():
-                key = (s1 + s2, t1 + t2)
-                acc = out.get(key, HPoly.zero()) + harmonic(h1, h2)
-                if acc.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = acc
-        return RegularizedValue._raw(out)
-
-    def scale(self, c) -> "RegularizedValue":
-        return RegularizedValue._raw(
-            {k: h * c for k, h in self.terms.items() if not (h * c).is_zero}
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RegularizedValue):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
+            return LinComb.__mul__(self, other)
+        return self._raw(combine(
+            ((s1 + s2, t1 + t2), harmonic(h1, h2))
+            for (s1, t1), h1 in self.terms.items()
+            for (s2, t2), h2 in other.terms.items()
+        ))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-
-        def st_text(s: int, t: int) -> str:
-            parts = []
-            if s:
-                parts.append("S" if s == 1 else f"S^{s}")
-            if t:
-                parts.append("T" if t == 1 else f"T^{t}")
-            return "*".join(parts)
-
-        chunks: list[str] = []
-        order = sorted(
-            self.terms,
-            key=lambda k: (k[0] + k[1], k[0], k[1]),
-            reverse=True,
+        keys = sorted(self.terms, key=lambda k: (k[0] + k[1], k[0], k[1]), reverse=True)
+        return format_terms(
+            (c, "*".join(filter(None, (format_word(w) if w else "", _st_text(s, t)))))
+            for s, t in keys
+            for w, c in self.terms[(s, t)].sorted_terms()
         )
-        for s, t in order:
-            h = self.terms[(s, t)]
-            st = st_text(s, t)
-            for w, c in h.sorted_terms():
-                mag = abs(c)
-                factors = []
-                if mag != 1 or (not w and not st):
-                    factors.append(str(mag))
-                if w:
-                    factors.append(str(w))
-                if st:
-                    factors.append(st)
-                body = "*".join(factors)
-                if not chunks:
-                    chunks.append(body if c > 0 else f"-{body}")
-                else:
-                    chunks.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"RegularizedValue({self})"
 
 
 def z_st(p: HPoly) -> RegularizedValue:
     """Normal form of ``p`` as a polynomial in S, T with admissible coefficients."""
-    out: dict[tuple[int, int], HPoly] = {}
-    for w, c in p.terms.items():
-        s = _leading_zero_run(w)
-        rest = Word(w[s:])
-        for t, h in _reg_word(rest):
-            key = (s, t)
-            acc = out.get(key, HPoly.zero()) + h * c
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    value = RegularizedValue._raw(out)
+    runs = ((_leading_zero_run(w), w, c) for w, c in p.terms.items())
+    value = RegularizedValue._raw(combine(
+        ((s, t), h * c) for s, w, c in runs for t, h in _reg_word(Word(w[s:]))
+    ))
     value.validate()
     return value
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-from .halg import HPoly, harmonic
+from .halg import HPoly, combine, harmonic
 
 __all__ = ["DEFAULT_ORDER", "OrderError", "Series1", "Series2"]
 
@@ -30,7 +30,7 @@ class OrderError(ValueError):
     """Access past the truncation order of a series."""
 
 
-def _clean(coeffs: dict, order: int) -> dict:
+def _clean(coeffs: dict) -> dict:
     out = {}
     for key, poly in coeffs.items():
         if isinstance(poly, (int, Fraction)):
@@ -41,20 +41,115 @@ def _clean(coeffs: dict, order: int) -> dict:
     return out
 
 
-class Series1:
-    """Univariate truncated series; ``coeffs[n]`` is the coefficient of ``var**n``."""
+class _Series:
+    """Order bookkeeping shared by both series types.
+
+    A subclass fixes the exponent key (an int, or an ``(i, j)`` pair) through
+    ``_in_range``, ``_degree`` (total degree), ``_add_keys`` and
+    ``_prefix`` (the monomial text in front of a coefficient); ``var`` holds
+    its variable name, or the pair of names.
+    """
 
     __slots__ = ("coeffs", "order", "var")
 
-    def __init__(self, coeffs: dict[int, HPoly] | None, order: int, var: str = "x"):
+    def __init__(self, coeffs: dict | None, order: int, var):
         if order < 0:
             raise ValueError("order must be non-negative")
         coeffs = coeffs or {}
-        if any(n < 0 or n > order for n in coeffs):
+        if not all(self._in_range(key, order) for key in coeffs):
             raise OrderError("coefficient degree outside truncation range")
-        self.coeffs = _clean(coeffs, order)
+        self.coeffs = _clean(coeffs)
         self.order = order
         self.var = var
+
+    def _new(self, coeffs: dict, order: int):
+        return type(self)(coeffs, order, self.var)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def _match(self, other) -> int:
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected a {type(self).__name__}")
+        if self.var != other.var:
+            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
+        return min(self.order, other.order)
+
+    def _upto(self, order: int) -> list:
+        return [(k, p) for k, p in self.coeffs.items() if self._degree(k) <= order]
+
+    def truncate(self, order: int):
+        if order >= self.order:
+            return self
+        return self._new(dict(self._upto(order)), order)
+
+    def add(self, other):
+        order = self._match(other)
+        return self._new(combine(self._upto(order) + other._upto(order)), order)
+
+    __add__ = add
+
+    def __sub__(self, other):
+        return self.add(other.scale(-1))
+
+    def scale(self, c: Fraction | int):
+        return self._new({k: p * c for k, p in self.coeffs.items()}, self.order)
+
+    def star(self, other):
+        """Cauchy product with harmonic multiplication of coefficients."""
+        order = self._match(other)
+        others = other._upto(order)
+        products = []
+        for i, p in self._upto(order):
+            for j, q in others:
+                key = self._add_keys(i, j)
+                if self._degree(key) <= order:
+                    products.append((key, harmonic(p, q)))
+        return self._new(combine(products), order)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.var == other.var and self.order == other.order and self.coeffs == other.coeffs
+
+    __hash__ = None
+
+    def __str__(self) -> str:
+        if not self.coeffs:
+            return "0"
+        return " + ".join(f"{self._prefix(k)}({p})" for k, p in sorted(self.coeffs.items()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(order={self.order}, {self})"
+
+
+class Series1(_Series):
+    """Univariate truncated series; ``coeffs[n]`` is the coefficient of ``var**n``."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs: dict[int, HPoly] | None, order: int, var: str = "x"):
+        super().__init__(coeffs, order, var)
+
+    # An attribute of each class, so that profilers (perfbench's tracer) can
+    # wrap the two products separately.
+    star = _Series.star
+
+    @staticmethod
+    def _in_range(n: int, order: int) -> bool:
+        return 0 <= n <= order
+
+    @staticmethod
+    def _degree(n: int) -> int:
+        return n
+
+    @staticmethod
+    def _add_keys(i: int, j: int) -> int:
+        return i + j
+
+    def _prefix(self, n: int) -> str:
+        return f"{self.var}^{n}*" if n else ""
 
     @classmethod
     def zero(cls, order: int, var: str = "x") -> "Series1":
@@ -65,61 +160,13 @@ class Series1:
         return cls({0: HPoly.one()}, order, var)
 
     def coeff(self, n: int) -> HPoly:
-        if n > self.order or n < 0:
+        if not self._in_range(n, self.order):
             raise OrderError(f"degree {n} beyond truncation order {self.order}")
         return self.coeffs.get(n, HPoly.zero())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _match(self, other: "Series1") -> int:
-        if not isinstance(other, Series1):
-            raise TypeError("expected a univariate series")
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
-        return min(self.order, other.order)
-
-    def truncate(self, order: int) -> "Series1":
-        if order >= self.order:
-            return self
-        return Series1({n: p for n, p in self.coeffs.items() if n <= order}, order, self.var)
-
-    def add(self, other: "Series1") -> "Series1":
-        order = self._match(other)
-        out = {n: p for n, p in self.coeffs.items() if n <= order}
-        for n, p in other.coeffs.items():
-            if n <= order:
-                out[n] = out.get(n, HPoly.zero()) + p
-        return Series1(out, order, self.var)
-
-    def __add__(self, other: "Series1") -> "Series1":
-        return self.add(other)
-
-    def __sub__(self, other: "Series1") -> "Series1":
-        return self.add(other.scale(-1))
-
-    def scale(self, c: Fraction | int) -> "Series1":
-        return Series1({n: p * c for n, p in self.coeffs.items()}, self.order, self.var)
 
     def mul_poly(self, h: HPoly) -> "Series1":
         """Multiply every coefficient harmonically by a fixed polynomial."""
         return Series1({n: harmonic(h, p) for n, p in self.coeffs.items()}, self.order, self.var)
-
-    def star(self, other: "Series1") -> "Series1":
-        """Cauchy product with harmonic multiplication of coefficients."""
-        order = self._match(other)
-        out: dict[int, HPoly] = {}
-        for i, p in self.coeffs.items():
-            if i > order:
-                continue
-            for j, q in other.coeffs.items():
-                n = i + j
-                if n > order:
-                    continue
-                term = harmonic(p, q)
-                out[n] = out.get(n, HPoly.zero()) + term
-        return Series1(out, order, self.var)
 
     def inverse(self) -> "Series1":
         """Harmonic-product inverse; needs an invertible rational constant term."""
@@ -198,30 +245,10 @@ class Series1:
                 out[(i, n - i)] = p * comb(n, i)
         return Series2(out, self.order)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series1):
-            return NotImplemented
-        return self.var == other.var and self.order == other.order and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = [
-            f"{self.var}^{n}*({p})" if n else f"({p})"
-            for n, p in sorted(self.coeffs.items())
-        ]
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Series1(order={self.order}, {self})"
-
-
-class Series2:
+class Series2(_Series):
     """Bivariate truncated series; keys are ``(i, j)`` with ``i + j <= order``."""
 
-    __slots__ = ("coeffs", "order", "vars")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -229,14 +256,25 @@ class Series2:
         order: int,
         vars: tuple[str, str] = ("x", "y"),
     ):
-        if order < 0:
-            raise ValueError("order must be non-negative")
-        coeffs = coeffs or {}
-        if any(i < 0 or j < 0 or i + j > order for i, j in coeffs):
-            raise OrderError("coefficient degree outside truncation range")
-        self.coeffs = _clean(coeffs, order)
-        self.order = order
-        self.vars = vars
+        super().__init__(coeffs, order, vars)
+
+    star = _Series.star
+
+    @staticmethod
+    def _in_range(key: tuple[int, int], order: int) -> bool:
+        i, j = key
+        return i >= 0 and j >= 0 and i + j <= order
+
+    @staticmethod
+    def _degree(key: tuple[int, int]) -> int:
+        return key[0] + key[1]
+
+    @staticmethod
+    def _add_keys(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        return (a[0] + b[0], a[1] + b[1])
+
+    def _prefix(self, key: tuple[int, int]) -> str:
+        return "".join(f"{v}^{e}*" for v, e in zip(self.var, key) if e)
 
     @classmethod
     def zero(cls, order: int) -> "Series2":
@@ -252,75 +290,6 @@ class Series2:
         return cls({(0, n): p for n, p in f.coeffs.items()}, f.order)
 
     def coeff(self, i: int, j: int) -> HPoly:
-        if i < 0 or j < 0 or i + j > self.order:
+        if not self._in_range((i, j), self.order):
             raise OrderError(f"degree ({i},{j}) beyond truncation order {self.order}")
         return self.coeffs.get((i, j), HPoly.zero())
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _match(self, other: "Series2") -> int:
-        if not isinstance(other, Series2):
-            raise TypeError("expected a bivariate series")
-        if self.vars != other.vars:
-            raise ValueError("variable mismatch")
-        return min(self.order, other.order)
-
-    def truncate(self, order: int) -> "Series2":
-        if order >= self.order:
-            return self
-        return Series2(
-            {k: p for k, p in self.coeffs.items() if k[0] + k[1] <= order}, order, self.vars
-        )
-
-    def add(self, other: "Series2") -> "Series2":
-        order = self._match(other)
-        out = {k: p for k, p in self.coeffs.items() if k[0] + k[1] <= order}
-        for k, p in other.coeffs.items():
-            if k[0] + k[1] <= order:
-                out[k] = out.get(k, HPoly.zero()) + p
-        return Series2(out, order, self.vars)
-
-    def __add__(self, other: "Series2") -> "Series2":
-        return self.add(other)
-
-    def __sub__(self, other: "Series2") -> "Series2":
-        return self.add(other.scale(-1))
-
-    def scale(self, c: Fraction | int) -> "Series2":
-        return Series2({k: p * c for k, p in self.coeffs.items()}, self.order, self.vars)
-
-    def star(self, other: "Series2") -> "Series2":
-        order = self._match(other)
-        out: dict[tuple[int, int], HPoly] = {}
-        for (a, b), p in self.coeffs.items():
-            if a + b > order:
-                continue
-            for (c, d), q in other.coeffs.items():
-                i, j = a + c, b + d
-                if i + j > order:
-                    continue
-                key = (i, j)
-                out[key] = out.get(key, HPoly.zero()) + harmonic(p, q)
-        return Series2(out, order, self.vars)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Series2):
-            return NotImplemented
-        return self.vars == other.vars and self.order == other.order and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        x, y = self.vars
-        parts = []
-        for (i, j), p in sorted(self.coeffs.items()):
-            pre = "".join(s for s in (f"{x}^{i}*" if i else "", f"{y}^{j}*" if j else ""))
-            parts.append(f"{pre}({p})")
-        return " + ".join(parts)
-
-    def __repr__(self) -> str:
-        return f"Series2(order={self.order}, {self})"

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator
 
-from .halg import HPoly, harmonic, s_chain
+from .halg import HPoly, LinComb, combine, format_terms, harmonic, s_chain
 from .monoid import MonoidElement
 from .reporting import CheckResult
 from .series import Series1, Series2
@@ -56,7 +56,6 @@ __all__ = [
 DEFAULT_MAX_INDEX = 8
 _max_index = DEFAULT_MAX_INDEX
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -81,7 +80,7 @@ def _check_index(n: int) -> None:
         raise WIndexError(f"generator index {n} exceeds the configured cap {_max_index}")
 
 
-class WPoly:
+class WPoly(LinComb):
     """Polynomial in the commuting generators ``W_1, W_2, ...`` over the rationals.
 
     Terms map sorted index multisets (tuples) to coefficients; the empty
@@ -89,46 +88,18 @@ class WPoly:
     of its indices, matching the word weight of its harmonic-algebra image.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        data: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, c in items:
-                key = tuple(sorted(key))
-                for n in key:
-                    if not isinstance(n, int) or n < 1:
-                        raise ValueError("generator indices must be positive integers")
-                    _check_index(n)
-                c = Fraction(c)
-                if not c:
-                    continue
-                acc = data.get(key, _F0) + c
-                if acc:
-                    data[key] = acc
-                elif key in data:
-                    del data[key]
-        self.terms = data
+    _ONE_KEY = ()
 
-    @classmethod
-    def _raw(cls, terms: dict[tuple[int, ...], Fraction]) -> "WPoly":
-        obj = object.__new__(cls)
-        obj.terms = terms
-        return obj
-
-    @classmethod
-    def zero(cls) -> "WPoly":
-        return cls._raw({})
-
-    @classmethod
-    def one(cls) -> "WPoly":
-        return cls._raw({(): _F1})
-
-    @classmethod
-    def rational(cls, c) -> "WPoly":
-        c = Fraction(c)
-        return cls._raw({(): c} if c else {})
+    @staticmethod
+    def _key(key) -> tuple[int, ...]:
+        key = tuple(sorted(key))
+        for n in key:
+            if not isinstance(n, int) or n < 1:
+                raise ValueError("generator indices must be positive integers")
+            _check_index(n)
+        return key
 
     @classmethod
     def gen(cls, n: int) -> "WPoly":
@@ -140,97 +111,32 @@ class WPoly:
         _check_index(n)
         return cls._raw({(n,): _F1})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "WPoly") -> "WPoly":
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            acc = out.get(key, _F0) + c
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        return WPoly._raw(out)
-
-    def __sub__(self, other: "WPoly") -> "WPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "WPoly":
-        return WPoly._raw({k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return WPoly.zero()
-            return WPoly._raw({k: v * c for k, v in self.terms.items()})
+        """Commutative product of monomials (index multisets join); a rational scales."""
         if not isinstance(other, WPoly):
-            return NotImplemented
-        out: dict[tuple[int, ...], Fraction] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = tuple(sorted(ka + kb))
-                for n in key:
-                    _check_index(n)
-                acc = out.get(key, _F0) + ca * cb
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        return WPoly._raw(out)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "WPoly":
-        return self * (_F1 / Fraction(scalar))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, WPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == WPoly.rational(other).terms
-        return NotImplemented
-
-    __hash__ = None
+            return LinComb.__mul__(self, other)
+        return WPoly(
+            (ka + kb, ca * cb)
+            for ka, ca in self.terms.items()
+            for kb, cb in other.terms.items()
+        )
 
     def weights(self) -> set[int]:
         """Weights (twice the index sums) of the monomials present."""
         return {2 * sum(k) for k in self.terms}
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
+        ordered = sorted(self.terms, key=lambda k: (2 * sum(k), k), reverse=True)
+        return format_terms((self.terms[k], _monomial_text(k)) for k in ordered)
 
-        def monomial_text(key: tuple[int, ...]) -> str:
-            if not key:
-                return ""
-            parts = []
-            for n in sorted(set(key), reverse=True):
-                e = key.count(n)
-                parts.append(f"W{n}" if e == 1 else f"W{n}^{e}")
-            return "*".join(parts)
 
-        chunks = []
-        for key in sorted(self.terms, key=lambda k: (2 * sum(k), k), reverse=True):
-            c = self.terms[key]
-            mono = monomial_text(key)
-            mag = abs(c)
-            if not mono:
-                body = str(mag)
-            elif mag == 1:
-                body = mono
-            else:
-                body = f"{mag}*{mono}"
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f" + {body}" if c > 0 else f" - {body}")
-        return "".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"WPoly({self})"
+def _monomial_text(key: tuple[int, ...]) -> str:
+    """``W3*W1^2`` for the multiset ``(1, 1, 3)``; empty for the constant monomial."""
+    parts = []
+    for n in sorted(set(key), reverse=True):
+        e = key.count(n)
+        parts.append(f"W{n}" if e == 1 else f"W{n}^{e}")
+    return "*".join(parts)
 
 
 def g_gen(m: int, n: int) -> WPoly:
@@ -272,32 +178,13 @@ def reduce_ap(p: WPoly) -> dict[int, Fraction]:
     ``g_gen(m, n)``, so ``p`` lies in that ideal iff the result is empty, and
     then ``eval_w(p, z)`` lies in the corresponding harmonic-algebra ideal.
     """
-    out: dict[int, Fraction] = {}
-    for key, c in p.terms.items():
-        deg = sum(key)
-        acc = out.get(deg, _F0) + c
-        if acc:
-            out[deg] = acc
-        elif deg in out:
-            del out[deg]
-    return out
+    return combine((sum(key), c) for key, c in p.terms.items())
 
 
 def format_reduced(reduced: dict[int, Fraction]) -> str:
     """Text form of a ``reduce_ap`` result, e.g. ``2*W1^2 + 1``."""
-    if not reduced:
-        return "0"
-    chunks = []
-    for deg in sorted(reduced, reverse=True):
-        c = reduced[deg]
-        mono = "" if deg == 0 else ("W1" if deg == 1 else f"W1^{deg}")
-        mag = abs(c)
-        body = str(mag) if not mono else (mono if mag == 1 else f"{mag}*{mono}")
-        if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
-        else:
-            chunks.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(chunks)
+    degrees = sorted(reduced, reverse=True)
+    return format_terms((reduced[d], _monomial_text((1,) * d)) for d in degrees)
 
 
 def _sine_wcoeff(n: int) -> WPoly:

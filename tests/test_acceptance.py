@@ -15,7 +15,7 @@ import pytest
 
 from hsw.halg import HPoly, Word, harmonic, s_chain, s_word
 from hsw.monoid import UNIT, ZERO, cyclic, rational
-from hsw.mzveval import make_evaluator, verify_harmonic_hom, word_to_mzv
+from hsw.mzveval import H0Evaluator, verify_harmonic_hom, word_to_mzv
 from hsw.reg import substitute_st, z_st, z_num
 from hsw.trig import sine_reflection, sine_taylor, verify_reflection_product
 from hsw.wcalc import (
@@ -141,7 +141,7 @@ def test_criterion_5_regularization():
 
 def test_criterion_6_assumption_numerics():
     with _Budget(6, "assumption numerics", 10):
-        evaluator = make_evaluator()
+        evaluator = H0Evaluator()
         # sine-coefficient values: Z((2n+1)! s[1,2]^n) = (-pi^2)^n
         for n in range(4):
             poly = HPoly.from_word(s_chain(UNIT, 2, n)) * math.factorial(2 * n + 1)
@@ -156,7 +156,7 @@ def test_criterion_6_assumption_numerics():
 
 def test_criterion_7_classical_recovery():
     with _Budget(7, "classical recovery", 60):
-        evaluator = make_evaluator()
+        evaluator = H0Evaluator()
         # Taylor coefficients of sin(pi x)/pi
         for n in range(5):
             value = z_num(HPoly.from_word(s_chain(UNIT, 2, n)), evaluator)

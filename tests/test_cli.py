@@ -132,3 +132,47 @@ class TestRelations:
         with pytest.raises(SystemExit) as exc:
             main(["relations", "--weight", "3"])
         assert exc.value.code == 2
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "env, argv",
+        [
+            ({"HSW_ORDER": "abc"}, ["verify", "coincidence"]),
+            ({"HSW_ORDER": "99"}, ["verify", "coincidence"]),
+            ({"HSW_MZV_N": "abc"}, ["eval", "s[1,2]", "--mode", "znum"]),
+            ({"HSW_MZV_N": "5"}, ["eval", "s[1,2]", "--mode", "znum"]),
+            ({"HSW_MZV_N": "abc"}, ["relations", "--weight", "4"]),
+            ({"HSW_TOL": "abc"}, ["eval", "s[1,2]", "--mode", "znum"]),
+            ({"HSW_TOL": "-1e-7"}, ["verify", "harmonic-hom", "--max-weight", "1"]),
+            ({}, ["eval", "s[1,2]", "--mode", "znum", "--mzv-n", "5"]),
+            ({}, ["eval", "s[1,2]", "--mode", "znum", "--tol", "0"]),
+            ({}, ["verify", "harmonic-hom", "--tol", "-1"]),
+            ({}, ["verify", "harmonic-hom", "--quad-tol", "nan"]),
+            ({}, ["verify", "regularization", "--count", "-5"]),
+            ({}, ["verify", "regularization", "--count", "0"]),
+        ],
+    )
+    def test_exit_2_with_message(self, capsys, monkeypatch, env, argv):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument" in err and "Traceback" not in err
+
+    def test_max_n_alias(self, capsys):
+        outputs = []
+        for flag in ("--max-n", "--max-N"):
+            code, out, _ = run(capsys, "verify", "pythagoras", flag, "1", "--format", "json")
+            assert code == 0
+            summary = json.loads(out.strip().splitlines()[-1])
+            assert summary["items"] == 2 and summary["params"]["max_N"] == 1
+            outputs.append([line for line in out.splitlines() if '"item"' in line])
+        assert outputs[0] == outputs[1]
+
+    def test_zero_items_fail(self, capsys):
+        code, out, _ = run(capsys, "verify", "harmonic-hom", "--letters", ",")
+        assert code == 1
+        assert "RESULT harmonic-hom: fail (0 items" in out

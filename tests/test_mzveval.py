@@ -7,12 +7,12 @@ import pytest
 from hsw.halg import HPoly, Word, harmonic, s_chain, s_word
 from hsw.monoid import UNIT, ZERO, cyclic, rational
 from hsw.mzveval import (
+    H0Evaluator,
     InadmissibleIndexError,
     MzvIndex,
     UnsupportedWordError,
     check_assumptions,
     iterint_num,
-    make_evaluator,
     verify_harmonic_hom,
     word_to_mzv,
     zeta,
@@ -172,7 +172,7 @@ class TestIterint:
 
 class TestEvaluator:
     def test_dispatch(self):
-        ev = make_evaluator()
+        ev = H0Evaluator()
         v, b = ev(s_word(UNIT, 2))
         assert abs(v + math.pi**2 / 6) < 1e-12
         v, _ = ev(w(rational(2)))
@@ -180,7 +180,7 @@ class TestEvaluator:
         assert ev(Word()) == (1.0, 0.0)
 
     def test_z_num_values(self):
-        ev = make_evaluator()
+        ev = H0Evaluator()
         assert z_num(HPoly.from_word(w(UNIT)), ev) == 0.0
         v = z_num(HPoly.from_word(s_word(UNIT, 2)), ev)
         assert abs(v + math.pi**2 / 6) < 1e-12
@@ -190,7 +190,7 @@ class TestEvaluator:
 
     def test_stuffle_consistency_random_pairs(self):
         # numeric homomorphism on zeta words, within the reported bounds
-        ev = make_evaluator()
+        ev = H0Evaluator()
         words = [
             s_word(UNIT, 2),
             s_word(UNIT, 3),
@@ -221,7 +221,7 @@ class TestAssumptionChecks:
         assert all(item.passed for item in items)
 
     def test_w_values_alternate_sign(self):
-        ev = make_evaluator()
+        ev = H0Evaluator()
         for n in range(4):
             poly = HPoly.from_word(s_chain(UNIT, 2, n)) * math.factorial(2 * n + 1)
             v = z_num(poly, ev)
