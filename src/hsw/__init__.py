@@ -57,7 +57,6 @@ from .wcalc import (
     pythagoras_coeff,
     pythagoras_series,
     reduce_ap,
-    set_max_index,
     verify_addition,
     verify_pythagoras,
     w_value,

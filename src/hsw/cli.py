@@ -28,10 +28,11 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
 from .halg import HPoly, ParseError, combine, format_poly, format_terms, parse_poly
-from .monoid import UNIT, MonoidElement, parse_element
+from .monoid import UNIT, parse_element
 from .mzveval import (
     DEFAULT_CUTOFF,
     MIN_CUTOFF,
@@ -84,29 +85,50 @@ class VerificationReport:
         }
 
 
-def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool], requirement: str):
+def _checked(convert: Callable[[str], Any], ok: Callable[[Any], Any], requirement: str):
     """An argparse ``type`` that also checks the converted value.
 
-    argparse passes a string default through ``type`` too, whenever the flag
-    is absent; that is how a bad ``HSW_*`` value exits 2 like a bad flag.
+    ``ok`` rejects a value by returning something false or by raising
+    ``ValueError``.  argparse passes a string default through ``type`` too,
+    whenever the flag is absent; that is how a bad ``HSW_*`` value exits 2
+    like a bad flag.
     """
 
     def parse(text: str):
         try:
             value = convert(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
+            accepted = ok(value)
+        except (ValueError, ZeroDivisionError):
+            accepted = False
+        if not accepted:
             raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
         return value
 
     return parse
 
 
-_ORDER = _checked(int, lambda n: 0 <= n <= MAX_ORDER, f"an integer from 0 to {MAX_ORDER}")
+def _int_range(low: int, high: int):
+    return _checked(int, lambda n: low <= n <= high, f"an integer from {low} to {high}")
+
+
+def _letters(text: str) -> list[Fraction]:
+    """The rationals of a comma-separated ``--letters`` list, each a valid letter."""
+    letters = [Fraction(part) for part in text.split(",") if part.strip()]
+    if not letters or any(abs(q) < 1 or q == 1 for q in letters):
+        raise ValueError(f"not a list of letters: {text!r}")
+    return letters
+
+
+_ORDER = _int_range(0, MAX_ORDER)
 _COUNT = _checked(int, lambda n: n >= 1, "a positive integer")
 _CUTOFF = _checked(int, lambda n: n >= MIN_CUTOFF, f"an integer >= {MIN_CUTOFF}")
 _TOLERANCE = _checked(float, lambda x: 0 < x < math.inf, "a finite positive number")
+_WEIGHT = _checked(
+    int, lambda w: 2 <= w <= MAX_RELATION_WEIGHT and w % 2 == 0, f"an even integer from 2 to {MAX_RELATION_WEIGHT}"
+)
+# ``--z`` and ``--letters`` keep the text as typed: the JSON params echo it.
+_ELEMENT = _checked(str, parse_element, "an element literal: 0, 1, z, z^n or a rational of modulus >= 1")
+_LETTERS = _checked(str, _letters, "a non-empty comma-separated list of rationals of modulus >= 1 other than 1")
 
 
 def _emit_items(
@@ -114,9 +136,7 @@ def _emit_items(
     params: dict,
     items: Iterable[CheckResult],
     fmt: str,
-    out=None,
 ) -> VerificationReport:
-    out = out if out is not None else sys.stdout
     collected: list[CheckResult] = []
     start = time.perf_counter()
     for item in items:
@@ -124,29 +144,21 @@ def _emit_items(
         if fmt == "json":
             record = {"type": "item", "theorem": theorem}
             record.update(item.as_dict())
-            print(json.dumps(record), file=out, flush=True)
+            print(json.dumps(record), flush=True)
         else:
             status = "PASS" if item.passed else "FAIL"
             detail = f"  {item.detail}" if item.detail else ""
-            print(f"[{status}] {theorem}: {item.item}{detail}", file=out, flush=True)
+            print(f"[{status}] {theorem}: {item.item}{detail}", flush=True)
     report = VerificationReport(theorem, params, collected, time.perf_counter() - start)
     if fmt == "json":
-        print(json.dumps(report.summary_dict()), file=out, flush=True)
+        print(json.dumps(report.summary_dict()), flush=True)
     else:
         print(
             f"RESULT {theorem}: {'pass' if report.passed else 'fail'} "
             f"({len(collected)} items, {report.wall_time:.2f}s)",
-            file=out,
             flush=True,
         )
     return report
-
-
-def _parse_z(parser: argparse.ArgumentParser, text: str) -> MonoidElement:
-    try:
-        return parse_element(text)
-    except ValueError as exc:
-        parser.error(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -224,72 +236,42 @@ def relation_records(weight: int, evaluator) -> Iterator[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_verify(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    theorem = args.theorem
-    if theorem == "coincidence":
-        if not 1 <= args.k <= 6:
-            parser.error("--k must be between 1 and 6")
-        if not 0 <= args.max_n <= 8:
-            parser.error("--max-n must be between 0 and 8")
-        z = _parse_z(parser, args.z)
-        order = args.order
-        items = verify_coincidence(z, k=args.k, max_n=args.max_n, order=order)
-        params = {"k": args.k, "order": order, "max_n": args.max_n, "z": args.z}
-        reflection = verify_reflection_product(z, order=min(order, 8))
-
-        def chained() -> Iterator[CheckResult]:
-            yield from items
-            yield from reflection
-
-        report = _emit_items(theorem, params, chained(), args.format)
-    elif theorem == "addition":
-        if not 0 <= args.max_degree <= MAX_ORDER:
-            parser.error(f"--max-degree must be between 0 and {MAX_ORDER}")
-        z = _parse_z(parser, args.z)
-        params = {"max_degree": args.max_degree, "z": args.z}
-        report = _emit_items(
-            theorem, params, verify_addition(z, args.max_degree), args.format
-        )
-    elif theorem == "pythagoras":
-        if not 0 <= args.max_n <= 6:
-            parser.error("--max-N must be between 0 and 6")
-        z = _parse_z(parser, args.z)
-        params = {"max_N": args.max_n, "z": args.z}
-        report = _emit_items(theorem, params, verify_pythagoras(z, args.max_n), args.format)
-    elif theorem == "regularization":
-        if not 0 <= args.max_weight <= 8:
-            parser.error("--max-weight must be between 0 and 8 for regularization")
-        params = {"count": args.count, "max_weight": args.max_weight, "seed": args.seed}
-        report = _emit_items(
-            theorem,
-            params,
-            verify_regularization(args.count, args.max_weight, args.seed),
-            args.format,
-        )
-    else:  # harmonic-hom
-        if not 1 <= args.max_weight <= 2:
-            parser.error("--max-weight must be 1 or 2 for harmonic-hom (quadrature depth cap)")
-        try:
-            letters = [Fraction(part) for part in args.letters.split(",") if part.strip()]
-        except ValueError:
-            parser.error("--letters must be a comma-separated list of rationals")
-        if any(abs(q) < 1 or q == 1 for q in letters):
-            parser.error("--letters must have modulus >= 1 and differ from 1")
-        params = {"letters": args.letters, "max_weight": args.max_weight, "tol": args.tol}
-        report = _emit_items(
-            theorem,
-            params,
-            verify_harmonic_hom(letters, args.max_weight, args.tol, args.quad_tol),
-            args.format,
-        )
-    return 0 if report.passed else 1
+def _coincidence(args: argparse.Namespace) -> tuple[dict, Iterator[CheckResult]]:
+    z = parse_element(args.z)
+    items = chain(
+        verify_coincidence(z, k=args.k, max_n=args.max_n, order=args.order),
+        verify_reflection_product(z, order=min(args.order, 8)),
+    )
+    return {"k": args.k, "order": args.order, "max_n": args.max_n, "z": args.z}, items
 
 
-def _cmd_relations(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
-    if args.weight % 2 or args.weight < 2:
-        parser.error("--weight must be a positive even integer")
-    if args.weight > MAX_RELATION_WEIGHT:
-        parser.error(f"--weight must be at most {MAX_RELATION_WEIGHT}")
+def _addition(args: argparse.Namespace) -> tuple[dict, Iterator[CheckResult]]:
+    items = verify_addition(parse_element(args.z), args.max_degree)
+    return {"max_degree": args.max_degree, "z": args.z}, items
+
+
+def _pythagoras(args: argparse.Namespace) -> tuple[dict, Iterator[CheckResult]]:
+    items = verify_pythagoras(parse_element(args.z), args.max_n)
+    return {"max_N": args.max_n, "z": args.z}, items
+
+
+def _regularization(args: argparse.Namespace) -> tuple[dict, Iterator[CheckResult]]:
+    items = verify_regularization(args.count, args.max_weight, args.seed)
+    return {"count": args.count, "max_weight": args.max_weight, "seed": args.seed}, items
+
+
+def _harmonic_hom(args: argparse.Namespace) -> tuple[dict, Iterator[CheckResult]]:
+    letters = _letters(args.letters)
+    items = verify_harmonic_hom(letters, args.max_weight, args.tol, args.quad_tol)
+    return {"letters": args.letters, "max_weight": args.max_weight, "tol": args.tol}, items
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    params, items = args.driver(args)
+    return 0 if _emit_items(args.theorem, params, items, args.format).passed else 1
+
+
+def _cmd_relations(args: argparse.Namespace) -> int:
     evaluator = H0Evaluator(n_terms=args.mzv_n)
     for record in relation_records(args.weight, evaluator):
         if args.format == "json":
@@ -304,7 +286,7 @@ def _cmd_relations(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
     return 0
 
 
-def _cmd_eval(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         poly = parse_poly(args.expr)
     except ParseError as exc:
@@ -332,36 +314,61 @@ def build_parser() -> argparse.ArgumentParser:
     default_mzv_n = os.environ.get("HSW_MZV_N", DEFAULT_CUTOFF)
     default_tol = os.environ.get("HSW_TOL", 1e-7)
 
+    # theorem -> (driver, [(option strings, argparse type, default, help)]):
+    # a theorem takes exactly the flags its driver reads.
+    theorems = {
+        "coincidence": (_coincidence, [
+            (["--k"], _int_range(1, 6), 2, "block length"),
+            (["--max-n", "--max-N"], _int_range(0, 8), 5, "coefficient identities to check"),
+            (["--order"], _ORDER, default_order, "truncation order; HSW_ORDER sets the default"),
+            (["--z"], _ELEMENT, "z", "monoid element literal"),
+        ]),
+        "addition": (_addition, [
+            (["--max-degree"], _int_range(0, MAX_ORDER), 9, "largest total degree i+j"),
+            (["--z"], _ELEMENT, "z", "monoid element literal"),
+        ]),
+        "pythagoras": (_pythagoras, [
+            (["--max-n", "--max-N"], _int_range(0, 6), 5, "largest coefficient index"),
+            (["--z"], _ELEMENT, "z", "monoid element literal"),
+        ]),
+        "regularization": (_regularization, [
+            (["--count"], _COUNT, 100, "number of random inputs"),
+            (["--max-weight"], _int_range(0, 8), 5, "largest word weight"),
+            (["--seed"], int, 0, "random seed"),
+        ]),
+        "harmonic-hom": (_harmonic_hom, [
+            (["--letters"], _LETTERS, "2,3,5/2", "comma-separated rational letters"),
+            (["--max-weight"], _int_range(1, 2), 2, "largest word weight (the quadrature depth cap is 2)"),
+            (["--tol"], _TOLERANCE, 1e-5, "multiplicativity tolerance"),
+            (["--quad-tol"], _TOLERANCE, default_tol, "quadrature tolerance; HSW_TOL sets the default"),
+        ]),
+    }
+
     parser = argparse.ArgumentParser(
         prog="hsw",
         description="Exact harmonic-algebra trigonometry and zeta-value evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["text", "json"], default="text")
 
     verify = sub.add_parser("verify", help="run a theorem verification")
-    verify.add_argument(
-        "theorem",
-        choices=["coincidence", "addition", "pythagoras", "regularization", "harmonic-hom"],
-    )
-    verify.add_argument("--format", choices=["text", "json"], default="text")
-    verify.add_argument("--order", type=_ORDER, default=default_order, help=f"truncation order (default {default_order}; HSW_ORDER)")
-    verify.add_argument("--k", type=int, default=2, help="block length for coincidence")
-    verify.add_argument("--max-n", "--max-N", type=int, default=5, dest="max_n", help="coefficient identities (coincidence) or coefficients (pythagoras)")
-    verify.add_argument("--max-degree", type=int, default=9, dest="max_degree")
-    verify.add_argument("--z", default="z", help="monoid element literal (default the cyclic generator)")
-    verify.add_argument("--count", type=_COUNT, default=100, help="random inputs for regularization")
-    verify.add_argument("--max-weight", type=int, default=None, dest="max_weight")
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--letters", default="2,3,5/2")
-    verify.add_argument("--tol", type=_TOLERANCE, default=1e-5)
-    verify.add_argument("--quad-tol", type=_TOLERANCE, default=default_tol, dest="quad_tol", help="quadrature tolerance (HSW_TOL)")
+    by_theorem = verify.add_subparsers(dest="theorem", required=True)
+    for theorem, (driver, flags) in theorems.items():
+        one = by_theorem.add_parser(
+            theorem, parents=[fmt], formatter_class=argparse.ArgumentDefaultsHelpFormatter
+        )
+        one.set_defaults(run=_cmd_verify, driver=driver)
+        for names, kind, default, text in flags:
+            one.add_argument(*names, type=kind, default=default, help=text)
 
-    relations = sub.add_parser("relations", help="emit zeta-value relations at a weight")
-    relations.add_argument("--weight", type=int, required=True)
-    relations.add_argument("--format", choices=["text", "json"], default="text")
+    relations = sub.add_parser("relations", parents=[fmt], help="emit zeta-value relations at a weight")
+    relations.set_defaults(run=_cmd_relations)
+    relations.add_argument("--weight", type=_WEIGHT, required=True)
     relations.add_argument("--mzv-n", type=_CUTOFF, default=default_mzv_n, dest="mzv_n", help="zeta sum cutoff (HSW_MZV_N)")
 
     ev = sub.add_parser("eval", help="parse and evaluate a polynomial expression")
+    ev.set_defaults(run=_cmd_eval)
     ev.add_argument("expr")
     ev.add_argument("--mode", choices=["symbolic", "zst", "znum"], default="symbolic")
     ev.add_argument("--mzv-n", type=_CUTOFF, default=default_mzv_n, dest="mzv_n", help="zeta sum cutoff (HSW_MZV_N)")
@@ -371,16 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            if args.max_weight is None:
-                args.max_weight = 5 if args.theorem == "regularization" else 2
-            return _cmd_verify(parser, args)
-        if args.command == "relations":
-            return _cmd_relations(parser, args)
-        return _cmd_eval(parser, args)
+        return args.run(args)
     except BrokenPipeError:
         # Downstream consumer (e.g. head) closed the stream; not a failure.
         try:

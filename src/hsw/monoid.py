@@ -48,16 +48,17 @@ _RANK = {_KIND_ZERO: 0, _KIND_UNIT: 1, _KIND_CYCLIC: 2, _KIND_RATIONAL: 3}
 class MonoidElement:
     """A canonical element of a monoid with zero.
 
-    Instances are immutable and should be obtained through :data:`ZERO`,
-    :data:`UNIT`, :func:`cyclic` or :func:`rational`, which intern them.
+    Instances are immutable and must be obtained through :data:`ZERO`,
+    :data:`UNIT`, :func:`cyclic` or :func:`rational`, which intern them: there
+    is exactly one instance per element, so equality and hashing are the
+    default ones, by identity.
     """
 
-    __slots__ = ("kind", "value", "_hash")
+    __slots__ = ("kind", "value")
 
     def __init__(self, kind: str, value):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
-        object.__setattr__(self, "_hash", hash((kind, value)))
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MonoidElement is immutable")
@@ -101,21 +102,11 @@ class MonoidElement:
             return cyclic(self.value * n)
         return rational(self.value**n)
 
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, MonoidElement):
-            return NotImplemented
-        return self.kind == other.kind and self.value == other.value
-
     def __lt__(self, other: "MonoidElement") -> bool:
         return self.sort_key() < other.sort_key()
 
     def __le__(self, other: "MonoidElement") -> bool:
         return self.sort_key() <= other.sort_key()
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __str__(self) -> str:
         return format_element(self)

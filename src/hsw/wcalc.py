@@ -34,11 +34,10 @@ from .series import Series1, Series2
 from .trig import cosine, sine
 
 __all__ = [
-    "DEFAULT_MAX_INDEX",
+    "MAX_INDEX",
     "WIndexError",
     "NoWitnessError",
     "WPoly",
-    "set_max_index",
     "g_gen",
     "w_value",
     "eval_w",
@@ -53,31 +52,24 @@ __all__ = [
     "verify_pythagoras",
 ]
 
-DEFAULT_MAX_INDEX = 8
-_max_index = DEFAULT_MAX_INDEX
+# The largest generator index; the CLI's largest run, ``verify addition
+# --max-degree 16``, needs up to ``W_8``.
+MAX_INDEX = 8
 
 _F1 = Fraction(1)
 
 
 class WIndexError(ValueError):
-    """A generator index above the configured cap (raised, never truncated)."""
+    """A generator index above :data:`MAX_INDEX` (raised, never truncated)."""
 
 
 class NoWitnessError(ValueError):
     """No single-generator witness exists (even total degree)."""
 
 
-def set_max_index(n: int) -> None:
-    """Raise or lower the generator-index cap (default 8)."""
-    global _max_index
-    if n < 1:
-        raise ValueError("max index must be positive")
-    _max_index = n
-
-
 def _check_index(n: int) -> None:
-    if n > _max_index:
-        raise WIndexError(f"generator index {n} exceeds the configured cap {_max_index}")
+    if n > MAX_INDEX:
+        raise WIndexError(f"generator index {n} exceeds the cap {MAX_INDEX}")
 
 
 class WPoly(LinComb):
@@ -266,11 +258,9 @@ def pythagoras_series(z: MonoidElement, order: int) -> Series1:
     return c.star(c) - s.star(s).mul_poly(w_value(z, 1))
 
 
-def verify_addition(
-    z: MonoidElement, max_degree: int = 9, bridge: bool = True
-) -> Iterator[CheckResult]:
+def verify_addition(z: MonoidElement, max_degree: int = 9) -> Iterator[CheckResult]:
     """Forward membership, witness recovery and the two-route bridge check."""
-    direct = addition_series2(z, max_degree) if bridge else None
+    direct = addition_series2(z, max_degree)
     for total in range(max_degree + 1):
         for i in range(total + 1):
             j = total - i
@@ -289,25 +279,21 @@ def verify_addition(
                 except AssertionError as exc:
                     record["witness"] = {"error": str(exc)}
                     ok = False
-            if direct is not None:
-                ok = ok and direct.coeff(i, j) == eval_w(wp, z)
+            ok = ok and direct.coeff(i, j) == eval_w(wp, z)
             yield CheckResult(item=f"addition-coefficient x^{i}y^{j}", passed=ok, data=record)
 
 
-def verify_pythagoras(
-    z: MonoidElement, max_n: int = 5, bridge: bool = True
-) -> Iterator[CheckResult]:
+def verify_pythagoras(z: MonoidElement, max_n: int = 5) -> Iterator[CheckResult]:
     """Membership delta check plus the two-route bridge and odd-degree parity."""
-    direct = pythagoras_series(z, 2 * max_n) if bridge else None
+    direct = pythagoras_series(z, 2 * max_n)
     for n in range(max_n + 1):
         wp = pythagoras_coeff(n)
         reduced = reduce_ap(wp)
         expected = {0: _F1} if n == 0 else {}
         ok = reduced == expected
-        if direct is not None:
-            ok = ok and direct.coeff(2 * n) == eval_w(wp, z)
-            if 2 * n + 1 <= direct.order:
-                ok = ok and direct.coeff(2 * n + 1).is_zero
+        ok = ok and direct.coeff(2 * n) == eval_w(wp, z)
+        if 2 * n + 1 <= direct.order:
+            ok = ok and direct.coeff(2 * n + 1).is_zero
         yield CheckResult(
             item=f"pythagoras-coefficient x^{2 * n}",
             passed=ok,

@@ -1,0 +1,45 @@
+"""The benchmark's tracer still finds every layer function it wraps.
+
+``perfbench/child.py``'s ``instrument`` patches hsw functions and methods by
+name (``Series2.star``, ``H0Evaluator._iterint``, ``verify_pythagoras``, ...);
+a rename makes it fail.  It runs in a subprocess because the patches last for
+the life of the process.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = """
+import contextlib, io, json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+from child import instrument
+from spans import Tracer
+import hsw.cli
+
+tracer = Tracer()
+instrument(tracer)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = hsw.cli.main(["verify", "pythagoras", "--max-N", "2"])
+summary = tracer.summary()
+print(json.dumps({"code": code, "roots": summary["roots"], "calls": summary["calls"]}))
+"""
+
+
+def test_instrumented_cli_run():
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0
+    assert result["roots"] == ["cli.main"]
+    assert result["calls"]["cli.main"] == 1
+    # The driver is looked up when the command runs, so the CLI calls the wrapped one.
+    assert result["calls"]["wcalc.verify_pythagoras"] == 1

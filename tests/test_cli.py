@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hsw.cli import main
+from hsw.cli import _emit_items, main
 
 
 def run(capsys, *argv):
@@ -151,6 +151,19 @@ class TestInputErrors:
             ({}, ["verify", "harmonic-hom", "--quad-tol", "nan"]),
             ({}, ["verify", "regularization", "--count", "-5"]),
             ({}, ["verify", "regularization", "--count", "0"]),
+            ({}, ["verify", "harmonic-hom", "--letters", ","]),
+            ({}, ["verify", "coincidence", "--k", "7"]),
+            ({}, ["verify", "coincidence", "--max-n", "9"]),
+            ({}, ["verify", "pythagoras", "--max-N", "7"]),
+            ({}, ["verify", "addition", "--max-degree", "17"]),
+            ({}, ["verify", "regularization", "--max-weight", "9"]),
+            ({}, ["verify", "harmonic-hom", "--max-weight", "3"]),
+            ({}, ["verify", "harmonic-hom", "--letters", "1/2"]),
+            ({}, ["verify", "harmonic-hom", "--letters", "1/0"]),
+            ({}, ["verify", "addition", "--z", "q"]),
+            ({}, ["verify", "addition", "--z", "1/0"]),
+            ({}, ["relations", "--weight", "3"]),
+            ({}, ["relations", "--weight", "14"]),
         ],
     )
     def test_exit_2_with_message(self, capsys, monkeypatch, env, argv):
@@ -161,6 +174,20 @@ class TestInputErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error: argument" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "addition", "--order", "12"],
+            ["verify", "pythagoras", "--seed", "1"],
+        ],
+    )
+    def test_flag_of_another_theorem_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {argv[2]}" in err and "Traceback" not in err
 
     def test_max_n_alias(self, capsys):
         outputs = []
@@ -173,6 +200,6 @@ class TestInputErrors:
         assert outputs[0] == outputs[1]
 
     def test_zero_items_fail(self, capsys):
-        code, out, _ = run(capsys, "verify", "harmonic-hom", "--letters", ",")
-        assert code == 1
-        assert "RESULT harmonic-hom: fail (0 items" in out
+        report = _emit_items("harmonic-hom", {}, iter(()), "text")
+        assert report.passed is False
+        assert "RESULT harmonic-hom: fail (0 items" in capsys.readouterr().out
