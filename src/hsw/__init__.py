@@ -75,7 +75,6 @@ from .reg import (
     z_st,
 )
 from .mzveval import (
-    DEFAULT_CUTOFF,
     H0Evaluator,
     InadmissibleIndexError,
     MzvIndex,

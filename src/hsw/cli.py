@@ -11,11 +11,10 @@ Three verbs:
 * ``eval EXPR`` parses a polynomial expression and prints it normalized
   (``symbolic``), in S/T normal form (``zst``) or numerically (``znum``).
 
-Defaults honour the environment variables ``HSW_ORDER``, ``HSW_MZV_N`` and
-``HSW_TOL``; explicit flags win.  A variable's value is checked like the flag
-it stands for, so a bad one exits 2 unless that flag is given.  Exit codes:
-0 pass, 1 verification failure (a run with no items fails too), 2 usage or
-input error.
+Defaults honour the environment variables ``HSW_ORDER`` and ``HSW_TOL``;
+explicit flags win.  A variable's value is checked like the flag it stands
+for, so a bad one exits 2 unless that flag is given.  Exit codes: 0 pass, 1
+verification failure (a run with no items fails too), 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -33,14 +32,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from .halg import HPoly, ParseError, combine, format_poly, format_terms, parse_poly
 from .monoid import UNIT, parse_element
-from .mzveval import (
-    DEFAULT_CUTOFF,
-    MIN_CUTOFF,
-    H0Evaluator,
-    UnsupportedWordError,
-    verify_harmonic_hom,
-    word_to_mzv,
-)
+from .mzveval import H0Evaluator, UnsupportedWordError, verify_harmonic_hom, word_to_mzv
 from .reg import verify_regularization, z_num_with_bound, z_st
 from .reporting import CheckResult
 from .trig import verify_coincidence, verify_reflection_product
@@ -121,7 +113,6 @@ def _letters(text: str) -> list[Fraction]:
 
 _ORDER = _int_range(0, MAX_ORDER)
 _COUNT = _checked(int, lambda n: n >= 1, "a positive integer")
-_CUTOFF = _checked(int, lambda n: n >= MIN_CUTOFF, f"an integer >= {MIN_CUTOFF}")
 _TOLERANCE = _checked(float, lambda x: 0 < x < math.inf, "a finite positive number")
 _WEIGHT = _checked(
     int, lambda w: 2 <= w <= MAX_RELATION_WEIGHT and w % 2 == 0, f"an even integer from 2 to {MAX_RELATION_WEIGHT}"
@@ -213,12 +204,14 @@ def relation_records(weight: int, evaluator) -> Iterator[dict]:
         terms = _normalize_terms(_relation_terms(poly))
         if not terms:
             continue
-        residual = 0.0
-        bound = 0.0
+        # Both sums are exact and rounded once: rounding to float is monotone,
+        # so |residual| <= bound follows from |exact residual| <= exact bound.
+        residual = Fraction(0)
+        bound = Fraction(0)
         for c, ks in terms:
             v, b = evaluator.zeta_value(ks) if ks else (1.0, 0.0)
-            residual += c * v
-            bound += abs(c) * b
+            residual += c * Fraction(v)
+            bound += abs(c) * Fraction(b)
         yield {
             "type": "relation",
             "weight": weight,
@@ -226,8 +219,8 @@ def relation_records(weight: int, evaluator) -> Iterator[dict]:
             "degrees": degrees,
             "relation": _relation_text(terms),
             "terms": [{"coeff": c, "index": list(ks)} for c, ks in terms],
-            "residual": residual,
-            "bound": bound,
+            "residual": float(residual),
+            "bound": float(bound),
         }
 
 
@@ -272,7 +265,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_relations(args: argparse.Namespace) -> int:
-    evaluator = H0Evaluator(n_terms=args.mzv_n)
+    evaluator = H0Evaluator()
     for record in relation_records(args.weight, evaluator):
         if args.format == "json":
             print(json.dumps(record), flush=True)
@@ -298,7 +291,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.mode == "zst":
         print(z_st(poly))
         return 0
-    evaluator = H0Evaluator(n_terms=args.mzv_n, tol=args.tol)
+    evaluator = H0Evaluator(tol=args.tol)
     try:
         value, bound = z_num_with_bound(poly, evaluator)
     except UnsupportedWordError as exc:
@@ -311,7 +304,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # Raw strings when set: argparse checks them through the flag's ``type``.
     default_order = os.environ.get("HSW_ORDER", DEFAULT_ORDER)
-    default_mzv_n = os.environ.get("HSW_MZV_N", DEFAULT_CUTOFF)
     default_tol = os.environ.get("HSW_TOL", 1e-7)
 
     # theorem -> (driver, [(option strings, argparse type, default, help)]):
@@ -365,13 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     relations = sub.add_parser("relations", parents=[fmt], help="emit zeta-value relations at a weight")
     relations.set_defaults(run=_cmd_relations)
     relations.add_argument("--weight", type=_WEIGHT, required=True)
-    relations.add_argument("--mzv-n", type=_CUTOFF, default=default_mzv_n, dest="mzv_n", help="zeta sum cutoff (HSW_MZV_N)")
 
     ev = sub.add_parser("eval", help="parse and evaluate a polynomial expression")
     ev.set_defaults(run=_cmd_eval)
     ev.add_argument("expr")
     ev.add_argument("--mode", choices=["symbolic", "zst", "znum"], default="symbolic")
-    ev.add_argument("--mzv-n", type=_CUTOFF, default=default_mzv_n, dest="mzv_n", help="zeta sum cutoff (HSW_MZV_N)")
     ev.add_argument("--tol", type=_TOLERANCE, default=default_tol, help="quadrature tolerance (HSW_TOL)")
 
     return parser

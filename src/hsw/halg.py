@@ -510,7 +510,10 @@ class _Parser:
         kind, val, pos = tok
         if kind == "num":
             self.next()
-            return HPoly.rational(Fraction(val))
+            try:
+                return HPoly.rational(Fraction(val))
+            except ZeroDivisionError as exc:
+                raise ParseError("division by zero", self.text, pos) from exc
         if kind == "atom":
             return self.parse_word()
         if val == "(":
@@ -538,6 +541,8 @@ class _Parser:
                     letters.extend(s_word(parse_element(left), int(right)))
             except ValueError as exc:
                 raise ParseError(str(exc), self.text, pos) from exc
+            except ZeroDivisionError as exc:
+                raise ParseError("division by zero", self.text, pos) from exc
         try:
             return HPoly.from_word(Word(letters))
         except MonoidMismatchError as exc:

@@ -1,12 +1,16 @@
-"""Numeric evaluation of admissible words: nested zeta sums and iterated integrals.
+"""Numeric evaluation of admissible words: multiple zeta values and iterated integrals.
 
 Words over the ``{0, 1}`` alphabet correspond to multiple zeta values,
 
     I(s[1,k_1] ... s[1,k_r]) = (-1)^r zeta(k_1, ..., k_r),
 
-and are evaluated by a cumulative-sum dynamic program in O(r N) operations
-with a first-order Euler--Maclaurin tail correction; a rigorous tail bound of
-shape O(N^{1-k_r} (log N)^{r-1}) is reported alongside every value.
+and are evaluated by the Hoelder convolution at p = 2 (Borwein, Bradley,
+Broadhurst and Lisonek, "Special values of multiple polylogarithms", 2001):
+the word's iterated integral from 0 to 1 splits at 1/2 into products of
+power series in 1/2 whose coefficients lie in [0, 1], so ``N`` terms leave a
+tail of at most ``2^-N``.  The series run in fixed-point integers with floor
+rounding, and the reported bound is the truncation term plus the counted
+rounding units plus the final rounding to float; nothing in it is fitted.
 
 Words whose nonzero letters are real rationals of modulus >= 1 (the unit
 letter excluded, interior zero letters allowed) are evaluated as iterated
@@ -19,10 +23,6 @@ by tabulating the inner integrals on a refinement mesh (geometrically graded
 toward 0, where interior zero letters produce integrable logarithms) and
 integrating panels with Gauss rules; the mesh is refined until two successive
 values agree within the requested tolerance.
-
-Two separate oracles are deliberately kept: the nested sums are rigorous and
-fast for zeta words, and the quadrature covers real letters where no series
-shortcut applies.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -41,8 +42,6 @@ from .reporting import CheckResult
 from . import reg
 
 __all__ = [
-    "DEFAULT_CUTOFF",
-    "MIN_CUTOFF",
     "MzvIndex",
     "InadmissibleIndexError",
     "UnsupportedWordError",
@@ -54,12 +53,6 @@ __all__ = [
     "check_assumptions",
     "verify_harmonic_hom",
 ]
-
-DEFAULT_CUTOFF = 1_000_000
-MIN_CUTOFF = 16
-
-_EPS = 2.220446049250313e-16
-
 
 class InadmissibleIndexError(ValueError):
     """Index or word outside the admissible (convergent) class."""
@@ -115,99 +108,71 @@ def word_to_mzv(w: Word) -> MzvIndex:
     return MzvIndex(tuple(ks), -1 if len(ks) % 2 else 1)
 
 
-def _log_tail_integral(k: int, j: int, n: float) -> float:
-    """Closed form of ``integral_N^inf x^{-k} (1 + log x)^j dx`` for k >= 2."""
-    a = k - 1
-    u0 = 1.0 + math.log(n)
-    s = sum((a * u0) ** i / math.factorial(i) for i in range(j + 1))
-    return math.factorial(j) * n ** (-a) / a ** (j + 1) * s
+def _series_at_half(word: tuple[int, ...], n_terms: int) -> list[int]:
+    """``Lambda(word[:j]; 1/2)`` for ``j = 0..len(word)``, rounded down at scale ``4^n_terms``.
+
+    ``Lambda(u; x)`` is the iterated integral of the {0,1}-word ``u`` (letter 1
+    for ``dt/(1-t)``, 0 for ``dt/t``) from 0 to ``x``, kept as the coefficients
+    ``c_n`` of its power series, ``n = 0..n_terms``, at scale ``2^n_terms``.  A
+    1 letter maps ``c_n`` to ``(sum_{m<n} c_m)/n``, a 0 letter to ``c_n/n``;
+    the word must start with 1.  Every ``c_n`` lies in ``[0, 1]``, so the
+    truncated tail at ``x = 1/2`` is at most ``2^-n_terms``, and each letter
+    costs at most one unit of ``2^-n_terms`` in floor rounding.
+    """
+    ns = range(1, n_terms + 1)
+    c = [1 << n_terms] + [0] * n_terms
+    out = [1 << (2 * n_terms)]
+    for a in word:
+        if a:
+            c = [0] + [s // n for s, n in zip(accumulate(c), ns)]
+        else:
+            c = [0] + [x // n for x, n in zip(c[1:], ns)]
+        at_half = 0
+        for x in c:
+            at_half = (at_half << 1) + x
+        out.append(at_half)
+    return out
 
 
-def zeta(
-    index: MzvIndex | Iterable[int],
-    n_terms: int = DEFAULT_CUTOFF,
-    em_correct: bool = True,
-) -> tuple[float, float]:
-    """Truncated nested sum for an admissible index, with a rigorous tail bound.
+def _holder(word: tuple[int, ...], n_terms: int) -> tuple[Fraction, Fraction]:
+    """Hoelder convolution at p = 2: ``zeta(word)`` from below, and by how much it may fall short.
 
-    Returns ``(value, bound)`` where ``|value - zeta(index)| <= bound``.  With
-    ``em_correct`` the outer tail is estimated by Euler--Maclaurin terms plus a
-    logarithmic-growth correction of the inner partial sums; without it, the
-    raw partial sum is returned and the bound covers the whole tail.
+    ``zeta(a_1..a_L) = sum_j Lambda(a_1..a_j; 1/2) Lambda(dual(a_{j+1}..a_L); 1/2)``,
+    where the dual reverses a word and swaps its letters.  Both factors lie
+    in ``[0, 1]`` and are computed from below, so each of the ``L + 1``
+    products falls short by at most ``2 * 2^-n_terms`` of truncation and
+    ``L`` rounding units: ``(L + 1)(L + 2) 2^-n_terms`` in all.
+    """
+    head = _series_at_half(word, n_terms)
+    tail = _series_at_half(tuple(1 - a for a in reversed(word)), n_terms)
+    total = sum(p * q for p, q in zip(head, reversed(tail)))
+    length = len(word)
+    return Fraction(total, 1 << (4 * n_terms)), Fraction((length + 1) * (length + 2), 1 << n_terms)
+
+
+def zeta(index: MzvIndex | Iterable[int]) -> tuple[float, float]:
+    """Multiple zeta value of an admissible index, with a rigorous error bound.
+
+    Returns ``(value, bound)`` where ``|value - zeta(index)| <= bound``.  The
+    bound is the shortfall of :func:`_holder` plus two units in the last
+    place of ``value``, so that it also covers a float-rounded reference.
     """
     ks = index.ks if isinstance(index, MzvIndex) else tuple(index)
     if any(not isinstance(k, int) or k < 1 for k in ks):
         raise InadmissibleIndexError("index entries must be positive integers")
     if ks and ks[-1] < 2:
         raise InadmissibleIndexError(f"trailing entry must be >= 2, got {ks}")
-    r = len(ks)
-    if r == 0:
+    if not ks:
         return 1.0, 0.0
-    n_terms = int(n_terms)
-    if n_terms < MIN_CUTOFF:
-        raise ValueError(f"cutoff must be at least {MIN_CUTOFF}")
-
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    half = n_terms // 2
-    shifted_prev: np.ndarray | None = None
-    p_full = 1.0  # running value of the deepest inner partial sum at the cutoff
-    p_half = 1.0  # same at half the cutoff, for growth estimation
-    value = 0.0
-    for depth, k in enumerate(ks):
-        t = n ** float(-k)
-        if shifted_prev is not None:
-            t = t * shifted_prev
-        if depth < r - 1:
-            cum = np.cumsum(t)
-            shifted_prev = np.concatenate(([0.0], cum[:-1]))
-            p_full = float(cum[-1])
-            p_half = float(cum[half - 1])
-        else:
-            value = float(np.sum(t))
-
-    k_r = ks[-1]
-    nf = float(n_terms)
-    log1 = 1.0 + math.log(nf)
-    slack = (r + 1) * _EPS * log1**r
-    em_resid = k_r * (k_r + 1) * (k_r + 2) / 720.0 * nf ** (-k_r - 3)
-
-    if not em_correct:
-        return value, _log_tail_integral(k_r, r - 1, nf) + slack
-
-    tail3 = (
-        nf ** (1 - k_r) / (k_r - 1)
-        - nf ** (-k_r) / 2.0
-        + k_r * nf ** (-k_r - 1) / 12.0
-    )
-    value = value + p_full * tail3
-
-    if r == 1:
-        return value, em_resid + slack
-
-    if all(k >= 2 for k in ks[:-1]):
-        # Inner sums converge; their remainder past n decays like n^{1-k_inner}.
-        # Fit that decay from the half-cutoff snapshot and correct the outer tail.
-        p = ks[r - 2] - 1
-        a_hat = max(0.0, p_full - p_half) * nf**p / (2.0**p - 1.0)
-        growth = a_hat * nf ** (1 - k_r - p) * p / ((k_r - 1) * (k_r + p - 1))
-        value += growth
-        b_inner = 1.0
-        for k in ks[: r - 2]:
-            b_inner *= 1.0 + 1.0 / (k - 1)
-        delta = b_inner * nf ** (1 - ks[r - 2]) / (ks[r - 2] - 1)
-        bound = delta * nf ** (1 - k_r) / (k_r - 1) + growth + p_full * em_resid + slack
-        return value, bound
-
-    # Ones inside the index: inner sums grow like powers of log; fit the
-    # leading logarithmic slope from the half-cutoff snapshot.
-    t1_int = nf ** (1 - k_r) / (k_r - 1) ** 2
-    g_hat = max(0.0, (p_full - p_half) / math.log(nf / half))
-    value += g_hat * t1_int
-    grown = _log_tail_integral(k_r, r - 1, nf)
-    flat = log1 ** (r - 1) * (nf + 1.0) ** (1 - k_r) / (k_r - 1)
-    d_bound = max(0.0, grown - flat) / (r - 1)
-    bound = d_bound + g_hat * t1_int + p_full * em_resid + slack
-    return value, bound
+    word = tuple(chain.from_iterable((1,) + (0,) * (k - 1) for k in ks))
+    length = len(word)
+    # zeta(ks) exceeds its first term prod_i i^-k_i >= 2^-floor_bits; carry
+    # 60 bits below that, plus room for the (L + 1)(L + 2) units of shortfall.
+    floor_bits = sum(k * (i - 1).bit_length() for i, k in enumerate(ks, 1))
+    n_terms = 60 + floor_bits + ((length + 1) * (length + 2)).bit_length()
+    low, short = _holder(word, n_terms)
+    value = float(low)
+    return value, float(short) + 2 * math.ulp(value)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +280,11 @@ def iterint_num(w: Word, tol: float = 1e-7) -> float:
 class H0Evaluator:
     """Evaluate admissible words numerically, caching per index and per word.
 
-    ``{0,1}``-alphabet words go through the nested zeta sums; words with real
+    ``{0,1}``-alphabet words go through :func:`zeta`; words with real
     rational letters go through quadrature.  Calls return ``(value, bound)``.
     """
 
-    def __init__(self, n_terms: int = DEFAULT_CUTOFF, tol: float = 1e-7):
-        self.n_terms = n_terms
+    def __init__(self, tol: float = 1e-7):
         self.tol = tol
         self._zeta_cache: dict[tuple[int, ...], tuple[float, float]] = {}
         self._quad_cache: dict[Word, tuple[float, float]] = {}
@@ -328,7 +292,7 @@ class H0Evaluator:
     def zeta_value(self, ks: tuple[int, ...]) -> tuple[float, float]:
         hit = self._zeta_cache.get(ks)
         if hit is None:
-            hit = zeta(ks, self.n_terms)
+            hit = zeta(ks)
             self._zeta_cache[ks] = hit
         return hit
 
@@ -349,31 +313,14 @@ class H0Evaluator:
         return _iterint_estimate(w, self.tol)
 
 
-_EVEN_ZETA = {
-    2: Fraction(1, 6),
-    4: Fraction(1, 90),
-    6: Fraction(1, 945),
-    8: Fraction(1, 9450),
-}
-
-
-def _zeta_reference(k: int, n_terms: int) -> float:
-    """Reference zeta value: pi-power closed form for even k, refined sum otherwise."""
-    if k in _EVEN_ZETA:
-        return float(_EVEN_ZETA[k]) * math.pi**k
-    return zeta((k,), min(4 * n_terms, 8_000_000))[0]
-
-
-def check_assumptions(
-    n_max: int = 3, k_max: int = 6, tol: float = 1e-8, n_terms: int = DEFAULT_CUTOFF
-) -> Iterator[CheckResult]:
+def check_assumptions(n_max: int = 3, k_max: int = 6, tol: float = 1e-8) -> Iterator[CheckResult]:
     """Numeric conditions pinning the regularized evaluation to the sine series.
 
     (i)   Z applied to ``(2n+1)! s[1,2]^n`` equals ``(-pi^2)^n`` for n <= n_max;
     (ii)  Z(s[1,1]) = 0 exactly (the T-coefficient is discarded by construction);
     (iii) Z(s[1,k]) = -zeta(k) for 2 <= k <= k_max.
     """
-    evaluator = H0Evaluator(n_terms=n_terms)
+    evaluator = H0Evaluator()
     for n in range(n_max + 1):
         w_poly = HPoly.from_word(s_chain(UNIT, 2, n)) * math.factorial(2 * n + 1)
         value = reg.z_num(w_poly, evaluator)
@@ -392,7 +339,7 @@ def check_assumptions(
     )
     for k in range(2, k_max + 1):
         value = reg.z_num(HPoly.from_word(s_word(UNIT, k)), evaluator)
-        expected = -_zeta_reference(k, n_terms)
+        expected = -zeta((k,))[0]
         err = abs(value - expected)
         yield CheckResult(
             item=f"depth-one value k={k}",

@@ -208,10 +208,19 @@ class RegularizedValue(LinComb):
 
 def z_st(p: HPoly) -> RegularizedValue:
     """Normal form of ``p`` as a polynomial in S, T with admissible coefficients."""
-    runs = ((_leading_zero_run(w), w, c) for w, c in p.terms.items())
-    value = RegularizedValue._raw(combine(
-        ((s, t), h * c) for s, w, c in runs for t, h in _reg_word(Word(w[s:]))
-    ))
+    # Accumulate in place: adding each h * c to a growing HPoly copies it.
+    acc: dict[tuple[int, int], dict[Word, Fraction]] = {}
+    for w, c in p.terms.items():
+        s = _leading_zero_run(w)
+        for t, h in _reg_word(Word(w[s:])):
+            slot = acc.setdefault((s, t), {})
+            for word, hc in h.terms.items():
+                total = slot.get(word, 0) + hc * c
+                if total:
+                    slot[word] = total
+                else:
+                    del slot[word]
+    value = RegularizedValue._raw({st: HPoly._raw(slot) for st, slot in acc.items() if slot})
     value.validate()
     return value
 

@@ -28,7 +28,7 @@ class TestEval:
         assert out.strip() == "1/2*T^2 + 1/2*s[1,2]"
 
     def test_znum(self, capsys):
-        code, out, _ = run(capsys, "eval", "e[1]e[1]", "--mode", "znum", "--mzv-n", "100000")
+        code, out, _ = run(capsys, "eval", "e[1]e[1]", "--mode", "znum")
         assert code == 0
         value = float(out.split("±")[0])
         assert abs(value + 0.8224670334) < 1e-5
@@ -37,6 +37,12 @@ class TestEval:
         code, out, err = run(capsys, "eval", "s[1,2")
         assert code == 2
         assert "parse error" in err
+
+    @pytest.mark.parametrize("expr", ["1/0", "e[1/0]", "s[1/0,2]"])
+    def test_division_by_zero_exit_2(self, capsys, expr):
+        code, _, err = run(capsys, "eval", expr)
+        assert code == 2
+        assert "parse error: division by zero" in err and "Traceback" not in err
 
     def test_unsupported_word_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "e[z]", "--mode", "znum")
@@ -97,13 +103,18 @@ class TestVerify:
 
 
 class TestEnvironmentDefaults:
-    def test_env_sets_default_cutoff_flags_win(self, capsys, monkeypatch):
-        monkeypatch.setenv("HSW_MZV_N", "50000")
-        code, out, _ = run(capsys, "eval", "s[1,2]", "--mode", "znum")
+    def test_env_sets_default_tol_flags_win(self, capsys, monkeypatch):
+        # the quadrature refines further, to a smaller bound, under a tighter tolerance
+        monkeypatch.delenv("HSW_TOL", raising=False)
+        _, out, _ = run(capsys, "eval", "e[2]e[3]", "--mode", "znum")
+        default_bound = float(out.split("±")[1])
+        monkeypatch.setenv("HSW_TOL", "1e-13")
+        code, out, _ = run(capsys, "eval", "e[2]e[3]", "--mode", "znum")
         assert code == 0
         env_bound = float(out.split("±")[1])
-        monkeypatch.setenv("HSW_MZV_N", "not-a-number")
-        code, out, _ = run(capsys, "eval", "s[1,2]", "--mode", "znum", "--mzv-n", "50000")
+        assert env_bound < default_bound
+        monkeypatch.setenv("HSW_TOL", "not-a-number")
+        code, out, _ = run(capsys, "eval", "e[2]e[3]", "--mode", "znum", "--tol", "1e-13")
         assert code == 0
         assert float(out.split("±")[1]) == env_bound
 
@@ -111,7 +122,7 @@ class TestEnvironmentDefaults:
 class TestRelations:
     def test_weight_4_contains_named_relation(self, capsys):
         code, out, _ = run(
-            capsys, "relations", "--weight", "4", "--format", "json", "--mzv-n", "200000"
+            capsys, "relations", "--weight", "4", "--format", "json"
         )
         assert code == 0
         records = [json.loads(line) for line in out.strip().splitlines()]
@@ -140,12 +151,8 @@ class TestInputErrors:
         [
             ({"HSW_ORDER": "abc"}, ["verify", "coincidence"]),
             ({"HSW_ORDER": "99"}, ["verify", "coincidence"]),
-            ({"HSW_MZV_N": "abc"}, ["eval", "s[1,2]", "--mode", "znum"]),
-            ({"HSW_MZV_N": "5"}, ["eval", "s[1,2]", "--mode", "znum"]),
-            ({"HSW_MZV_N": "abc"}, ["relations", "--weight", "4"]),
             ({"HSW_TOL": "abc"}, ["eval", "s[1,2]", "--mode", "znum"]),
             ({"HSW_TOL": "-1e-7"}, ["verify", "harmonic-hom", "--max-weight", "1"]),
-            ({}, ["eval", "s[1,2]", "--mode", "znum", "--mzv-n", "5"]),
             ({}, ["eval", "s[1,2]", "--mode", "znum", "--tol", "0"]),
             ({}, ["verify", "harmonic-hom", "--tol", "-1"]),
             ({}, ["verify", "harmonic-hom", "--quad-tol", "nan"]),
@@ -164,6 +171,10 @@ class TestInputErrors:
             ({}, ["verify", "addition", "--z", "1/0"]),
             ({}, ["relations", "--weight", "3"]),
             ({}, ["relations", "--weight", "14"]),
+            ({}, ["relations", "--weight", "0"]),
+            ({}, ["eval", "s[1,2]", "--mode", "bogus"]),
+            ({"HSW_TOL": "inf"}, ["eval", "s[1,2]", "--mode", "znum"]),
+            ({"HSW_ORDER": "-1"}, ["verify", "coincidence"]),
         ],
     )
     def test_exit_2_with_message(self, capsys, monkeypatch, env, argv):
@@ -180,14 +191,16 @@ class TestInputErrors:
         [
             ["verify", "addition", "--order", "12"],
             ["verify", "pythagoras", "--seed", "1"],
+            ["eval", "s[1,2]", "--mode", "znum", "--mzv-n", "5"],
         ],
     )
     def test_flag_of_another_theorem_exit_2(self, capsys, argv):
+        # a flag the command does not take: another theorem's, or one that is gone
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert f"error: unrecognized arguments: {argv[2]}" in err and "Traceback" not in err
+        assert f"error: unrecognized arguments: {argv[-2]}" in err and "Traceback" not in err
 
     def test_max_n_alias(self, capsys):
         outputs = []

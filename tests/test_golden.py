@@ -26,7 +26,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-ENV_VARS = ("HSW_ORDER", "HSW_MZV_N", "HSW_TOL")
+ENV_VARS = ("HSW_ORDER", "HSW_TOL")
 
 _WALL_TEXT = re.compile(r"(\(\d+ items, )\d+\.\d+s\)")
 _WALL_JSON = re.compile(r'("wall_time": )[0-9.eE+-]+')

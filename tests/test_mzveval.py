@@ -14,9 +14,12 @@ from hsw.mzveval import (
     check_assumptions,
     iterint_num,
     verify_harmonic_hom,
+    _holder,
+    _series_at_half,
     word_to_mzv,
     zeta,
 )
+from hsw.cli import relation_records
 from hsw.reg import z_num, z_num_with_bound
 
 
@@ -24,25 +27,45 @@ def w(*letters) -> Word:
     return Word(letters)
 
 
-def zeta_brute(ks, cutoff):
-    """Direct nested summation, depth <= 3; the slow reference the DP must match."""
+def series_brute(ks, cutoff):
+    """Direct nested sum ``sum 2^-n_d / prod n_i^m_i`` over ``n_1 < ... < n_d <= cutoff``, depth <= 3.
+
+    The slow reference for the prefix series: the iterated integral at 1/2 of
+    the word of ``ks``, truncated after the ``x^cutoff`` term.
+    """
     r = len(ks)
     total = 0.0
     if r == 1:
         for n in range(1, cutoff + 1):
-            total += n ** -ks[0]
+            total += 0.5**n / n ** ks[0]
     elif r == 2:
         for n2 in range(2, cutoff + 1):
             inner = sum(n1 ** -ks[0] for n1 in range(1, n2))
-            total += inner * n2 ** -ks[1]
+            total += inner * 0.5**n2 / n2 ** ks[1]
     elif r == 3:
         for n3 in range(3, cutoff + 1):
             acc = 0.0
             for n2 in range(2, n3):
                 inner = sum(n1 ** -ks[0] for n1 in range(1, n2))
                 acc += inner * n2 ** -ks[1]
-            total += acc * n3 ** -ks[2]
+            total += acc * 0.5**n3 / n3 ** ks[2]
     return total
+
+
+def index_word(ks):
+    """The {0,1}-word of an index: letter 1, then k - 1 zero letters, per entry."""
+    return tuple(a for k in ks for a in (1,) + (0,) * (k - 1))
+
+
+def compositions(weight, depth):
+    """Admissible indices of the given weight and depth (trailing entry >= 2)."""
+    if depth == 1:
+        return [(weight,)] if weight >= 2 else []
+    return [
+        (k,) + rest
+        for k in range(1, weight)
+        for rest in compositions(weight - k, depth - 1)
+    ]
 
 
 class TestWordToMzv:
@@ -81,11 +104,15 @@ class TestZeta:
             zeta((0, 2))
 
     def test_matches_brute_force_partial_sums(self):
-        # identical truncated sums, modulo float association
-        for ks in [(2,), (3,), (2, 2), (1, 2), (2, 3), (2, 2, 2), (1, 1, 3)]:
-            dp = zeta(ks, n_terms=200, em_correct=False)[0]
-            brute = zeta_brute(ks, 200)
-            assert abs(dp - brute) < 1e-12
+        # the fixed-point prefix series equals the nested sum up to its rounding units
+        n_terms = 40
+        for ks in [(2,), (3,), (1,), (2, 2), (1, 2), (2, 1), (2, 3), (2, 2, 2), (1, 1, 3), (1, 2, 1)]:
+            word = index_word(ks)
+            head = _series_at_half(word, n_terms)
+            assert len(head) == len(word) + 1 and head[0] == 1 << (2 * n_terms)
+            series = head[-1] / (1 << (2 * n_terms))
+            brute = series_brute(ks, n_terms)
+            assert -1e-15 <= brute - series <= len(word) * 2.0**-n_terms + 1e-15
 
     def test_depth_one_against_reference(self):
         for k in range(2, 7):
@@ -95,13 +122,16 @@ class TestZeta:
             assert abs(v - ref) <= b
 
     def test_closed_forms(self):
-        cases = {
-            (2,): math.pi**2 / 6,
-            (4,): math.pi**4 / 90,
-            (2, 2): math.pi**4 / 120,
-            (2, 2, 2): math.pi**6 / 5040,
-            (2, 2, 2, 2): math.pi**8 / 362880,
-        }
+        # each reference rounded once from 30 digits: a float expression such as
+        # math.pi**8 / 362880 is itself 3 ulp off, more than the bound allows
+        with mpmath.workdps(30):
+            cases = {
+                (2,): float(mpmath.pi**2 / 6),
+                (4,): float(mpmath.pi**4 / 90),
+                (2, 2): float(mpmath.pi**4 / 120),
+                (2, 2, 2): float(mpmath.pi**6 / 5040),
+                (2, 2, 2, 2): float(mpmath.pi**8 / 362880),
+            }
         for ks, ref in cases.items():
             v, b = zeta(ks)
             assert abs(v - ref) < 1e-10
@@ -118,15 +148,74 @@ class TestZeta:
         assert abs(4 * zeta((2, 2))[0] - 3 * zeta((4,))[0]) < 1e-9
 
     def test_monotone_convergence(self):
-        for ks in [(2,), (2, 2), (1, 2)]:
-            v1, b1 = zeta(ks, n_terms=1000, em_correct=False)
-            v2, _ = zeta(ks, n_terms=2000, em_correct=False)
-            assert abs(v2 - v1) <= b1
+        # both truncations lie below zeta, the coarser one by at most its stated shortfall
+        for ks in [(2,), (2, 2), (1, 2), (1, 1, 3)]:
+            word = index_word(ks)
+            low1, short1 = _holder(word, 30)
+            low2, short2 = _holder(word, 60)
+            assert abs(low2 - low1) <= short1
+            assert low1 <= low2 + short2
 
     def test_bound_shrinks_with_cutoff(self):
-        _, b1 = zeta((2, 2), n_terms=1000)
-        _, b2 = zeta((2, 2), n_terms=10000)
-        assert b2 < b1
+        word = index_word((2, 2))
+        shorts = []
+        with mpmath.workdps(40):
+            exact = mpmath.pi**4 / 120
+            for n_terms in (20, 40, 80):
+                low, short = _holder(word, n_terms)
+                gap = exact - mpmath.mpf(low.numerator) / low.denominator
+                assert 0 <= gap <= mpmath.mpf(short.numerator) / short.denominator
+                shorts.append(short)
+        assert shorts[0] > shorts[1] > shorts[2]
+
+    def test_relations_within_bound(self):
+        # weight 2..16, past the CLI cap: |residual| <= bound holds by construction
+        evaluator = H0Evaluator()
+        for weight in range(2, 17, 2):
+            records = list(relation_records(weight, evaluator))
+            assert records or weight == 2
+            for rec in records:
+                assert abs(rec["residual"]) <= rec["bound"] <= 1e-12
+
+
+def _zeta_pi_power(n):
+    return mpmath.pi ** (2 * n) / mpmath.factorial(2 * n + 1)
+
+
+class TestClosedForms:
+    """zeta against mpmath at 30 digits: the error lies within a bound of at most 1e-15."""
+
+    @pytest.fixture(autouse=True)
+    def thirty_digits(self):
+        with mpmath.workdps(30):
+            yield
+
+    @staticmethod
+    def check(indices, ref):
+        values = [zeta(ks) for ks in indices]
+        bound = sum(b for _, b in values)
+        assert abs(sum(mpmath.mpf(v) for v, _ in values) - ref) <= bound <= 1e-15
+
+    @pytest.mark.parametrize("k", range(2, 17))
+    def test_single(self, k):
+        self.check([(k,)], mpmath.zeta(k))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_twos(self, n):
+        self.check([(2,) * n], _zeta_pi_power(n))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_ones_then_two(self, n):
+        self.check([(1,) * n + (2,)], mpmath.zeta(n + 2))
+
+    def test_one_three(self):
+        self.check([(1, 3)], mpmath.pi**4 / 360)
+        self.check([(1, 3, 1, 3)], 2 * mpmath.pi**8 / mpmath.factorial(10))
+
+    @pytest.mark.parametrize("weight", range(2, 9))
+    def test_sum_theorem(self, weight):
+        for depth in range(1, weight):
+            self.check(compositions(weight, depth), mpmath.zeta(weight))
 
 
 class TestIterint:
