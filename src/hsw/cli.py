@@ -5,16 +5,17 @@ Three verbs:
 * ``verify {coincidence,addition,pythagoras,regularization,harmonic-hom}``
   runs a theorem driver and streams one line-delimited record per checked
   item (text or JSON), exiting 0 on success and 1 on any failure;
-* ``relations --weight W`` emits, for every addition/Pythagoras coefficient
-  of the given even weight, the induced linear relation among multiple zeta
-  values together with its numeric residual and error bound;
+* ``relations --weight W`` emits each distinct linear relation among
+  multiple zeta values that the addition/Pythagoras coefficients of the given
+  even weight induce, together with its numeric residual and error bound;
 * ``eval EXPR`` parses a polynomial expression and prints it normalized
   (``symbolic``), in S/T normal form (``zst``) or numerically (``znum``).
 
 Defaults honour the environment variables ``HSW_ORDER`` and ``HSW_TOL``;
 explicit flags win.  A variable's value is checked like the flag it stands
 for, so a bad one exits 2 unless that flag is given.  Exit codes: 0 pass, 1
-verification failure (a run with no items fails too), 2 usage or input error.
+verification failure (a run with no items fails too), 2 usage or input error
+(also a word no oracle evaluates to the requested tolerance).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Any, Callable, Iterable, Iterator
 
 from .halg import HPoly, ParseError, combine, format_poly, format_terms, parse_poly
 from .monoid import UNIT, parse_element
-from .mzveval import H0Evaluator, UnsupportedWordError, verify_harmonic_hom, word_to_mzv
+from .mzveval import H0Evaluator, QuadratureError, UnsupportedWordError, verify_harmonic_hom, word_to_mzv
 from .reg import verify_regularization, z_num_with_bound, z_st
 from .reporting import CheckResult
 from .trig import verify_coincidence, verify_reflection_product
@@ -189,7 +190,9 @@ def _relation_text(terms: list[tuple[int, tuple[int, ...]]]) -> str:
 
 
 def relation_records(weight: int, evaluator) -> Iterator[dict]:
-    """Zeta-value relations induced by the coefficients of the given even weight."""
+    """Distinct zeta-value relations induced by the coefficients of the given even weight.
+
+    The first coefficient that induces a relation names its source."""
     if weight % 2 or weight < 2:
         raise ValueError("weight must be a positive even integer")
     sources: list[tuple[str, list[int], object]] = []
@@ -197,13 +200,16 @@ def relation_records(weight: int, evaluator) -> Iterator[dict]:
         j = weight + 1 - i
         sources.append(("addition", [i, j], addition_defect_coeff(i, j)))
     sources.append(("pythagoras", [weight], pythagoras_coeff(weight // 2)))
+    seen: set[str] = set()
     for kind, degrees, wp in sources:
         if wp.is_zero:
             continue
         poly = eval_w(wp, UNIT)
         terms = _normalize_terms(_relation_terms(poly))
-        if not terms:
+        text = _relation_text(terms)
+        if not terms or text in seen:
             continue
+        seen.add(text)
         # Both sums are exact and rounded once: rounding to float is monotone,
         # so |residual| <= bound follows from |exact residual| <= exact bound.
         residual = Fraction(0)
@@ -217,7 +223,7 @@ def relation_records(weight: int, evaluator) -> Iterator[dict]:
             "weight": weight,
             "source": kind,
             "degrees": degrees,
-            "relation": _relation_text(terms),
+            "relation": text,
             "terms": [{"coeff": c, "index": list(ks)} for c, ks in terms],
             "residual": float(residual),
             "bound": float(bound),
@@ -291,12 +297,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.mode == "zst":
         print(z_st(poly))
         return 0
-    evaluator = H0Evaluator(tol=args.tol)
-    try:
-        value, bound = z_num_with_bound(poly, evaluator)
-    except UnsupportedWordError as exc:
-        print(f"evaluation error: {exc}", file=sys.stderr)
-        return 2
+    value, bound = z_num_with_bound(poly, H0Evaluator(tol=args.tol))
     print(f"{value:.9f} ± {bound:.2e}")
     return 0
 
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
         ]),
         "harmonic-hom": (_harmonic_hom, [
             (["--letters"], _LETTERS, "2,3,5/2", "comma-separated rational letters"),
-            (["--max-weight"], _int_range(1, 2), 2, "largest word weight (the quadrature depth cap is 2)"),
+            (["--max-weight"], _int_range(1, 3), 2, "largest word weight"),
             (["--tol"], _TOLERANCE, 1e-5, "multiplicativity tolerance"),
             (["--quad-tol"], _TOLERANCE, default_tol, "quadrature tolerance; HSW_TOL sets the default"),
         ]),
@@ -371,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
+    except (UnsupportedWordError, QuadratureError) as exc:
+        print(f"evaluation error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream consumer (e.g. head) closed the stream; not a failure.
         try:

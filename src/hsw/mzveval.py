@@ -19,10 +19,10 @@ integrals
     I(e_{z_1} ... e_{z_k}) = integral over 0 < t_1 < ... < t_k < 1 of
                              prod dt_i / (t_i - z_i)
 
-by tabulating the inner integrals on a refinement mesh (geometrically graded
-toward 0, where interior zero letters produce integrable logarithms) and
-integrating panels with Gauss rules; the mesh is refined until two successive
-values agree within the requested tolerance.
+by the same convolution with the split point chosen per word, so that both
+sides' coefficients fall like ``R^-n`` for some ``R > 1``.  They run in
+fixed-point integers too, with as many terms as the requested tolerance
+needs, and the bound, made up the same way, is at most that tolerance.
 """
 
 from __future__ import annotations
@@ -31,10 +31,8 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from typing import Iterable, Iterator
-
-import numpy as np
 
 from .halg import HPoly, Word, harmonic, s_chain, s_word
 from .monoid import UNIT, MonoidElement, rational
@@ -63,7 +61,7 @@ class UnsupportedWordError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """The refinement loop did not reach the requested tolerance."""
+    """A real-letter word cannot be evaluated to the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -179,92 +177,100 @@ def zeta(index: MzvIndex | Iterable[int]) -> tuple[float, float]:
 # iterated integrals for real-letter words
 # ---------------------------------------------------------------------------
 
-_T_MIN = 1e-18
-_GAUSS_X, _GAUSS_W = np.polynomial.legendre.leggauss(5)
+# A word whose split series need more terms than this is refused: a letter
+# lies too close to 1 for the requested tolerance.
+MAX_TERMS = 10_000
 
 
-_STENCIL = 6
+def _prefix_sums(letters: list[tuple[int, int]], n_terms: int, bits: int) -> list[int]:
+    """``G(b_1..b_j; 1)`` for ``j = 0..len(letters)`` at scale ``2^bits``; letter ``p/q`` as ``(p, q)``.
+
+    ``G(u; x) = sum c_n x^n`` integrates the word ``u`` (``dt/(t - b)`` per
+    letter) from 0 to ``x``.  A letter ``b != 0`` maps the coefficients to
+    ``c_{n+1} = d_n/(n+1)``, ``d_n = (d_{n-1} - c_n)/b``, and ``b = 0`` to
+    ``c_n/n``.  If every nonzero ``|b| >= R > 1`` then ``|c_n| <= R^-n``.
+    Floor rounding adds at most 2 units to a coefficient's error per nonzero
+    letter (``d_n``'s grows by at most ``E + 1`` per step) and 1 per zero one.
+    """
+    ns = range(1, n_terms + 1)
+    c = [1 << bits] + [0] * n_terms
+    out = [c[0]]
+    for p, q in letters:
+        if p:
+            d = 0
+            nxt = [0]
+            for x, n in zip(c, ns):
+                d = (d - x) * q // p
+                nxt.append(d // n)
+            c = nxt
+        else:
+            c = [0] + [x // n for x, n in zip(c[1:], ns)]
+        out.append(sum(c))
+    return out
 
 
-@dataclass(frozen=True)
-class _Mesh:
-    points: np.ndarray  # panel endpoints, increasing, in (0, 1]
-    gauss: np.ndarray  # (panels, 5) abscissae
-    weights: np.ndarray  # (panels, 5)
-    stencil: np.ndarray  # (panels,) first index of the interpolation stencil
-    lagrange: np.ndarray  # (panels, 5, _STENCIL) interpolation weights
-
-
-@functools.lru_cache(maxsize=16)
-def _build_mesh(level: int) -> _Mesh:
-    geo = np.geomspace(_T_MIN, 0.25, 128 * 2**level + 1)
-    lin = np.linspace(0.25, 1.0, 128 * 2**level + 1)
-    x = np.unique(np.concatenate((geo, lin)))
-    lo, hi = x[:-1], x[1:]
-    halfwidth = (hi - lo) / 2.0
-    mid = (hi + lo) / 2.0
-    gauss = mid[:, None] + halfwidth[:, None] * _GAUSS_X[None, :]
-    weights = halfwidth[:, None] * _GAUSS_W[None, :]
-    m = len(lo)
-    stencil = np.clip(np.arange(m) - (_STENCIL // 2 - 1), 0, len(x) - _STENCIL)
-    xs = x[stencil[:, None] + np.arange(_STENCIL)[None, :]]  # (m, _STENCIL)
-    lagrange = np.empty((m, 5, _STENCIL))
-    for s in range(_STENCIL):
-        num = np.ones_like(gauss)
-        den = np.ones(m)
-        for t in range(_STENCIL):
-            if t == s:
-                continue
-            num *= gauss - xs[:, t][:, None]
-            den *= xs[:, s] - xs[:, t]
-        lagrange[:, :, s] = num / den[:, None]
-    return _Mesh(x, gauss, weights, stencil, lagrange)
-
-
-def _integrate_on_mesh(letters: tuple[float, ...], mesh: _Mesh) -> float:
-    x = mesh.points
-    idx = mesh.stencil[:, None] + np.arange(_STENCIL)[None, :]
-    values = np.ones_like(x)
-    for z in reversed(letters):
-        at_gauss = np.einsum("mgs,ms->mg", mesh.lagrange, values[idx])
-        integrand = at_gauss / (mesh.gauss - z)
-        panel = np.sum(mesh.weights * integrand, axis=1)
-        values = np.concatenate((np.cumsum(panel[::-1])[::-1], [0.0]))
-    return float(values[0])
-
-
-def _validate_real_word(w: Word) -> tuple[float, ...]:
-    if not w:
-        return ()
-    if w[0].is_zero:
-        raise InadmissibleIndexError(f"word {w} has a leading zero letter")
-    if w[-1].is_unit:
-        raise InadmissibleIndexError(f"word {w} has a trailing unit letter")
-    letters = []
-    for a in w:
+@functools.lru_cache(maxsize=1024)
+def _split(letters: frozenset[MonoidElement]) -> tuple[Fraction, tuple[int, int], tuple[int, int]]:
+    """``R = m0 + m1``, ``m0 = min |a| > 0`` and ``m1 = min |1 - a|``, and ``R/m0``, ``R/m1`` as ``(p, q)``."""
+    for a in letters:
         if a.is_unit:
             raise UnsupportedWordError("the unit letter puts a pole at the endpoint")
-        if a.is_zero:
-            letters.append(0.0)
-        elif a.kind == "rational":
-            letters.append(float(a.value))
-        else:
+        if not a.is_zero and a.kind != "rational":
             raise UnsupportedWordError(f"letter {a} has no numeric value")
-    return tuple(letters)
+    m0 = min(abs(a.value) for a in letters if not a.is_zero)
+    big_r = m0 + min(abs(1 - a.value) for a in letters)
+    head, tail = big_r / m0, big_r / (big_r - m0)
+    return big_r, (head.numerator, head.denominator), (tail.numerator, tail.denominator)
 
 
 def _iterint_estimate(w: Word, tol: float) -> tuple[float, float]:
-    letters = _validate_real_word(w)
-    if not letters:
+    """``I(w)`` split at ``y = m0/R`` (see :func:`_split`), with a bound ``<= tol``.
+
+    ``I(a_1..a_k) = sum_j G(a_1..a_j; y) (-1)^(k-j) G(1-a_k..1-a_{j+1}; 1-y)``.
+    Rescaled to ``x = 1``, every letter has modulus ``>= R > 1``, so ``N``
+    terms leave at most ``R^-N/(R-1)`` of a factor of modulus at most
+    ``max(1, 1/(R-1))``.  The bound is the truncation plus the counted
+    rounding units, carried through the products exactly, plus two units in
+    the last place of the result; ``N`` and the scale come from ``tol``.
+    """
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if not w:
         return 1.0, 0.0
-    sliver = _T_MIN * (1.0 + abs(math.log(_T_MIN))) ** len(letters)
-    prev = None
-    for level in range(6):
-        value = _integrate_on_mesh(letters, _build_mesh(level))
-        if prev is not None and abs(value - prev) < tol / 2.0:
-            return value, abs(value - prev) + sliver
-        prev = value
-    raise QuadratureError(f"no convergence to {tol} for {w}")
+    if w[0].is_zero or w[-1].is_unit:
+        raise InadmissibleIndexError(f"word {w} is not admissible")
+    big_r, (hp, hq), (tp, tq) = _split(frozenset(w))
+    k = len(w)
+    head = [(a.value.numerator * hp, a.value.denominator * hq) for a in w]
+    tail = [((a.value.denominator - a.value.numerator) * tp, a.value.denominator * tq) for a in reversed(w)]
+    # log2 of R - 1, of the bound on a factor and of each factor's error
+    # target: then the k + 1 products' errors add up to at most 5/16 tol.
+    p, q = big_r.numerator, big_r.denominator
+    gap = math.log2(p - q) - math.log2(q)
+    size = max(0.0, -gap)
+    target = min(size, math.log2(tol) - math.log2(16 * (k + 1)) - size)
+    need, log_r = 1 - target - gap, math.log2(p) - math.log2(q)
+    if need > MAX_TERMS * log_r:
+        raise QuadratureError(f"{w} needs more than {MAX_TERMS} series terms to reach {tol}")
+    n_terms = max(1, math.ceil(need / log_r))
+    bits = (4 * k * n_terms).bit_length() + max(0, math.ceil(-target))
+    trunc = -(-(q ** (n_terms + 1) << bits) // (p**n_terms * (p - q)))
+    # a factor's error in units, 0 if empty: truncation plus n_terms coefficient
+    # errors of 2 units per nonzero letter, 1 per zero one (the tail has none)
+    err_head = [u and trunc + n_terms * u for u in accumulate((1 if a.is_zero else 2 for a in w), initial=0)]
+    err_tail = [u and trunc + n_terms * u for u in range(0, 2 * k + 1, 2)]
+    hs, ts = _prefix_sums(head, n_terms, bits), _prefix_sums(tail, n_terms, bits)
+    total = slack = 0
+    for j in range(k + 1):
+        h, t, eh, et = hs[j], ts[k - j], err_head[j], err_tail[k - j]
+        total += -h * t if (k - j) % 2 else h * t
+        slack += abs(h) * et + (abs(t) + et) * eh
+    value = total / (1 << 2 * bits)
+    # one step up covers rounding the quotient and the sum
+    bound = math.nextafter(slack / (1 << 2 * bits) + 2 * math.ulp(value), math.inf)
+    if bound > tol:
+        raise QuadratureError(f"tolerance {tol} is below the double-precision resolution of {w}")
+    return value, bound
 
 
 def iterint_num(w: Word, tol: float = 1e-7) -> float:
@@ -280,8 +286,8 @@ def iterint_num(w: Word, tol: float = 1e-7) -> float:
 class H0Evaluator:
     """Evaluate admissible words numerically, caching per index and per word.
 
-    ``{0,1}``-alphabet words go through :func:`zeta`; words with real
-    rational letters go through quadrature.  Calls return ``(value, bound)``.
+    ``{0,1}``-alphabet words go through :func:`zeta`, words with real rational
+    letters through :func:`iterint_num`.  Calls return ``(value, bound)``.
     """
 
     def __init__(self, tol: float = 1e-7):
@@ -357,36 +363,26 @@ def verify_harmonic_hom(
     """Check multiplicativity of the iterated integral on real-letter words.
 
     For all pairs ``u, v`` of words of weight <= ``max_weight`` over the given
-    letters, compares ``I(u) I(v)`` with the evaluation of ``u * v``.
+    letters, compares ``I(u) I(v)`` with the evaluation of ``u * v``.  Both
+    sides and the bound are summed exactly and rounded once; rounding to
+    float is monotone, so ``difference <= bound`` holds by construction.
     """
     elems = [rational(q) for q in letters]
-    words: list[Word] = []
-    for a in elems:
-        words.append(Word((a,)))
-    if max_weight >= 2:
-        for a in elems:
-            for b in elems:
-                words.append(Word((a, b)))
+    words = [Word(p) for n in range(1, max_weight + 1) for p in product(elems, repeat=n)]
     evaluator = H0Evaluator(tol=quad_tol)
     for i, u in enumerate(words):
         for v in words[i:]:
-            lhs_u, bu = evaluator(u)
-            lhs_v, bv = evaluator(v)
+            (lhs_u, bu), (lhs_v, bv) = (map(Fraction, evaluator(x)) for x in (u, v))
             lhs = lhs_u * lhs_v
-            rhs = 0.0
-            rhs_bound = 0.0
+            bound = abs(lhs_u) * bv + abs(lhs_v) * bu + bu * bv
+            rhs = Fraction(0)
             for w, c in harmonic(HPoly.from_word(u), HPoly.from_word(v)).terms.items():
                 val, b = evaluator(w)
-                rhs += float(c) * val
-                rhs_bound += abs(float(c)) * b
-            diff = abs(lhs - rhs)
+                rhs += c * Fraction(val)
+                bound += abs(c) * Fraction(b)
+            diff = float(abs(lhs - rhs))
             yield CheckResult(
                 item=f"product {u} x {v}",
                 passed=diff < tol,
-                data={
-                    "difference": diff,
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "bound": rhs_bound + abs(lhs_u) * bv + abs(lhs_v) * bu + bu * bv,
-                },
+                data={"difference": diff, "lhs": float(lhs), "rhs": float(rhs), "bound": float(bound)},
             )

@@ -25,21 +25,35 @@ import hsw.cli
 tracer = Tracer()
 instrument(tracer)
 with contextlib.redirect_stdout(io.StringIO()):
-    code = hsw.cli.main(["verify", "pythagoras", "--max-N", "2"])
+    code = hsw.cli.main(json.loads(sys.argv[3]))
 summary = tracer.summary()
-print(json.dumps({"code": code, "roots": summary["roots"], "calls": summary["calls"]}))
+print(json.dumps({key: summary[key] for key in ("roots", "calls", "counters")} | {"code": code}))
 """
 
 
-def test_instrumented_cli_run():
+def traced_run(*argv: str) -> dict:
+    """Exit code, root span names, call counts and counters of one instrumented ``hsw`` run."""
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src")],
+        [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src"), json.dumps(argv)],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_instrumented_cli_run():
+    result = traced_run("verify", "pythagoras", "--max-N", "2")
     assert result["code"] == 0
     assert result["roots"] == ["cli.main"]
     assert result["calls"]["cli.main"] == 1
     # The driver is looked up when the command runs, so the CLI calls the wrapped one.
     assert result["calls"]["wcalc.verify_pythagoras"] == 1
+
+
+def test_instrumented_quadrature_hook():
+    # The benchmark counts quadrature misses through H0Evaluator._iterint.
+    result = traced_run("verify", "harmonic-hom", "--max-weight", "1")
+    assert result["code"] == 0
+    assert result["roots"] == ["cli.main"]
+    assert result["calls"]["mzveval.verify_harmonic_hom"] == 1
+    assert result["counters"]["mzveval.quad.misses"] > 0

@@ -134,6 +134,17 @@ class TestRelations:
             assert abs(rec["residual"]) <= rec["bound"] + 1e-12
             assert {"weight", "terms", "residual", "bound"} <= set(rec)
 
+    def test_each_relation_once(self, capsys):
+        # addition[2, 3], addition[3, 2] and pythagoras[4] all induce 4*z(2,2) - 3*z(4) = 0
+        for weight in range(4, 13, 2):
+            code, out, _ = run(capsys, "relations", "--weight", str(weight), "--format", "json")
+            assert code == 0
+            records = [json.loads(line) for line in out.strip().splitlines()]
+            texts = [rec["relation"] for rec in records]
+            assert records and len(texts) == len(set(texts))
+            if weight == 4:
+                assert [(rec["source"], rec["degrees"]) for rec in records] == [("addition", [2, 3])]
+
     def test_weight_2_empty(self, capsys):
         code, out, _ = run(capsys, "relations", "--weight", "2")
         assert code == 0
@@ -164,7 +175,7 @@ class TestInputErrors:
             ({}, ["verify", "pythagoras", "--max-N", "7"]),
             ({}, ["verify", "addition", "--max-degree", "17"]),
             ({}, ["verify", "regularization", "--max-weight", "9"]),
-            ({}, ["verify", "harmonic-hom", "--max-weight", "3"]),
+            ({}, ["verify", "harmonic-hom", "--max-weight", "4"]),
             ({}, ["verify", "harmonic-hom", "--letters", "1/2"]),
             ({}, ["verify", "harmonic-hom", "--letters", "1/0"]),
             ({}, ["verify", "addition", "--z", "q"]),
@@ -185,6 +196,21 @@ class TestInputErrors:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "error: argument" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "e[1000001/1000000]", "--mode", "znum"],
+            ["verify", "harmonic-hom", "--letters", "1000001/1000000", "--max-weight", "1"],
+            ["eval", "e[2]", "--mode", "znum", "--tol", "1e-30"],
+            ["verify", "harmonic-hom", "--quad-tol", "1e-30"],
+        ],
+    )
+    def test_quadrature_error_exit_2(self, capsys, argv):
+        # a letter too close to 1, or a tolerance below double precision
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "evaluation error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "argv",

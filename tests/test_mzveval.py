@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +11,7 @@ from hsw.mzveval import (
     H0Evaluator,
     InadmissibleIndexError,
     MzvIndex,
+    QuadratureError,
     UnsupportedWordError,
     check_assumptions,
     iterint_num,
@@ -259,6 +261,84 @@ class TestIterint:
             iterint_num(w(cyclic(1)))
 
 
+def real_word(*letters) -> Word:
+    return Word(ZERO if a == 0 else rational(a) for a in letters)
+
+
+def mpf_of(q) -> mpmath.mpf:
+    q = Fraction(q)
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def nested_quad(letters):
+    """``I(a_1..a_k)`` by nested ``mpmath.quad``, the innermost letter in closed form."""
+    values = [mpf_of(a) for a in letters]
+
+    def g(j, t):  # G(a_1..a_j; t)
+        if j == 1:
+            return mpmath.log(1 - t / values[0])
+        return mpmath.quad(lambda s: g(j - 1, s) / (s - values[j - 1]), [0, t])
+
+    return g(len(values), mpmath.mpf(1))
+
+
+CLOSED_FORM_LETTERS = [2, -2, Fraction(5, 2), -1, Fraction(5, 4)]
+
+
+class TestIterintClosedForms:
+    """Real-letter words against mpmath at 30 digits: the error lies within a bound of at most tol."""
+
+    @pytest.fixture(autouse=True)
+    def thirty_digits(self):
+        with mpmath.workdps(30):
+            yield
+
+    @staticmethod
+    def check(word, ref, tol):
+        v, b = H0Evaluator(tol=tol)(word)
+        assert abs(mpmath.mpf(v) - ref) <= b <= tol
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-13])
+    @pytest.mark.parametrize("z", CLOSED_FORM_LETTERS + [Fraction(101, 100)])
+    def test_log(self, z, tol):
+        self.check(real_word(z), mpmath.log(1 - 1 / mpf_of(z)), tol)
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-13])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("z", CLOSED_FORM_LETTERS)
+    def test_polylog(self, z, k, tol):
+        self.check(real_word(z, *[0] * (k - 1)), -mpmath.polylog(k, 1 / mpf_of(z)), tol)
+
+    @pytest.mark.parametrize(
+        "letters",
+        [(Fraction(5, 2), 0, Fraction(7, 3)), (-2, 3, 2), (2, -1, 0), (Fraction(3, 2), -1, Fraction(5, 4))],
+    )
+    def test_depth_three(self, letters):
+        self.check(real_word(*letters), nested_quad(letters), 1e-13)
+
+    def test_bound_shrinks_with_tol(self):
+        word = real_word(Fraction(5, 2), 0, Fraction(7, 3))
+        tols = [1e-5, 1e-9, 1e-13]
+        bounds = [H0Evaluator(tol=tol)(word)[1] for tol in tols]
+        assert bounds[0] > bounds[1] > bounds[2]
+        assert all(b <= tol for b, tol in zip(bounds, tols))
+
+    def test_letter_near_one_refused_fast(self):
+        start = time.perf_counter()
+        with pytest.raises(QuadratureError):
+            iterint_num(real_word(Fraction(1000001, 1000000)))
+        assert time.perf_counter() - start < 0.5
+
+    def test_tolerance_below_double_precision(self):
+        with pytest.raises(QuadratureError):
+            iterint_num(real_word(2), tol=1e-20)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-7, math.nan])
+    def test_tolerance_not_positive(self, tol):
+        with pytest.raises(ValueError):
+            iterint_num(real_word(2), tol=tol)
+
+
 class TestEvaluator:
     def test_dispatch(self):
         ev = H0Evaluator()
@@ -323,3 +403,14 @@ class TestHarmonicHomDriver:
             verify_harmonic_hom(letters=(2, 3), max_weight=1, tol=1e-6)
         )
         assert items and all(item.passed for item in items)
+
+    def test_difference_within_bound(self):
+        # both sides are summed exactly and rounded once
+        items = list(verify_harmonic_hom())
+        assert len(items) == 78
+        assert all(item.passed and item.data["difference"] <= item.data["bound"] for item in items)
+
+    def test_weight_three(self):
+        items = list(verify_harmonic_hom(letters=(2, -2), max_weight=3))
+        assert len(items) == 14 * 15 // 2
+        assert all(item.passed and item.data["difference"] <= item.data["bound"] for item in items)
