@@ -49,7 +49,7 @@ from .wcalc import (
 __all__ = ["main", "VerificationReport", "relation_records"]
 
 MAX_ORDER = 16
-MAX_RELATION_WEIGHT = 12
+MAX_RELATION_WEIGHT = 16
 
 
 @dataclass

@@ -24,11 +24,12 @@ notation; in terms of them the recursion reads
 W-polynomials of :mod:`hsw.wcalc` and the S/T normal forms of :mod:`hsw.reg`;
 :func:`format_terms` is their one signed-sum printer.
 
-All coefficients are arbitrary-precision rationals; nothing in this module
-rounds.  Polynomial values are immutable by convention (operations build new
-dictionaries), so they can be shared freely across threads.  The word-pair
-product cache is a process-wide LRU; concurrent recomputation is benign
-because every writer stores the identical value.
+Coefficients are arbitrary-precision rationals; nothing here rounds.  A word
+product only adds and subtracts words, so :func:`star_terms` keeps its
+coefficients in ``int`` and :func:`harmonic` divides once per output term.
+Polynomials are immutable by convention, so they can be shared across threads.
+Word-pair products are memoized within a budget of stored terms
+(:mod:`hsw.memo`); concurrent recomputation only stores an equal value twice.
 
 Text grammar (shared with the command line)::
 
@@ -43,7 +44,7 @@ scaling, so coefficient syntax like ``120*s[z^2,2]s[z,2]`` reads as usual.
 
 from __future__ import annotations
 
-import functools
+import math
 import re
 from fractions import Fraction
 from typing import Any, Hashable, Iterable, Iterator
@@ -52,9 +53,9 @@ from .monoid import (
     ZERO,
     MonoidElement,
     MonoidMismatchError,
-    format_element,
     parse_element,
 )
+from .memo import term_bounded_cache
 
 __all__ = [
     "Word",
@@ -65,6 +66,8 @@ __all__ = [
     "combine",
     "concat",
     "harmonic",
+    "integer_sum",
+    "star_terms",
     "star_words",
     "s_word",
     "s_chain",
@@ -96,9 +99,6 @@ class Word(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, letters: Iterable[MonoidElement] = ()):
-        return super().__new__(cls, letters)
-
     @property
     def weight(self) -> int:
         return len(self)
@@ -123,7 +123,7 @@ EMPTY_WORD = Word()
 
 def word_sort_key(w: Word) -> tuple:
     """Total order on words: weight first, then letterwise."""
-    return (len(w), tuple(a.sort_key() for a in w))
+    return (len(w), tuple([a.key for a in w]))
 
 
 def _check_single_instance(letters: Iterable[MonoidElement]) -> None:
@@ -203,6 +203,10 @@ class LinComb:
 
     def __bool__(self) -> bool:
         return bool(self.terms)
+
+    def __len__(self) -> int:
+        """The number of terms."""
+        return len(self.terms)
 
     def __add__(self, other):
         if other.__class__ is not self.__class__:
@@ -304,66 +308,71 @@ class HPoly(LinComb):
 def concat(p: HPoly, q: HPoly) -> HPoly:
     """Bilinear extension of word concatenation."""
     _check_single_instance(a for w in (*p.terms, *q.terms) for a in w)
-    out: dict[Word, Fraction] = {}
-    for wu, cu in p.terms.items():
-        for wv, cv in q.terms.items():
-            w = wu + wv
-            acc = out.get(w, _F0) + cu * cv
-            if acc:
-                out[w] = acc
-            elif w in out:
-                del out[w]
-    return HPoly._raw(out)
+    return HPoly._raw(combine(
+        (wu + wv, cu * cv) for wu, cu in p.terms.items() for wv, cv in q.terms.items()
+    ))
 
 
-@functools.lru_cache(maxsize=100_000)
-def _star_words_cached(u: Word, v: Word) -> HPoly:
-    a = u[0]
-    b = v[0]
-    ab = a * b
+@term_bounded_cache()
+def _star_words_cached(u: Word, v: Word) -> dict[Word, int]:
+    ab = u[0] * v[0]
     tail_u = Word(u[1:])
     tail_v = Word(v[1:])
-    head = star_words(tail_u, v) + star_words(u, tail_v)
-    cross = star_words(tail_u, tail_v)
-    out: dict[Word, Fraction] = {}
-    for w, c in head.terms.items():
-        key = Word((ab,) + w)
-        out[key] = out.get(key, _F0) + c
-    for w, c in cross.terms.items():
+    out: dict[Word, int] = {}
+    for part in (star_terms(tail_u, v), star_terms(u, tail_v)):
+        for w, c in part.items():
+            key = Word((ab,) + w)
+            out[key] = out.get(key, 0) + c
+    for w, c in star_terms(tail_u, tail_v).items():
         key = Word((ab, ZERO) + w)
-        acc = out.get(key, _F0) - c
-        if acc:
-            out[key] = acc
-        elif key in out:
-            del out[key]
-    return HPoly._raw({w: c for w, c in out.items() if c})
+        out[key] = out.get(key, 0) - c
+    return {w: c for w, c in out.items() if c}
 
 
-def star_words(u: Word, v: Word) -> HPoly:
-    """Harmonic product of two words."""
+def star_terms(u: Word, v: Word) -> dict[Word, int]:
+    """Integer coefficients of the harmonic product of two words.
+
+    The map may be a memoized one shared with other callers: read, never modify it.
+    """
     if not u:
-        return HPoly.from_word(v)
+        return {v: 1}
     if not v:
-        return HPoly.from_word(u)
+        return {u: 1}
     # The product is commutative; order the pair so the cache sees each once.
     if (len(u), u) <= (len(v), v):
         return _star_words_cached(u, v)
     return _star_words_cached(v, u)
 
 
+def star_words(u: Word, v: Word) -> HPoly:
+    """Harmonic product of two words."""
+    _check_single_instance((*u, *v))
+    return integer_sum([(1, star_terms(u, v))])
+
+
 def harmonic(p: HPoly, q: HPoly) -> HPoly:
     """Harmonic product, extended bilinearly from words."""
-    out: dict[Word, Fraction] = {}
-    for wu, cu in p.terms.items():
-        for wv, cv in q.terms.items():
-            c = cu * cv
-            for w, cw in star_words(wu, wv).terms.items():
-                acc = out.get(w, _F0) + c * cw
-                if acc:
-                    out[w] = acc
-                elif w in out:
-                    del out[w]
-    return HPoly._raw(out)
+    return integer_sum(
+        (cu * cv, star_terms(wu, wv)) for wu, cu in p.terms.items() for wv, cv in q.terms.items()
+    )
+
+
+def integer_sum(parts: Iterable[tuple[Rational, dict[Word, int]]]) -> HPoly:
+    """``sum c * h`` over pairs of a rational ``c`` and integer coefficients ``h``.
+
+    The sum runs in integers over the common denominator of the ``c`` and
+    divides once per output term.
+    """
+    parts = list(parts)
+    den = math.lcm(*(c.denominator for c, _ in parts))
+    out: dict[Word, int] = {}
+    for c, h in parts:
+        scale = c.numerator * (den // c.denominator)
+        for w, n in h.items():
+            out[w] = out.get(w, 0) + scale * n
+    if den == 1:
+        return HPoly._raw({w: Fraction(n) for w, n in out.items() if n})
+    return HPoly._raw({w: Fraction(n, den) for w, n in out.items() if n})
 
 
 def s_word(z: MonoidElement, k: int) -> Word:
@@ -397,15 +406,15 @@ def format_word(w: Word) -> str:
     """Canonical text of a word: s-blocks when possible, e-letters otherwise."""
     if not w:
         return "1"
-    if w[0].is_zero:
-        return "".join(f"e[{format_element(a)}]" for a in w)
+    if w[0] is ZERO:
+        return "".join([f"e[{a.text}]" for a in w])
     parts = []
     i = 0
     while i < len(w):
         j = i + 1
-        while j < len(w) and w[j].is_zero:
+        while j < len(w) and w[j] is ZERO:
             j += 1
-        parts.append(f"s[{format_element(w[i])},{j - i}]")
+        parts.append(f"s[{w[i].text},{j - i}]")
         i = j
     return "".join(parts)
 

@@ -51,14 +51,18 @@ class MonoidElement:
     Instances are immutable and must be obtained through :data:`ZERO`,
     :data:`UNIT`, :func:`cyclic` or :func:`rational`, which intern them: there
     is exactly one instance per element, so equality and hashing are the
-    default ones, by identity.
+    default ones, by identity.  ``key`` (the element's place in the total
+    order) and ``text`` (its canonical literal) are fixed at construction.
     """
 
-    __slots__ = ("kind", "value")
+    __slots__ = ("kind", "value", "key", "text")
 
-    def __init__(self, kind: str, value):
+    def __init__(self, kind: str, value, text: str):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "value", value)
+        # Sorting and printing words look at every letter: both are stored.
+        object.__setattr__(self, "key", (_RANK[kind], value))
+        object.__setattr__(self, "text", text)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MonoidElement is immutable")
@@ -72,7 +76,7 @@ class MonoidElement:
         return self.kind == _KIND_UNIT
 
     def sort_key(self) -> tuple:
-        return (_RANK[self.kind], self.value)
+        return self.key
 
     def __mul__(self, other: "MonoidElement") -> "MonoidElement":
         if not isinstance(other, MonoidElement):
@@ -103,20 +107,19 @@ class MonoidElement:
         return rational(self.value**n)
 
     def __lt__(self, other: "MonoidElement") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self.key < other.key
 
     def __le__(self, other: "MonoidElement") -> bool:
-        return self.sort_key() <= other.sort_key()
+        return self.key <= other.key
 
     def __str__(self) -> str:
-        return format_element(self)
+        return self.text
 
-    def __repr__(self) -> str:
-        return format_element(self)
+    __repr__ = __str__
 
 
-ZERO = MonoidElement(_KIND_ZERO, 0)
-UNIT = MonoidElement(_KIND_UNIT, 0)
+ZERO = MonoidElement(_KIND_ZERO, 0, "0")
+UNIT = MonoidElement(_KIND_UNIT, 0, "1")
 
 _cyclic_cache: dict[int, MonoidElement] = {}
 _rational_cache: dict[Fraction, MonoidElement] = {}
@@ -130,7 +133,8 @@ def cyclic(exponent: int) -> MonoidElement:
         return UNIT
     elem = _cyclic_cache.get(exponent)
     if elem is None:
-        elem = _cyclic_cache.setdefault(exponent, MonoidElement(_KIND_CYCLIC, exponent))
+        text = "z" if exponent == 1 else f"z^{exponent}"
+        elem = _cyclic_cache.setdefault(exponent, MonoidElement(_KIND_CYCLIC, exponent, text))
     return elem
 
 
@@ -145,7 +149,7 @@ def rational(value) -> MonoidElement:
         raise ValueError(f"rational element must have modulus >= 1, got {q}")
     elem = _rational_cache.get(q)
     if elem is None:
-        elem = _rational_cache.setdefault(q, MonoidElement(_KIND_RATIONAL, q))
+        elem = _rational_cache.setdefault(q, MonoidElement(_KIND_RATIONAL, q, str(q)))
     return elem
 
 
@@ -170,10 +174,4 @@ def parse_element(text: str) -> MonoidElement:
 
 def format_element(elem: MonoidElement) -> str:
     """Canonical text form; ``parse_element`` inverts it."""
-    if elem.is_zero:
-        return "0"
-    if elem.is_unit:
-        return "1"
-    if elem.kind == _KIND_CYCLIC:
-        return "z" if elem.value == 1 else f"z^{elem.value}"
-    return str(elem.value)
+    return elem.text

@@ -29,7 +29,6 @@ gives the regularized evaluation :func:`z_num`.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import random
 from fractions import Fraction
@@ -43,8 +42,10 @@ from .halg import (
     format_terms,
     format_word,
     harmonic,
-    star_words,
+    integer_sum,
+    star_terms,
 )
+from .memo import term_bounded_cache
 from .monoid import UNIT, ZERO, cyclic
 from .reporting import CheckResult
 
@@ -109,30 +110,40 @@ def strip_e0(p: HPoly) -> dict[int, HPoly]:
 _E1_WORD = Word((UNIT,))
 
 
-@functools.lru_cache(maxsize=None)
+@term_bounded_cache()
 def _e1_star_power(t: int) -> HPoly:
     if t == 0:
         return HPoly.one()
     return harmonic(_e1_star_power(t - 1), HPoly.from_word(_E1_WORD))
 
 
-@functools.lru_cache(maxsize=None)
-def _reg_word(w: Word) -> tuple[tuple[int, HPoly], ...]:
-    """Unit-power coefficients of a word with no leading zero letters."""
-    if w and w[0].is_zero:
-        raise RegularizationError(f"word {w} has leading zero letters")
+@term_bounded_cache(size=lambda reg: sum(len(h) for _, h in reg[1]))
+def _reg_word(w: Word) -> tuple[int, tuple[tuple[int, dict[Word, int]], ...]]:
+    """Unit-power coefficients of a word with no leading zero letters.
+
+    ``(den, ((t, h), ...))`` stands for ``sum_t (h / den) * e_1^{*t}``, by
+    increasing ``t``, with integer coefficients ``h`` and ``den`` reduced.
+    """
     m = _trailing_unit_run(w)
     if m == 0:
-        return ((0, HPoly.from_word(w)),)
+        return 1, ((0, {w: 1}),)
     base = Word(w[:-1])
     # base * e_1 = m*w + rest, where every word of rest is strictly smaller
-    # in the (nonzero-count, trailing-run) order.
-    product = star_words(base, _E1_WORD)
-    rest = product - HPoly.from_word(w, m)
-    lifted = [(t + 1, h) for t, h in _reg_word(base)]
-    lowered = [(t, h * -c) for word, c in rest.terms.items() for t, h in _reg_word(word)]
-    inv_m = Fraction(1, m)
-    return tuple(sorted((t, h * inv_m) for t, h in combine(lifted + lowered).items()))
+    # in the (nonzero-count, trailing-run) order; so w = (base*e_1 - rest)/m.
+    # A source is (factor, T-exponent shift, regularization).
+    sources = [(1, 1, _reg_word(base))] + [
+        (-c, 0, _reg_word(word)) for word, c in star_terms(base, _E1_WORD).items() if word != w
+    ]
+    den = math.lcm(*(d for _, _, (d, _) in sources))
+    acc: dict[int, dict[Word, int]] = {}
+    for factor, shift, (d, parts) in sources:
+        for t, h in parts:
+            slot = acc.setdefault(t + shift, {})
+            for word, n in h.items():
+                slot[word] = slot.get(word, 0) + factor * (den // d) * n
+    parts = sorted((t, h) for t, slot in acc.items() if (h := {x: n for x, n in slot.items() if n}))
+    g = math.gcd(den * m, *(n for _, h in parts for n in h.values()))
+    return den * m // g, tuple((t, {x: n // g for x, n in h.items()}) for t, h in parts)
 
 
 def reg_t(p: HPoly) -> dict[int, HPoly]:
@@ -141,7 +152,10 @@ def reg_t(p: HPoly) -> dict[int, HPoly]:
     Every coefficient is supported on admissible words; substituting the unit
     letter back for ``T`` reproduces ``p`` exactly.
     """
-    return combine((t, h * c) for w, c in p.terms.items() for t, h in _reg_word(w))
+    for w in p.terms:
+        if w and w[0] is ZERO:
+            raise RegularizationError(f"word {w} has leading zero letters")
+    return {t: h for (_, t), h in z_st(p).terms.items()}
 
 
 def _st_text(s: int, t: int) -> str:
@@ -208,19 +222,13 @@ class RegularizedValue(LinComb):
 
 def z_st(p: HPoly) -> RegularizedValue:
     """Normal form of ``p`` as a polynomial in S, T with admissible coefficients."""
-    # Accumulate in place: adding each h * c to a growing HPoly copies it.
-    acc: dict[tuple[int, int], dict[Word, Fraction]] = {}
+    groups: dict[tuple[int, int], list] = {}
     for w, c in p.terms.items():
         s = _leading_zero_run(w)
-        for t, h in _reg_word(Word(w[s:])):
-            slot = acc.setdefault((s, t), {})
-            for word, hc in h.terms.items():
-                total = slot.get(word, 0) + hc * c
-                if total:
-                    slot[word] = total
-                else:
-                    del slot[word]
-    value = RegularizedValue._raw({st: HPoly._raw(slot) for st, slot in acc.items() if slot})
+        den, parts = _reg_word(Word(w[s:]))
+        for t, h in parts:
+            groups.setdefault((s, t), []).append((c / den, h))
+    value = RegularizedValue({st: integer_sum(parts) for st, parts in groups.items()})
     value.validate()
     return value
 

@@ -22,12 +22,12 @@ independent routes that must agree exactly.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator
 
 from .halg import HPoly, LinComb, combine, format_terms, harmonic, s_chain
+from .memo import term_bounded_cache
 from .monoid import MonoidElement
 from .reporting import CheckResult
 from .series import Series1, Series2
@@ -139,7 +139,7 @@ def g_gen(m: int, n: int) -> WPoly:
     return WPoly.gen(m + n) - WPoly.gen(m) * WPoly.gen(n)
 
 
-@functools.lru_cache(maxsize=None)
+@term_bounded_cache()
 def w_value(z: MonoidElement, n: int) -> HPoly:
     """The element ``(2n+1)! s[z^n,2] s[z^{n-1},2] ... s[z,2]``."""
     if n < 0:
@@ -147,7 +147,7 @@ def w_value(z: MonoidElement, n: int) -> HPoly:
     return HPoly.from_word(s_chain(z, 2, n)) * factorial(2 * n + 1)
 
 
-@functools.lru_cache(maxsize=None)
+@term_bounded_cache()
 def _eval_monomial(key: tuple[int, ...], z: MonoidElement) -> HPoly:
     out = HPoly.one()
     for n in key:

@@ -145,6 +145,15 @@ class TestRelations:
             if weight == 4:
                 assert [(rec["source"], rec["degrees"]) for rec in records] == [("addition", [2, 3])]
 
+    @pytest.mark.parametrize("weight", ["14", "16"])
+    def test_weights_above_12_within_bound(self, capsys, weight):
+        code, out, _ = run(capsys, "relations", "--weight", weight, "--format", "json")
+        assert code == 0
+        records = [json.loads(line) for line in out.strip().splitlines()]
+        assert records
+        for rec in records:
+            assert abs(rec["residual"]) <= rec["bound"]
+
     def test_weight_2_empty(self, capsys):
         code, out, _ = run(capsys, "relations", "--weight", "2")
         assert code == 0
@@ -181,7 +190,7 @@ class TestInputErrors:
             ({}, ["verify", "addition", "--z", "q"]),
             ({}, ["verify", "addition", "--z", "1/0"]),
             ({}, ["relations", "--weight", "3"]),
-            ({}, ["relations", "--weight", "14"]),
+            ({}, ["relations", "--weight", "18"]),
             ({}, ["relations", "--weight", "0"]),
             ({}, ["eval", "s[1,2]", "--mode", "bogus"]),
             ({"HSW_TOL": "inf"}, ["eval", "s[1,2]", "--mode", "znum"]),

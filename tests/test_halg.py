@@ -16,10 +16,19 @@ from hsw.halg import (
     parse_poly,
     s_chain,
     s_word,
+    star_terms,
+    star_words,
 )
 from hsw.monoid import UNIT, ZERO, MonoidMismatchError, cyclic, rational
 
-from _support import ALPHABET_01Z, random_poly, random_word
+from _support import (
+    ALPHABET_01Z,
+    ALPHABET_01ZZ2,
+    ALPHABET_QQ,
+    random_poly,
+    random_word,
+    reference_star_words,
+)
 
 Z = cyclic(1)
 
@@ -155,6 +164,46 @@ def test_associativity(p, q, r):
 @given(small_polys(), small_polys(), small_polys())
 def test_distributivity(p, q, r):
     assert harmonic(p, q + r) == harmonic(p, q) + harmonic(p, r)
+
+
+def words(alphabet, max_weight=5):
+    return st.lists(st.sampled_from(alphabet), max_size=max_weight).map(Word)
+
+
+class TestIntegerKernel:
+    """The int word-pair kernel against the Fraction recursion it replaced."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(words(ALPHABET_01ZZ2), words(ALPHABET_01ZZ2))
+    def test_matches_reference_cyclic(self, u, v):
+        product = star_words(u, v)
+        assert product == reference_star_words(u, v)
+        assert all(type(c) is Fraction for c in product.terms.values())
+
+    @settings(max_examples=80, deadline=None)
+    @given(words(ALPHABET_QQ), words(ALPHABET_QQ))
+    def test_matches_reference_rational(self, u, v):
+        # the rationals include -1, whose square is the unit letter
+        assert star_words(u, v) == reference_star_words(u, v)
+
+    @settings(max_examples=40, deadline=None)
+    @given(words(ALPHABET_01ZZ2), words(ALPHABET_01ZZ2))
+    def test_cached_products_are_int(self, u, v):
+        # the recursion memoizes exactly the products of the suffix pairs
+        star_terms(u, v)
+        for i in range(len(u) + 1):
+            for j in range(len(v) + 1):
+                terms = star_terms(Word(u[i:]), Word(v[j:]))
+                assert terms and all(type(c) is int for c in terms.values())
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_polys(), small_polys())
+    def test_harmonic_is_bilinear_reference(self, p, q):
+        expected = HPoly.zero()
+        for wu, cu in p.terms.items():
+            for wv, cv in q.terms.items():
+                expected = expected + reference_star_words(wu, wv) * (cu * cv)
+        assert harmonic(p, q) == expected
 
 
 class TestGrammar:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsw.halg import EMPTY_WORD, HPoly, Word, concat, harmonic, s_word
 from hsw.monoid import UNIT, ZERO, cyclic
@@ -140,6 +142,25 @@ class TestZst:
         bad = RegularizedValue({(0, 0): HPoly.from_word(w(ZERO, UNIT))})
         with pytest.raises(RegularizationError):
             bad.validate()
+
+
+@st.composite
+def polys(draw, alphabet=ALPHABET_01Z, max_weight=6):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        letters = draw(st.lists(st.sampled_from(alphabet), max_size=max_weight))
+        coeff = draw(st.sampled_from([-3, -1, 1, 2, Fraction(1, 2), Fraction(-5, 6)]))
+        terms.append((Word(letters), coeff))
+    return HPoly(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys())
+def test_roundtrip_with_integer_tables(p):
+    # z_st runs on the integer unit-power tables; substituting back is exact
+    rv = z_st(p)
+    rv.validate()
+    assert substitute_st(rv) == p
 
 
 class TestDriver:
