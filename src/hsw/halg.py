@@ -55,7 +55,7 @@ from .monoid import (
     MonoidMismatchError,
     parse_element,
 )
-from .memo import term_bounded_cache
+from .memo import clear_all, term_bounded_cache
 
 __all__ = [
     "Word",
@@ -393,8 +393,8 @@ def s_chain(z: MonoidElement, k: int, n: int) -> Word:
 
 
 def clear_caches() -> None:
-    """Drop the memoized word-pair products (frees memory after large runs)."""
-    _star_words_cached.cache_clear()
+    """Drop every memoized result, in every :mod:`hsw.memo` cache (frees memory after large runs)."""
+    clear_all()
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import functools
 import threading
+import weakref
 from collections import OrderedDict, namedtuple
 from typing import Any, Callable
 
-__all__ = ["MAX_TERMS", "CacheInfo", "TermBoundedCache", "term_bounded_cache"]
+__all__ = ["MAX_TERMS", "CacheInfo", "TermBoundedCache", "term_bounded_cache", "clear_all"]
 
 # The default budget of one cache, about 200-300 MB of word-keyed terms.  The
 # benchmark workloads store at most about 180,000 terms in one cache (the
@@ -29,6 +30,9 @@ __all__ = ["MAX_TERMS", "CacheInfo", "TermBoundedCache", "term_bounded_cache"]
 MAX_TERMS = 1_000_000
 
 CacheInfo = namedtuple("CacheInfo", "hits misses currsize terms max_terms evictions")
+
+# Every live cache, so that one call can empty them all.
+_CACHES: weakref.WeakSet = weakref.WeakSet()
 
 
 class TermBoundedCache:
@@ -42,6 +46,7 @@ class TermBoundedCache:
         self._data: OrderedDict = OrderedDict()  # args -> (value, size)
         self._lock = threading.Lock()
         self._terms = self._hits = self._misses = self._evictions = 0
+        _CACHES.add(self)
 
     def __call__(self, *args):
         with self._lock:
@@ -77,6 +82,12 @@ class TermBoundedCache:
         with self._lock:
             self._data.clear()
             self._terms = self._hits = self._misses = self._evictions = 0
+
+
+def clear_all() -> None:
+    """Empty every :class:`TermBoundedCache` that exists."""
+    for cache in list(_CACHES):
+        cache.cache_clear()
 
 
 def term_bounded_cache(size: Callable[[Any], int] = len, max_terms: int = MAX_TERMS):

@@ -1,33 +1,31 @@
 """Numeric evaluation of admissible words: multiple zeta values and iterated integrals.
 
-Words over the ``{0, 1}`` alphabet correspond to multiple zeta values,
-
-    I(s[1,k_1] ... s[1,k_r]) = (-1)^r zeta(k_1, ..., k_r),
-
-and are evaluated by the Hoelder convolution at p = 2 (Borwein, Bradley,
-Broadhurst and Lisonek, "Special values of multiple polylogarithms", 2001):
-the word's iterated integral from 0 to 1 splits at 1/2 into products of
-power series in 1/2 whose coefficients lie in [0, 1], so ``N`` terms leave a
-tail of at most ``2^-N``.  The series run in fixed-point integers with floor
-rounding, and the reported bound is the truncation term plus the counted
-rounding units plus the final rounding to float; nothing in it is fitted.
-
-Words whose nonzero letters are real rationals of modulus >= 1 (the unit
-letter excluded, interior zero letters allowed) are evaluated as iterated
-integrals
+An admissible word over 0, 1 and real rationals of modulus >= 1 (the first
+letter not 0, the last not 1) is the iterated integral
 
     I(e_{z_1} ... e_{z_k}) = integral over 0 < t_1 < ... < t_k < 1 of
-                             prod dt_i / (t_i - z_i)
+                             prod dt_i / (t_i - z_i).
 
-by the same convolution with the split point chosen per word, so that both
-sides' coefficients fall like ``R^-n`` for some ``R > 1``.  They run in
-fixed-point integers too, with as many terms as the requested tolerance
-needs, and the bound, made up the same way, is at most that tolerance.
+On the ``{0, 1}`` alphabet these are multiple zeta values,
+
+    I(s[1,k_1] ... s[1,k_r]) = (-1)^r zeta(k_1, ..., k_r).
+
+One kernel evaluates every such word by the Hoelder convolution (Borwein,
+Bradley, Broadhurst and Lisonek, "Special values of multiple polylogarithms",
+2001): the integral splits at ``y = m0/R`` into products of power series in
+the letters, where ``m0`` is the least modulus of a nonzero letter, ``m1``
+the least distance of a letter other than 1 from 1, and ``R = m0 + m1``, so
+both sides' coefficients fall like ``R^-n``.  A zero letter is zero on the
+head side and a unit letter on the tail side; ``{0,1}`` words split at
+``y = 1/2`` with ``R = 2``.  The series run in fixed-point integers with
+floor rounding, with as many terms as the requested absolute tolerance
+needs, and the reported bound is the truncation term plus the counted
+rounding units plus the final rounding to float; nothing in it is fitted.
+:func:`zeta` asks for ``2^-60`` of the value's first term.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +33,8 @@ from itertools import accumulate, chain, product
 from typing import Iterable, Iterator
 
 from .halg import HPoly, Word, s_chain, s_word, star_terms
-from .monoid import UNIT, MonoidElement, rational
+from .memo import term_bounded_cache
+from .monoid import UNIT, ZERO, MonoidElement, rational
 from .reporting import CheckResult
 from . import reg
 
@@ -57,11 +56,11 @@ class InadmissibleIndexError(ValueError):
 
 
 class UnsupportedWordError(ValueError):
-    """A word neither oracle can evaluate."""
+    """A word with a letter that has no numeric value."""
 
 
 class QuadratureError(RuntimeError):
-    """A real-letter word cannot be evaluated to the requested tolerance."""
+    """A word cannot be evaluated to the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -106,75 +105,8 @@ def word_to_mzv(w: Word) -> MzvIndex:
     return MzvIndex(tuple(ks), -1 if len(ks) % 2 else 1)
 
 
-def _series_at_half(word: tuple[int, ...], n_terms: int) -> list[int]:
-    """``Lambda(word[:j]; 1/2)`` for ``j = 0..len(word)``, rounded down at scale ``4^n_terms``.
-
-    ``Lambda(u; x)`` is the iterated integral of the {0,1}-word ``u`` (letter 1
-    for ``dt/(1-t)``, 0 for ``dt/t``) from 0 to ``x``, kept as the coefficients
-    ``c_n`` of its power series, ``n = 0..n_terms``, at scale ``2^n_terms``.  A
-    1 letter maps ``c_n`` to ``(sum_{m<n} c_m)/n``, a 0 letter to ``c_n/n``;
-    the word must start with 1.  Every ``c_n`` lies in ``[0, 1]``, so the
-    truncated tail at ``x = 1/2`` is at most ``2^-n_terms``, and each letter
-    costs at most one unit of ``2^-n_terms`` in floor rounding.
-    """
-    ns = range(1, n_terms + 1)
-    c = [1 << n_terms] + [0] * n_terms
-    out = [1 << (2 * n_terms)]
-    for a in word:
-        if a:
-            c = [0] + [s // n for s, n in zip(accumulate(c), ns)]
-        else:
-            c = [0] + [x // n for x, n in zip(c[1:], ns)]
-        at_half = 0
-        for x in c:
-            at_half = (at_half << 1) + x
-        out.append(at_half)
-    return out
-
-
-def _holder(word: tuple[int, ...], n_terms: int) -> tuple[Fraction, Fraction]:
-    """Hoelder convolution at p = 2: ``zeta(word)`` from below, and by how much it may fall short.
-
-    ``zeta(a_1..a_L) = sum_j Lambda(a_1..a_j; 1/2) Lambda(dual(a_{j+1}..a_L); 1/2)``,
-    where the dual reverses a word and swaps its letters.  Both factors lie
-    in ``[0, 1]`` and are computed from below, so each of the ``L + 1``
-    products falls short by at most ``2 * 2^-n_terms`` of truncation and
-    ``L`` rounding units: ``(L + 1)(L + 2) 2^-n_terms`` in all.
-    """
-    head = _series_at_half(word, n_terms)
-    tail = _series_at_half(tuple(1 - a for a in reversed(word)), n_terms)
-    total = sum(p * q for p, q in zip(head, reversed(tail)))
-    length = len(word)
-    return Fraction(total, 1 << (4 * n_terms)), Fraction((length + 1) * (length + 2), 1 << n_terms)
-
-
-def zeta(index: MzvIndex | Iterable[int]) -> tuple[float, float]:
-    """Multiple zeta value of an admissible index, with a rigorous error bound.
-
-    Returns ``(value, bound)`` where ``|value - zeta(index)| <= bound``.  The
-    bound is the shortfall of :func:`_holder` plus two units in the last
-    place of ``value``, so that it also covers a float-rounded reference.
-    """
-    ks = index.ks if isinstance(index, MzvIndex) else tuple(index)
-    if any(not isinstance(k, int) or k < 1 for k in ks):
-        raise InadmissibleIndexError("index entries must be positive integers")
-    if ks and ks[-1] < 2:
-        raise InadmissibleIndexError(f"trailing entry must be >= 2, got {ks}")
-    if not ks:
-        return 1.0, 0.0
-    word = tuple(chain.from_iterable((1,) + (0,) * (k - 1) for k in ks))
-    length = len(word)
-    # zeta(ks) exceeds its first term prod_i i^-k_i >= 2^-floor_bits; carry
-    # 60 bits below that, plus room for the (L + 1)(L + 2) units of shortfall.
-    floor_bits = sum(k * (i - 1).bit_length() for i, k in enumerate(ks, 1))
-    n_terms = 60 + floor_bits + ((length + 1) * (length + 2)).bit_length()
-    low, short = _holder(word, n_terms)
-    value = float(low)
-    return value, float(short) + 2 * math.ulp(value)
-
-
 # ---------------------------------------------------------------------------
-# iterated integrals for real-letter words
+# the kernel: one Hoelder split for every admissible word
 # ---------------------------------------------------------------------------
 
 # A word whose split series need more terms than this is refused: a letter
@@ -209,29 +141,42 @@ def _prefix_sums(letters: list[tuple[int, int]], n_terms: int, bits: int) -> lis
     return out
 
 
-@functools.lru_cache(maxsize=1024)
-def _split(letters: frozenset[MonoidElement]) -> tuple[Fraction, tuple[int, int], tuple[int, int]]:
-    """``R = m0 + m1``, ``m0 = min |a| > 0`` and ``m1 = min |1 - a|``, and ``R/m0``, ``R/m1`` as ``(p, q)``."""
+@term_bounded_cache(size=lambda split: 1, max_terms=1024)
+def _split(letters: frozenset[MonoidElement]) -> tuple[Fraction, dict]:
+    """``R = m0 + m1``, and each letter ``a``'s head ``aR/m0`` and tail ``(1 - a)R/m1`` as ``(p, q)``.
+
+    ``m0 = min |a|`` over the nonzero letters and ``m1 = min |1 - a|`` over
+    the letters other than 1 (the unit letter counts as the number 1), so a
+    zero letter is zero on the head side and a unit letter zero on the tail
+    side.  ``{0,1}`` words get ``R = 2``.
+    """
+    nums = {}
     for a in letters:
-        if a.is_unit:
-            raise UnsupportedWordError("the unit letter puts a pole at the endpoint")
-        if not a.is_zero and a.kind != "rational":
+        if not (a.is_zero or a.is_unit or a.kind == "rational"):
             raise UnsupportedWordError(f"letter {a} has no numeric value")
-    m0 = min(abs(a.value) for a in letters if not a.is_zero)
-    big_r = m0 + min(abs(1 - a.value) for a in letters)
-    head, tail = big_r / m0, big_r / (big_r - m0)
-    return big_r, (head.numerator, head.denominator), (tail.numerator, tail.denominator)
+        nums[a] = 1 if a.is_unit else a.value
+    m0 = min(abs(x) for x in nums.values() if x)
+    m1 = min(abs(1 - x) for x in nums.values() if x != 1)
+    big_r = Fraction(m0 + m1)
+    head, tail = big_r / m0, big_r / m1
+    hp, hq, tp, tq = head.numerator, head.denominator, tail.numerator, tail.denominator
+    forms = {
+        a: ((x.numerator * hp, x.denominator * hq), ((x.denominator - x.numerator) * tp, x.denominator * tq))
+        for a, x in nums.items()
+    }
+    return big_r, forms
 
 
 def _iterint_estimate(w: Word, tol: float) -> tuple[float, float]:
-    """``I(w)`` split at ``y = m0/R`` (see :func:`_split`), with a bound ``<= tol``.
+    """``I(w)`` split at ``y = m0/R`` (see :func:`_split`), with a bound.
 
     ``I(a_1..a_k) = sum_j G(a_1..a_j; y) (-1)^(k-j) G(1-a_k..1-a_{j+1}; 1-y)``.
-    Rescaled to ``x = 1``, every letter has modulus ``>= R > 1``, so ``N``
-    terms leave at most ``R^-N/(R-1)`` of a factor of modulus at most
+    Rescaled to ``x = 1``, every nonzero letter has modulus ``>= R > 1``, so
+    ``N`` terms leave at most ``R^-N/(R-1)`` of a factor of modulus at most
     ``max(1, 1/(R-1))``.  The bound is the truncation plus the counted
     rounding units, carried through the products exactly, plus two units in
-    the last place of the result; ``N`` and the scale come from ``tol``.
+    the last place of the result; ``N`` and the scale come from ``tol``, so
+    that all but those two units add up to at most ``5/16 tol``.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -239,10 +184,10 @@ def _iterint_estimate(w: Word, tol: float) -> tuple[float, float]:
         return 1.0, 0.0
     if w[0].is_zero or w[-1].is_unit:
         raise InadmissibleIndexError(f"word {w} is not admissible")
-    big_r, (hp, hq), (tp, tq) = _split(frozenset(w))
+    big_r, forms = _split(frozenset(w))
     k = len(w)
-    head = [(a.value.numerator * hp, a.value.denominator * hq) for a in w]
-    tail = [((a.value.denominator - a.value.numerator) * tp, a.value.denominator * tq) for a in reversed(w)]
+    head = [forms[a][0] for a in w]
+    tail = [forms[a][1] for a in reversed(w)]
     # log2 of R - 1, of the bound on a factor and of each factor's error
     # target: then the k + 1 products' errors add up to at most 5/16 tol.
     p, q = big_r.numerator, big_r.denominator
@@ -255,10 +200,14 @@ def _iterint_estimate(w: Word, tol: float) -> tuple[float, float]:
     n_terms = max(1, math.ceil(need / log_r))
     bits = (4 * k * n_terms).bit_length() + max(0, math.ceil(-target))
     trunc = -(-(q ** (n_terms + 1) << bits) // (p**n_terms * (p - q)))
-    # a factor's error in units, 0 if empty: truncation plus n_terms coefficient
-    # errors of 2 units per nonzero letter, 1 per zero one (the tail has none)
-    err_head = [u and trunc + n_terms * u for u in accumulate((1 if a.is_zero else 2 for a in w), initial=0)]
-    err_tail = [u and trunc + n_terms * u for u in range(0, 2 * k + 1, 2)]
+
+    def errors(letters):
+        # a factor's error in units, 0 if empty: truncation plus n_terms
+        # coefficient errors of 2 units per nonzero letter, 1 per zero one
+        units = accumulate((2 if b else 1 for b, _ in letters), initial=0)
+        return [u and trunc + n_terms * u for u in units]
+
+    err_head, err_tail = errors(head), errors(tail)
     hs, ts = _prefix_sums(head, n_terms, bits), _prefix_sums(tail, n_terms, bits)
     total = slack = 0
     for j in range(k + 1):
@@ -267,15 +216,33 @@ def _iterint_estimate(w: Word, tol: float) -> tuple[float, float]:
         slack += abs(h) * et + (abs(t) + et) * eh
     value = total / (1 << 2 * bits)
     # one step up covers rounding the quotient and the sum
-    bound = math.nextafter(slack / (1 << 2 * bits) + 2 * math.ulp(value), math.inf)
-    if bound > tol:
-        raise QuadratureError(f"tolerance {tol} is below the double-precision resolution of {w}")
-    return value, bound
+    return value, math.nextafter(slack / (1 << 2 * bits) + 2 * math.ulp(value), math.inf)
+
+
+def _index_word(ks: tuple[int, ...]) -> Word:
+    """The ``{0,1}`` word of an index: a unit letter, then ``k - 1`` zero letters, per entry."""
+    return Word(chain.from_iterable((UNIT,) + (ZERO,) * (k - 1) for k in ks))
+
+
+def zeta(index: MzvIndex | Iterable[int]) -> tuple[float, float]:
+    """Multiple zeta value of an admissible index, with a rigorous error bound.
+
+    Returns ``(value, bound)`` where ``|value - zeta(index)| <= bound``.  The
+    kernel runs to ``2^-60`` of the first term ``prod_i i^-k_i``, a lower
+    bound on the value; the two units in the last place of ``value`` that
+    the bound adds also cover a float-rounded reference.
+    """
+    ks = index.ks if isinstance(index, MzvIndex) else MzvIndex(tuple(index)).ks
+    if not ks:
+        return 1.0, 0.0
+    floor_bits = sum(k * (i - 1).bit_length() for i, k in enumerate(ks, 1))  # 2^-floor_bits <= prod_i i^-k_i
+    value, bound = _iterint_estimate(_index_word(ks), 2.0 ** -(60 + floor_bits))
+    return (-value if len(ks) % 2 else value), bound
 
 
 def iterint_num(w: Word, tol: float = 1e-7) -> float:
-    """Iterated integral of a real-letter admissible word to absolute ``tol``."""
-    return _iterint_estimate(w, tol)[0]
+    """Iterated integral of an admissible word over 0, 1 and real rationals to absolute ``tol``."""
+    return H0Evaluator(tol)._iterint(w)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -284,39 +251,43 @@ def iterint_num(w: Word, tol: float = 1e-7) -> float:
 
 
 class H0Evaluator:
-    """Evaluate admissible words numerically, caching per index and per word.
+    """Evaluate admissible words numerically, with one cache keyed by word.
 
-    ``{0,1}``-alphabet words go through :func:`zeta`, words with real rational
-    letters through :func:`iterint_num`.  Calls return ``(value, bound)``.
+    ``{0,1}``-alphabet words go through :func:`zeta`; words with real
+    rational letters through the same kernel at the evaluator's absolute
+    tolerance, refusing a word whose bound exceeds it.  Calls return
+    ``(value, bound)``.
     """
 
     def __init__(self, tol: float = 1e-7):
         self.tol = tol
-        self._zeta_cache: dict[tuple[int, ...], tuple[float, float]] = {}
-        self._quad_cache: dict[Word, tuple[float, float]] = {}
+        self._cache: dict[Word, tuple[float, float]] = {}
 
     def zeta_value(self, ks: tuple[int, ...]) -> tuple[float, float]:
-        hit = self._zeta_cache.get(ks)
-        if hit is None:
-            hit = zeta(ks)
-            self._zeta_cache[ks] = hit
-        return hit
+        idx = MzvIndex(tuple(ks))
+        v, b = self._lookup(_index_word(idx.ks))
+        return (-v if idx.depth % 2 else v), b
 
     def __call__(self, w: Word) -> tuple[float, float]:
-        if not w:
-            return 1.0, 0.0
-        if all(a.is_zero or a.is_unit for a in w):
-            idx = word_to_mzv(w)
-            v, b = self.zeta_value(idx.ks)
-            return idx.sign * v, b
-        hit = self._quad_cache.get(w)
+        return self._lookup(w) if w else (1.0, 0.0)
+
+    def _lookup(self, w: Word) -> tuple[float, float]:
+        hit = self._cache.get(w)
         if hit is None:
-            hit = self._iterint(w)
-            self._quad_cache[w] = hit
+            if all(a.is_zero or a.is_unit for a in w):
+                idx = word_to_mzv(w)
+                v, b = zeta(idx)
+                hit = idx.sign * v, b
+            else:
+                hit = self._iterint(w)
+            self._cache[w] = hit
         return hit
 
     def _iterint(self, w: Word) -> tuple[float, float]:
-        return _iterint_estimate(w, self.tol)
+        value, bound = _iterint_estimate(w, self.tol)
+        if bound > self.tol:
+            raise QuadratureError(f"tolerance {self.tol} is below the double-precision resolution of {w}")
+        return value, bound
 
 
 def check_assumptions(n_max: int = 3, k_max: int = 6, tol: float = 1e-8) -> Iterator[CheckResult]:

@@ -33,6 +33,13 @@ class TestEval:
         value = float(out.split("±")[0])
         assert abs(value + 0.8224670334) < 1e-5
 
+    def test_znum_unit_letter(self, capsys):
+        # (-1)(-1) = 1: words with a unit letter and a real letter evaluate
+        code, out, _ = run(capsys, "eval", "e[1]e[-1]", "--mode", "znum")
+        assert code == 0
+        value, bound = map(float, out.split("±"))
+        assert bound < 1e-6 and abs(value + 0.582240526465) < 1e-9
+
     def test_parse_error_exit_2(self, capsys):
         code, out, err = run(capsys, "eval", "s[1,2")
         assert code == 2
@@ -83,6 +90,11 @@ class TestVerify:
             capsys, "verify", "regularization", "--count", "20", "--max-weight", "4"
         )
         assert code == 0
+
+    def test_harmonic_hom_unit_product_pass(self, capsys):
+        code, out, _ = run(capsys, "verify", "harmonic-hom", "--letters", "-1")
+        assert code == 0
+        assert "RESULT harmonic-hom: pass (3 items" in out
 
     def test_unknown_theorem_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,8 +4,9 @@ import random
 import sys
 import threading
 
-from hsw import halg, reg
-from hsw.halg import star_words
+from hsw import halg, mzveval, reg, wcalc
+from hsw.halg import Word, star_words
+from hsw.monoid import UNIT, ZERO, rational
 from hsw.memo import term_bounded_cache
 from hsw.reg import z_st
 
@@ -88,3 +89,18 @@ def test_threads_keep_the_term_count():
     info = digits.cache_info()
     assert info.terms == sum(n for (n,) in digits._data) <= 50
     assert info.evictions > 0
+
+
+def test_clear_caches_empties_every_cache():
+    caches = (
+        halg._star_words_cached, reg._reg_word, reg._e1_star_power,
+        wcalc.w_value, wcalc._eval_monomial, mzveval._split,
+    )
+    star_words(Word((UNIT, ZERO)), Word((UNIT,)))
+    reg._reg_word(Word((UNIT, ZERO, UNIT, UNIT)))
+    reg._e1_star_power(3)
+    wcalc._eval_monomial((1, 2), UNIT)
+    mzveval.H0Evaluator()(Word((rational(2), ZERO)))
+    assert all(cache.cache_info().currsize > 0 for cache in caches)
+    halg.clear_caches()
+    assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)

@@ -1,3 +1,4 @@
+import functools
 import math
 import time
 from fractions import Fraction
@@ -16,8 +17,10 @@ from hsw.mzveval import (
     check_assumptions,
     iterint_num,
     verify_harmonic_hom,
-    _holder,
-    _series_at_half,
+    _index_word,
+    _iterint_estimate,
+    _prefix_sums,
+    _split,
     word_to_mzv,
     zeta,
 )
@@ -52,11 +55,6 @@ def series_brute(ks, cutoff):
                 acc += inner * n2 ** -ks[1]
             total += acc * 0.5**n3 / n3 ** ks[2]
     return total
-
-
-def index_word(ks):
-    """The {0,1}-word of an index: letter 1, then k - 1 zero letters, per entry."""
-    return tuple(a for k in ks for a in (1,) + (0,) * (k - 1))
 
 
 def compositions(weight, depth):
@@ -106,15 +104,18 @@ class TestZeta:
             zeta((0, 2))
 
     def test_matches_brute_force_partial_sums(self):
-        # the fixed-point prefix series equals the nested sum up to its rounding units
-        n_terms = 40
+        # the fixed-point prefix series equals the nested sum up to its rounding units:
+        # at R = 2 a unit letter is the letter 2 at x = 1, so the series is at 1/2
+        n_terms, bits = 40, 40
+        forms = _split(frozenset((UNIT, ZERO)))[1]
         for ks in [(2,), (3,), (1,), (2, 2), (1, 2), (2, 1), (2, 3), (2, 2, 2), (1, 1, 3), (1, 2, 1)]:
-            word = index_word(ks)
-            head = _series_at_half(word, n_terms)
-            assert len(head) == len(word) + 1 and head[0] == 1 << (2 * n_terms)
-            series = head[-1] / (1 << (2 * n_terms))
+            word = _index_word(ks)
+            head = _prefix_sums([forms[a][0] for a in word], n_terms, bits)
+            assert len(head) == len(word) + 1 and head[0] == 1 << bits
+            series = (-1) ** len(ks) * head[-1] / (1 << bits)
+            units = sum(1 if a.is_zero else 2 for a in word)
             brute = series_brute(ks, n_terms)
-            assert -1e-15 <= brute - series <= len(word) * 2.0**-n_terms + 1e-15
+            assert abs(brute - series) <= n_terms * units * 2.0**-bits + 1e-15
 
     def test_depth_one_against_reference(self):
         for k in range(2, 7):
@@ -150,25 +151,24 @@ class TestZeta:
         assert abs(4 * zeta((2, 2))[0] - 3 * zeta((4,))[0]) < 1e-9
 
     def test_monotone_convergence(self):
-        # both truncations lie below zeta, the coarser one by at most its stated shortfall
+        # a coarse and a fine truncation differ by at most their stated shortfalls
         for ks in [(2,), (2, 2), (1, 2), (1, 1, 3)]:
-            word = index_word(ks)
-            low1, short1 = _holder(word, 30)
-            low2, short2 = _holder(word, 60)
-            assert abs(low2 - low1) <= short1
-            assert low1 <= low2 + short2
+            word = _index_word(ks)
+            v1, b1 = _iterint_estimate(word, 2.0**-30)
+            v2, b2 = _iterint_estimate(word, 2.0**-60)
+            assert abs(v2 - v1) <= b1 + b2
+            assert b2 < b1 <= 2.0**-30
 
     def test_bound_shrinks_with_cutoff(self):
-        word = index_word((2, 2))
-        shorts = []
+        word = _index_word((2, 2))
+        bounds = []
         with mpmath.workdps(40):
             exact = mpmath.pi**4 / 120
-            for n_terms in (20, 40, 80):
-                low, short = _holder(word, n_terms)
-                gap = exact - mpmath.mpf(low.numerator) / low.denominator
-                assert 0 <= gap <= mpmath.mpf(short.numerator) / short.denominator
-                shorts.append(short)
-        assert shorts[0] > shorts[1] > shorts[2]
+            for tol in (2.0**-20, 2.0**-40, 2.0**-50):
+                v, b = _iterint_estimate(word, tol)
+                assert abs(exact - mpmath.mpf(v)) <= b
+                bounds.append(b)
+        assert bounds[0] > bounds[1] > bounds[2]
 
     def test_relations_within_bound(self):
         # weight 2..16, past the CLI cap: |residual| <= bound holds by construction
@@ -253,8 +253,6 @@ class TestIterint:
             assert abs(q * v + 1) < 1.2 / q
 
     def test_rejections(self):
-        with pytest.raises(UnsupportedWordError):
-            iterint_num(w(rational(2), UNIT, ZERO))
         with pytest.raises(InadmissibleIndexError):
             iterint_num(w(ZERO, rational(2)))
         with pytest.raises(UnsupportedWordError):
@@ -270,6 +268,7 @@ def mpf_of(q) -> mpmath.mpf:
     return mpmath.mpf(q.numerator) / q.denominator
 
 
+@functools.lru_cache(maxsize=None)
 def nested_quad(letters):
     """``I(a_1..a_k)`` by nested ``mpmath.quad``, the innermost letter in closed form."""
     values = [mpf_of(a) for a in letters]
@@ -315,6 +314,11 @@ class TestIterintClosedForms:
     )
     def test_depth_three(self, letters):
         self.check(real_word(*letters), nested_quad(letters), 1e-13)
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-13])
+    @pytest.mark.parametrize("letters", [(1, 2), (2, 1, 0), (1, -1), (1, -1, 0)])
+    def test_unit_letter(self, letters, tol):
+        self.check(real_word(*letters), nested_quad(letters), tol)
 
     def test_bound_shrinks_with_tol(self):
         word = real_word(Fraction(5, 2), 0, Fraction(7, 3))
@@ -413,4 +417,10 @@ class TestHarmonicHomDriver:
     def test_weight_three(self):
         items = list(verify_harmonic_hom(letters=(2, -2), max_weight=3))
         assert len(items) == 14 * 15 // 2
+        assert all(item.passed and item.data["difference"] <= item.data["bound"] for item in items)
+
+    def test_unit_letter_in_products(self):
+        # (-1)(-1) = 1 puts a unit letter into the product words
+        items = list(verify_harmonic_hom(letters=(2, -1, -2), max_weight=3))
+        assert len(items) == 39 * 40 // 2
         assert all(item.passed and item.data["difference"] <= item.data["bound"] for item in items)
