@@ -426,17 +426,19 @@ def format_terms(terms: Iterable[tuple[Rational, str]]) -> str:
     """
     chunks: list[str] = []
     for c, mono in terms:
-        mag = abs(c)
+        # numerator and denominator once: Fraction's abs, compare and str cost more
+        num, den = c.numerator, c.denominator
+        mag = f"{abs(num)}/{den}" if den != 1 else str(abs(num))
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
             body = f"{mag}*{mono}"
         if not chunks:
-            chunks.append(body if c > 0 else f"-{body}")
+            chunks.append(body if num > 0 else f"-{body}")
         else:
-            chunks.append(f" + {body}" if c > 0 else f" - {body}")
+            chunks.append(f" + {body}" if num > 0 else f" - {body}")
     return "".join(chunks) or "0"
 
 

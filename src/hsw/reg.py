@@ -14,10 +14,11 @@ constructively:
 
 * leading zero letters peel off by concatenation (``strip_e0``), because
   ``e_0^m * w = e_0^m w`` for the harmonic product;
-* trailing unit letters are removed recursively (``reg_t``): for
+* trailing unit letters are removed (``reg_t``) in one worklist pass: for
   ``w = w' e_1^m`` the product ``w' e_1^{m-1} * e_1`` equals ``m w`` plus
   words that are strictly smaller in the (nonzero-letter count, trailing-run)
-  order, so solving for ``w`` terminates.
+  order, so solving for ``w`` and rewriting the largest words first reaches
+  each word once and terminates.
 
 Substituting ``S -> e_0`` and ``T -> e_1`` back (:func:`substitute_st`) and
 expanding harmonically reproduces the input exactly; the drivers and the test
@@ -42,8 +43,6 @@ from .halg import (
     format_terms,
     format_word,
     harmonic,
-    integer_sum,
-    star_terms,
 )
 from .memo import term_bounded_cache
 from .monoid import UNIT, ZERO, cyclic
@@ -117,33 +116,47 @@ def _e1_star_power(t: int) -> HPoly:
     return harmonic(_e1_star_power(t - 1), HPoly.from_word(_E1_WORD))
 
 
-@term_bounded_cache(size=lambda reg: sum(len(h) for _, h in reg[1]))
-def _reg_word(w: Word) -> tuple[int, tuple[tuple[int, dict[Word, int]], ...]]:
-    """Unit-power coefficients of a word with no leading zero letters.
+def _bucket(w: Word) -> tuple[int, int]:
+    """The (nonzero-letter count, trailing unit run) key that orders the rewriting."""
+    return len(w) - w.count(ZERO), _trailing_unit_run(w)
 
-    ``(den, ((t, h), ...))`` stands for ``sum_t (h / den) * e_1^{*t}``, by
-    increasing ``t``, with integer coefficients ``h`` and ``den`` reduced.
+
+@term_bounded_cache(size=lambda rule: len(rule[1]))
+def _reg_word(w: Word) -> tuple[int, tuple[tuple[Word, int, int, tuple[int, int]], ...]]:
+    """One-step rule of a word with no leading zero letters and ``m >= 1`` trailing units.
+
+    ``(m, ((x, dt, k, bucket), ...))`` stands for ``w = sum k * x * e_1^{*dt} / m``,
+    each ``x`` in a bucket (:func:`_bucket`) strictly below that of ``w``.  With
+    ``base = a_1...a_n`` the word ``w`` without its last letter, it solves
+
+        a_1...a_n * e_1 = a_1...a_n e_1
+                          + sum_{a_i != 0} (a_1...a_i a_i a_{i+1}...a_n - a_1...a_i 0 a_{i+1}...a_n)
+
+    (one unfolding of the harmonic recursion) for ``w = base e_1``, which
+    appears ``m`` times: doubling a letter of the trailing unit run of ``base``
+    gives ``w`` again.  Every other word has fewer nonzero letters, or as many
+    and a shorter trailing run.
     """
     m = _trailing_unit_run(w)
-    if m == 0:
-        return 1, ((0, {w: 1}),)
     base = Word(w[:-1])
-    # base * e_1 = m*w + rest, where every word of rest is strictly smaller
-    # in the (nonzero-count, trailing-run) order; so w = (base*e_1 - rest)/m.
-    # A source is (factor, T-exponent shift, regularization).
-    sources = [(1, 1, _reg_word(base))] + [
-        (-c, 0, _reg_word(word)) for word, c in star_terms(base, _E1_WORD).items() if word != w
-    ]
-    den = math.lcm(*(d for _, _, (d, _) in sources))
-    acc: dict[int, dict[Word, int]] = {}
-    for factor, shift, (d, parts) in sources:
-        for t, h in parts:
-            slot = acc.setdefault(t + shift, {})
-            for word, n in h.items():
-                slot[word] = slot.get(word, 0) + factor * (den // d) * n
-    parts = sorted((t, h) for t, slot in acc.items() if (h := {x: n for x, n in slot.items() if n}))
-    g = math.gcd(den * m, *(n for _, h in parts for n in h.values()))
-    return den * m // g, tuple((t, {x: n // g for x, n in h.items()}) for t, h in parts)
+    n = len(base)
+    d = n - base.count(ZERO)  # nonzero letters of base
+    doubled: dict[Word, int] = {}
+    zeros = []
+    for i, a in enumerate(base):
+        if a is ZERO:
+            continue
+        head, tail = base[: i + 1], base[i + 1 :]
+        if i <= n - m:
+            x = Word(head + (a,) + tail)
+            doubled[x] = doubled.get(x, 0) - 1
+        # the zero letter cuts the trailing unit run of base short
+        zeros.append((Word(head + (ZERO,) + tail), 0, 1, (d, min(m - 1, n - 1 - i))))
+    return m, (
+        (base, 1, 1, (d, m - 1)),
+        *((x, 0, k, (d + 1, m - 1)) for x, k in doubled.items()),
+        *zeros,
+    )
 
 
 def reg_t(p: HPoly) -> dict[int, HPoly]:
@@ -221,14 +234,55 @@ class RegularizedValue(LinComb):
 
 
 def z_st(p: HPoly) -> RegularizedValue:
-    """Normal form of ``p`` as a polynomial in S, T with admissible coefficients."""
-    groups: dict[tuple[int, int], list] = {}
+    """Normal form of ``p`` as a polynomial in S, T with admissible coefficients.
+
+    One worklist pass: a word with trailing unit letters waits in its bucket
+    (:func:`_bucket`) with its coefficients of every ``S^s T^t`` merged, and the
+    largest bucket goes first, so each reachable word is rewritten once by its
+    rule (:func:`_reg_word`).  Coefficients are ``int`` over one denominator;
+    the whole state is scaled only when a bucket's coefficients are not all
+    divisible by its run ``m``, and the pass divides once per output term.
+    """
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    done: dict[tuple[int, int], dict[Word, int]] = {}
+    pending: dict[tuple[int, int], dict[Word, dict[tuple[int, int], int]]] = {}
+
+    def put(x: Word, bucket: tuple[int, int], st: tuple[int, int], n: int) -> None:
+        if bucket[1]:
+            slot = pending.setdefault(bucket, {}).setdefault(x, {})
+            slot[st] = slot.get(st, 0) + n
+        else:
+            slot = done.setdefault(st, {})
+            slot[x] = slot.get(x, 0) + n
+
     for w, c in p.terms.items():
         s = _leading_zero_run(w)
-        den, parts = _reg_word(Word(w[s:]))
-        for t, h in parts:
-            groups.setdefault((s, t), []).append((c / den, h))
-    value = RegularizedValue({st: integer_sum(parts) for st, parts in groups.items()})
+        x = Word(w[s:])
+        put(x, _bucket(x), (s, 0), c.numerator * (den // c.denominator))
+    while pending:
+        key = max(pending)
+        m = key[1]
+        words = pending.pop(key)
+        scale = m // math.gcd(m, *(n for slot in words.values() for n in slot.values()))
+        if scale > 1:
+            den *= scale
+            slots = [*done.values(), *words.values()]
+            slots += [slot for later in pending.values() for slot in later.values()]
+            for slot in slots:
+                for k in slot:
+                    slot[k] *= scale
+        for w, slot in words.items():
+            rule = _reg_word(w)[1]
+            for (s, t), n in slot.items():
+                if n:
+                    n //= m
+                    for x, dt, k, bucket in rule:
+                        put(x, bucket, (s, t + dt), k * n)
+    value = RegularizedValue._raw({
+        st: HPoly._raw(h)
+        for st, slot in done.items()
+        if (h := {w: Fraction(n, den) for w, n in slot.items() if n})
+    })
     value.validate()
     return value
 

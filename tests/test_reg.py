@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsw.halg import EMPTY_WORD, HPoly, Word, concat, harmonic, s_word
+from hsw import halg, reg
+from hsw.halg import EMPTY_WORD, HPoly, Word, concat, harmonic, parse_poly, s_word, star_terms
 from hsw.monoid import UNIT, ZERO, cyclic
 from hsw.reg import (
     RegularizationError,
@@ -19,7 +20,15 @@ from hsw.reg import (
     z_st,
 )
 
-from _support import ALPHABET_01, ALPHABET_01Z, random_poly, random_word
+from _support import (
+    ALPHABET_01,
+    ALPHABET_01Z,
+    ALPHABET_01ZZ2,
+    ALPHABET_QQ,
+    random_poly,
+    random_word,
+    reference_z_st,
+)
 
 Z = cyclic(1)
 
@@ -157,10 +166,69 @@ def polys(draw, alphabet=ALPHABET_01Z, max_weight=6):
 @settings(max_examples=80, deadline=None)
 @given(polys())
 def test_roundtrip_with_integer_tables(p):
-    # z_st runs on the integer unit-power tables; substituting back is exact
+    # z_st runs in integers over one denominator; substituting back is exact
     rv = z_st(p)
     rv.validate()
     assert substitute_st(rv) == p
+
+
+@st.composite
+def fraction_polys(draw):
+    # one alphabet per polynomial; coefficients with denominators, so that
+    # z_st has to scale its integer state when it divides by a run
+    alphabet = draw(st.sampled_from((ALPHABET_01, ALPHABET_01Z, ALPHABET_01ZZ2, ALPHABET_QQ)))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        letters = draw(st.lists(st.sampled_from(alphabet), max_size=7))
+        coeff = draw(st.fractions(min_value=-4, max_value=4, max_denominator=12))
+        terms.append((Word(letters), coeff))
+    return HPoly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fraction_polys())
+def test_worklist_matches_per_word_recursion(p):
+    rv = z_st(p)
+    expected = reference_z_st(p)
+    assert rv == expected
+    assert str(rv) == str(expected)
+
+
+@st.composite
+def tail_words(draw):
+    """A word with a nonzero first letter and at least one trailing unit letter."""
+    alphabet = draw(st.sampled_from((ALPHABET_01, ALPHABET_01ZZ2, ALPHABET_QQ)))
+    first = draw(st.sampled_from(alphabet[1:]))
+    middle = draw(st.lists(st.sampled_from(alphabet), max_size=5))
+    return Word([first, *middle] + [UNIT] * draw(st.integers(1, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tail_words())
+def test_rule_is_the_product_with_the_unit_letter(w):
+    # w = (base*e_1 + sum k*x) / m, so base*e_1 = m*w - sum k*x
+    m, rule = reg._reg_word(w)
+    base = Word(w[:-1])
+    assert rule[0] == (base, 1, 1, reg._bucket(base))
+    product = {w: m}
+    for x, dt, k, _ in rule[1:]:
+        assert dt == 0 and x not in product
+        product[x] = -k
+    assert product == star_terms(base, Word((UNIT,)))
+    for x, _, _, bucket in rule:
+        assert bucket == reg._bucket(x) < reg._bucket(w)
+
+
+def test_one_rewrite_per_reachable_word():
+    # the per-word recursion hit its own cache 14,569 times and missed it
+    # 4,096 times here, and made 3,070 new word-pair products
+    p = parse_poly("*".join(["e[1]e[1]e[1]e[1]e[1]e[1]"] * 2))
+    halg.clear_caches()
+    star_misses = halg._star_words_cached.cache_info().misses
+    z_st(p)
+    info = reg._reg_word.cache_info()
+    assert (info.hits, info.misses) == (0, 2048)
+    assert halg._star_words_cached.cache_info().misses == star_misses
 
 
 class TestDriver:
