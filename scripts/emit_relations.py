@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
-"""Emit the zeta-value relations induced by all coefficients up to weight 8.
+"""Emit the zeta-value relations induced by all coefficients up to a weight (default 8).
 
-Writes one JSON record per relation to stdout; pipe through ``jq`` or collect
-into a file for further processing.
+Writes one JSON record per relation to stdout, the same as running
+``hsw relations --weight W --format json`` for each even W from 2 up; pipe
+through ``jq`` or collect into a file for further processing.  A bad weight
+exits 2 with a message.
 """
 
-import json
+import argparse
 import sys
 
-from hsw.cli import relation_records
-from hsw.mzveval import H0Evaluator
+from hsw.cli import MAX_RELATION_WEIGHT, main
 
 if __name__ == "__main__":
-    max_weight = int(sys.argv[1]) if len(sys.argv) > 1 else 8
-    evaluator = H0Evaluator()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("max_weight", nargs="?", type=int, default=8, help="largest weight")
+    max_weight = parser.parse_args().max_weight
+    if not 2 <= max_weight <= MAX_RELATION_WEIGHT:
+        parser.error(f"max_weight must be an integer from 2 to {MAX_RELATION_WEIGHT}, got {max_weight}")
     for weight in range(2, max_weight + 1, 2):
-        for record in relation_records(weight, evaluator):
-            print(json.dumps(record), flush=True)
+        code = main(["relations", "--weight", str(weight), "--format", "json"])
+        if code:
+            sys.exit(code)

@@ -70,18 +70,15 @@ from .reg import (
     strip_e0,
     substitute_st,
     verify_regularization,
-    z_num,
     z_num_with_bound,
     z_st,
 )
 from .mzveval import (
     H0Evaluator,
     InadmissibleIndexError,
-    MzvIndex,
     QuadratureError,
     UnsupportedWordError,
     check_assumptions,
-    iterint_num,
     verify_harmonic_hom,
     word_to_mzv,
     zeta,

@@ -31,10 +31,10 @@ from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
 
-from .halg import HPoly, ParseError, combine, format_poly, format_terms, parse_poly
+from .halg import HPoly, ParseError, format_poly, format_terms, parse_poly
 from .monoid import UNIT, parse_element
 from .mzveval import H0Evaluator, QuadratureError, UnsupportedWordError, verify_harmonic_hom, word_to_mzv
-from .reg import verify_regularization, z_num_with_bound, z_st
+from .reg import Evaluator, exact_sum, verify_regularization, z_num_with_bound, z_st
 from .reporting import CheckResult
 from .trig import verify_coincidence, verify_reflection_product
 from .series import DEFAULT_ORDER
@@ -158,30 +158,24 @@ def _emit_items(
 # ---------------------------------------------------------------------------
 
 
-def _relation_terms(poly: HPoly) -> list[tuple[Fraction, tuple[int, ...]]]:
-    indexed = ((word_to_mzv(w), c) for w, c in poly.terms.items())
-    acc = combine((idx.ks, c * idx.sign) for idx, c in indexed)
-    terms = [(c, ks) for ks, c in acc.items()]
-    return sorted(terms, key=lambda t: (len(t[1]), t[1]), reverse=True)
+def _relation(poly: HPoly) -> tuple[Fraction, list[tuple[int, tuple[int, ...]]]]:
+    """The zeta relation of a nonzero ``poly``: a factor, and the terms ``(c, index)`` of ``factor * poly``.
 
-
-def _normalize_terms(
-    terms: list[tuple[Fraction, tuple[int, ...]]]
-) -> list[tuple[int, tuple[int, ...]]]:
-    if not terms:
-        return []
-    lcm = 1
-    for c, _ in terms:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    scaled = [(int(c * lcm), ks) for c, ks in terms]
-    g = 0
-    for c, _ in scaled:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        scaled = [(c // g, ks) for c, ks in scaled]
-    if scaled[0][0] < 0:
-        scaled = [(-c, ks) for c, ks in scaled]
-    return scaled
+    The factor makes the coefficients coprime integers, the first term
+    (deepest, then largest index) positive; ``I(w) = (-1)^depth zeta(index)``.
+    """
+    indexed = sorted(
+        ((word_to_mzv(w), c) for w, c in poly.terms.items()), key=lambda t: (len(t[0]), t[0]), reverse=True
+    )
+    # lcm of the denominators over gcd of the numerators: for reduced fractions
+    # that is the gcd of the coefficients scaled to integers by the lcm.
+    scale = Fraction(
+        math.lcm(*(c.denominator for _, c in indexed)), math.gcd(*(c.numerator for _, c in indexed))
+    )
+    signed = [(-c if len(ks) % 2 else c, ks) for ks, c in indexed]
+    if signed[0][0] < 0:
+        scale = -scale
+    return scale, [(int(c * scale), ks) for c, ks in signed]
 
 
 def _relation_text(terms: list[tuple[int, tuple[int, ...]]]) -> str:
@@ -189,7 +183,7 @@ def _relation_text(terms: list[tuple[int, tuple[int, ...]]]) -> str:
     return format_terms(zetas) + " = 0"
 
 
-def relation_records(weight: int, evaluator) -> Iterator[dict]:
+def relation_records(weight: int, evaluator: Evaluator) -> Iterator[dict]:
     """Distinct zeta-value relations induced by the coefficients of the given even weight.
 
     The first coefficient that induces a relation names its source."""
@@ -205,19 +199,15 @@ def relation_records(weight: int, evaluator) -> Iterator[dict]:
         if wp.is_zero:
             continue
         poly = eval_w(wp, UNIT)
-        terms = _normalize_terms(_relation_terms(poly))
+        if poly.is_zero:
+            continue
+        scale, terms = _relation(poly)
         text = _relation_text(terms)
-        if not terms or text in seen:
+        if text in seen:
             continue
         seen.add(text)
-        # Both sums are exact and rounded once: rounding to float is monotone,
-        # so |residual| <= bound follows from |exact residual| <= exact bound.
-        residual = Fraction(0)
-        bound = Fraction(0)
-        for c, ks in terms:
-            v, b = evaluator.zeta_value(ks) if ks else (1.0, 0.0)
-            residual += c * Fraction(v)
-            bound += abs(c) * Fraction(b)
+        # Both sums are exact and rounded once, after the scaling.
+        residual, bound = exact_sum(poly, evaluator)
         yield {
             "type": "relation",
             "weight": weight,
@@ -225,8 +215,8 @@ def relation_records(weight: int, evaluator) -> Iterator[dict]:
             "degrees": degrees,
             "relation": text,
             "terms": [{"coeff": c, "index": list(ks)} for c, ks in terms],
-            "residual": float(residual),
-            "bound": float(bound),
+            "residual": float(residual * scale),
+            "bound": float(bound * abs(scale)),
         }
 
 

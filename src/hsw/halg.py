@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Any, Hashable, Iterable
 
 from .monoid import (
     ZERO,
@@ -286,20 +286,8 @@ class HPoly(LinComb):
     def coeff(self, w: Word) -> Fraction:
         return self.terms.get(self._key(w), _F0)
 
-    def words(self) -> Iterator[tuple[Word, Fraction]]:
-        return iter(self.terms.items())
-
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         return sorted(self.terms.items(), key=lambda t: word_sort_key(t[0]), reverse=True)
-
-    def max_weight(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
-
-    def concat(self, other: "HPoly") -> "HPoly":
-        return concat(self, other)
-
-    def star(self, other: "HPoly") -> "HPoly":
-        return harmonic(self, other)
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -507,11 +495,15 @@ class _Parser:
             sign = -sign
         value = self.parse_factor()
         while self.peek() is not None and self.peek()[1] == "*":
-            self.next()
+            pos = self.next()[2]
             while self.peek() is not None and self.peek()[1] == "-":
                 self.next()
                 sign = -sign
-            value = harmonic(value, self.parse_factor())
+            factor = self.parse_factor()
+            try:
+                value = harmonic(value, factor)
+            except MonoidMismatchError as exc:
+                raise ParseError(str(exc), self.text, pos) from exc
         return value if sign > 0 else -value
 
     def parse_factor(self) -> HPoly:

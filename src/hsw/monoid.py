@@ -75,9 +75,6 @@ class MonoidElement:
     def is_unit(self) -> bool:
         return self.kind == _KIND_UNIT
 
-    def sort_key(self) -> tuple:
-        return self.key
-
     def __mul__(self, other: "MonoidElement") -> "MonoidElement":
         if not isinstance(other, MonoidElement):
             return NotImplemented

@@ -21,13 +21,16 @@ head side and a unit letter on the tail side; ``{0,1}`` words split at
 floor rounding, with as many terms as the requested absolute tolerance
 needs, and the reported bound is the truncation term plus the counted
 rounding units plus the final rounding to float; nothing in it is fitted.
-:func:`zeta` asks for ``2^-60`` of the value's first term.
+:class:`H0Evaluator` is the one numeric entry point for words, returning
+``(value, bound)``: a ``{0,1}`` word goes through :func:`zeta`, at ``2^-60``
+of the value's first term and with the sign ``(-1)^depth`` applied once; any
+other word runs at the evaluator's tolerance.  :func:`zeta` and
+:func:`word_to_mzv` serve the zeta index where a user types or reads it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, product
 from typing import Iterable, Iterator
@@ -39,13 +42,11 @@ from .reporting import CheckResult
 from . import reg
 
 __all__ = [
-    "MzvIndex",
     "InadmissibleIndexError",
     "UnsupportedWordError",
     "QuadratureError",
     "word_to_mzv",
     "zeta",
-    "iterint_num",
     "H0Evaluator",
     "check_assumptions",
     "verify_harmonic_hom",
@@ -63,38 +64,12 @@ class QuadratureError(RuntimeError):
     """A word cannot be evaluated to the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class MzvIndex:
-    """An admissible zeta index with the sign of its iterated-integral image."""
-
-    ks: tuple[int, ...]
-    sign: int = 1
-
-    def __post_init__(self):
-        if any(not isinstance(k, int) or k < 1 for k in self.ks):
-            raise InadmissibleIndexError("index entries must be positive integers")
-        if self.ks and self.ks[-1] < 2:
-            raise InadmissibleIndexError(f"trailing entry must be >= 2, got {self.ks}")
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-
-    @property
-    def weight(self) -> int:
-        return sum(self.ks)
-
-    @property
-    def depth(self) -> int:
-        return len(self.ks)
-
-
-def word_to_mzv(w: Word) -> MzvIndex:
-    """Decompose a ``{0,1}``-alphabet admissible word into its zeta index."""
+def word_to_mzv(w: Word) -> tuple[int, ...]:
+    """The zeta index of a ``{0,1}``-alphabet admissible word: ``I(w) = (-1)^depth zeta(index)``."""
     for a in w:
         if not (a.is_zero or a.is_unit):
             raise UnsupportedWordError(f"letter {a} is not in the {{0,1}} alphabet")
-    if not w:
-        return MzvIndex((), 1)
-    if w[0].is_zero or w[-1].is_unit:
+    if w and (w[0].is_zero or w[-1].is_unit):
         raise InadmissibleIndexError(f"word {w} is not admissible")
     ks: list[int] = []
     for a in w:
@@ -102,7 +77,7 @@ def word_to_mzv(w: Word) -> MzvIndex:
             ks.append(1)
         else:
             ks[-1] += 1
-    return MzvIndex(tuple(ks), -1 if len(ks) % 2 else 1)
+    return tuple(ks)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +199,7 @@ def _index_word(ks: tuple[int, ...]) -> Word:
     return Word(chain.from_iterable((UNIT,) + (ZERO,) * (k - 1) for k in ks))
 
 
-def zeta(index: MzvIndex | Iterable[int]) -> tuple[float, float]:
+def zeta(index: Iterable[int]) -> tuple[float, float]:
     """Multiple zeta value of an admissible index, with a rigorous error bound.
 
     Returns ``(value, bound)`` where ``|value - zeta(index)| <= bound``.  The
@@ -232,17 +207,16 @@ def zeta(index: MzvIndex | Iterable[int]) -> tuple[float, float]:
     bound on the value; the two units in the last place of ``value`` that
     the bound adds also cover a float-rounded reference.
     """
-    ks = index.ks if isinstance(index, MzvIndex) else MzvIndex(tuple(index)).ks
+    ks = tuple(index)
+    if any(not isinstance(k, int) or k < 1 for k in ks):
+        raise InadmissibleIndexError("index entries must be positive integers")
     if not ks:
         return 1.0, 0.0
+    if ks[-1] < 2:
+        raise InadmissibleIndexError(f"trailing entry must be >= 2, got {ks}")
     floor_bits = sum(k * (i - 1).bit_length() for i, k in enumerate(ks, 1))  # 2^-floor_bits <= prod_i i^-k_i
     value, bound = _iterint_estimate(_index_word(ks), 2.0 ** -(60 + floor_bits))
     return (-value if len(ks) % 2 else value), bound
-
-
-def iterint_num(w: Word, tol: float = 1e-7) -> float:
-    """Iterated integral of an admissible word over 0, 1 and real rationals to absolute ``tol``."""
-    return H0Evaluator(tol)._iterint(w)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -263,21 +237,13 @@ class H0Evaluator:
         self.tol = tol
         self._cache: dict[Word, tuple[float, float]] = {}
 
-    def zeta_value(self, ks: tuple[int, ...]) -> tuple[float, float]:
-        idx = MzvIndex(tuple(ks))
-        v, b = self._lookup(_index_word(idx.ks))
-        return (-v if idx.depth % 2 else v), b
-
     def __call__(self, w: Word) -> tuple[float, float]:
-        return self._lookup(w) if w else (1.0, 0.0)
-
-    def _lookup(self, w: Word) -> tuple[float, float]:
         hit = self._cache.get(w)
         if hit is None:
             if all(a.is_zero or a.is_unit for a in w):
-                idx = word_to_mzv(w)
-                v, b = zeta(idx)
-                hit = idx.sign * v, b
+                ks = word_to_mzv(w)
+                v, b = zeta(ks)
+                hit = (-v if len(ks) % 2 else v), b
             else:
                 hit = self._iterint(w)
             self._cache[w] = hit
@@ -300,7 +266,7 @@ def check_assumptions(n_max: int = 3, k_max: int = 6, tol: float = 1e-8) -> Iter
     evaluator = H0Evaluator()
     for n in range(n_max + 1):
         w_poly = HPoly.from_word(s_chain(UNIT, 2, n)) * math.factorial(2 * n + 1)
-        value = reg.z_num(w_poly, evaluator)
+        value = reg.z_num_with_bound(w_poly, evaluator)[0]
         expected = (-(math.pi**2)) ** n
         err = abs(value - expected)
         yield CheckResult(
@@ -308,14 +274,14 @@ def check_assumptions(n_max: int = 3, k_max: int = 6, tol: float = 1e-8) -> Iter
             passed=err < tol,
             data={"value": value, "expected": expected, "error": err},
         )
-    t_value = reg.z_num(HPoly.from_word(s_word(UNIT, 1)), evaluator)
+    t_value = reg.z_num_with_bound(HPoly.from_word(s_word(UNIT, 1)), evaluator)[0]
     yield CheckResult(
         item="unit-letter value",
         passed=t_value == 0.0,
         data={"value": t_value, "expected": 0.0, "error": abs(t_value)},
     )
     for k in range(2, k_max + 1):
-        value = reg.z_num(HPoly.from_word(s_word(UNIT, k)), evaluator)
+        value = reg.z_num_with_bound(HPoly.from_word(s_word(UNIT, k)), evaluator)[0]
         expected = -zeta((k,))[0]
         err = abs(value - expected)
         yield CheckResult(

@@ -24,7 +24,7 @@ Substituting ``S -> e_0`` and ``T -> e_1`` back (:func:`substitute_st`) and
 expanding harmonically reproduces the input exactly; the drivers and the test
 suite verify this roundtrip and the multiplicativity of the rewriting.
 Evaluating at ``S = T = 0`` with a numeric functional on admissible words
-gives the regularized evaluation :func:`z_num`.
+gives the regularized evaluation :func:`z_num_with_bound`.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ __all__ = [
     "RegularizedValue",
     "z_st",
     "substitute_st",
-    "z_num",
+    "exact_sum",
     "z_num_with_bound",
     "verify_regularization",
 ]
@@ -302,23 +302,24 @@ def substitute_st(rv: RegularizedValue) -> HPoly:
 Evaluator = Callable[[Word], tuple[float, float]]
 
 
-def z_num_with_bound(p: HPoly, evaluator: Evaluator) -> tuple[float, float]:
-    """Evaluate at ``S = T = 0``: the admissible constant coefficient, numerically."""
-    constant = z_st(p).coeff(0, 0)
-    if constant.is_zero:
-        return 0.0, 0.0
-    values = []
-    bounds = []
-    for w, c in constant.terms.items():
+def exact_sum(p: HPoly, evaluator: Evaluator) -> tuple[Fraction, Fraction]:
+    """``sum c * v`` and ``sum |c| * b`` exactly, over the terms ``c * w`` of ``p`` with ``(v, b) = evaluator(w)``.
+
+    Rounding to float is monotone: where the true sum is 0, as for a relation,
+    rounding each sum once keeps ``|value| <= bound``.
+    """
+    value = bound = Fraction(0)
+    for w, c in p.terms.items():
         v, b = evaluator(w)
-        values.append(float(c) * v)
-        bounds.append(abs(float(c)) * b)
-    return math.fsum(values), math.fsum(bounds)
+        value += c * Fraction(v)
+        bound += abs(c) * Fraction(b)
+    return value, bound
 
 
-def z_num(p: HPoly, evaluator: Evaluator) -> float:
-    """The regularized numeric evaluation (value only; see ``z_num_with_bound``)."""
-    return z_num_with_bound(p, evaluator)[0]
+def z_num_with_bound(p: HPoly, evaluator: Evaluator) -> tuple[float, float]:
+    """Evaluate at ``S = T = 0``: the admissible constant coefficient, numerically, with a bound."""
+    value, bound = exact_sum(z_st(p).coeff(0, 0), evaluator)
+    return float(value), float(bound)
 
 
 def _random_poly(rng: random.Random, alphabet, max_weight: int, max_terms: int = 2) -> HPoly:

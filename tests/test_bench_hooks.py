@@ -57,3 +57,12 @@ def test_instrumented_quadrature_hook():
     assert result["roots"] == ["cli.main"]
     assert result["calls"]["mzveval.verify_harmonic_hom"] == 1
     assert result["counters"]["mzveval.quad.misses"] > 0
+
+
+def test_instrumented_relations_reach_zeta():
+    # Relation values go through H0Evaluator.__call__, which calls the wrapped zeta.
+    result = traced_run("relations", "--weight", "4")
+    assert result["code"] == 0
+    assert result["roots"] == ["cli.main"]
+    assert result["calls"]["mzveval.zeta"] > 0
+    assert result["calls"]["mzveval.quad"] > 0

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hsw.cli import _emit_items, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -50,6 +56,12 @@ class TestEval:
         code, _, err = run(capsys, "eval", expr)
         assert code == 2
         assert "parse error: division by zero" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("expr", ["e[z^2]*e[1]e[3]", "e[2]*e[3]e[z]"])
+    def test_monoid_mismatch_exit_2(self, capsys, expr):
+        code, _, err = run(capsys, "eval", expr)
+        assert code == 2
+        assert err.startswith("parse error: ") and "Traceback" not in err
 
     def test_unsupported_word_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "e[z]", "--mode", "znum")
@@ -263,3 +275,26 @@ class TestInputErrors:
         report = _emit_items("harmonic-hom", {}, iter(()), "text")
         assert report.passed is False
         assert "RESULT harmonic-hom: fail (0 items" in capsys.readouterr().out
+
+
+def emit_relations(*argv: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = ROOT / "scripts" / "emit_relations.py"
+    return subprocess.run(
+        [sys.executable, str(script), *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+class TestEmitRelations:
+    def test_same_as_cli(self):
+        # the golden ``relations --weight W --format json`` records of W = 2..8
+        golden = (ROOT / "tests" / "golden" / "relations.jsonl").read_text().splitlines(keepends=True)
+        proc = emit_relations("8")
+        assert proc.returncode == 0
+        assert proc.stdout == "".join(line for line in golden if json.loads(line)["weight"] <= 8)
+
+    @pytest.mark.parametrize("arg", ["18", "x"])
+    def test_bad_weight_exit_2(self, arg):
+        proc = emit_relations(arg)
+        assert proc.returncode == 2
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr

@@ -11,11 +11,9 @@ from hsw.monoid import UNIT, ZERO, cyclic, rational
 from hsw.mzveval import (
     H0Evaluator,
     InadmissibleIndexError,
-    MzvIndex,
     QuadratureError,
     UnsupportedWordError,
     check_assumptions,
-    iterint_num,
     verify_harmonic_hom,
     _index_word,
     _iterint_estimate,
@@ -25,7 +23,8 @@ from hsw.mzveval import (
     zeta,
 )
 from hsw.cli import relation_records
-from hsw.reg import z_num, z_num_with_bound
+from hsw.reg import z_num_with_bound
+from hsw.wcalc import addition_defect_coeff, eval_w, pythagoras_coeff
 
 
 def w(*letters) -> Word:
@@ -68,21 +67,24 @@ def compositions(weight, depth):
     ]
 
 
+def assert_index(word, ks, sign):
+    # I(w) = (-1)^depth zeta(index)
+    assert word_to_mzv(word) == ks
+    assert H0Evaluator()(word)[0] == sign * zeta(ks)[0]
+
+
 class TestWordToMzv:
     def test_depth_one(self):
-        idx = word_to_mzv(s_word(UNIT, 2))
-        assert idx == MzvIndex((2,), -1)
+        assert_index(s_word(UNIT, 2), (2,), -1)
 
     def test_depth_two(self):
-        idx = word_to_mzv(w(UNIT, ZERO, UNIT, ZERO))
-        assert idx == MzvIndex((2, 2), 1)
+        assert_index(w(UNIT, ZERO, UNIT, ZERO), (2, 2), 1)
 
     def test_inner_ones(self):
-        idx = word_to_mzv(w(UNIT, UNIT, ZERO))
-        assert idx == MzvIndex((1, 2), 1)
+        assert_index(w(UNIT, UNIT, ZERO), (1, 2), 1)
 
     def test_empty(self):
-        assert word_to_mzv(Word()) == MzvIndex((), 1)
+        assert_index(Word(), (), 1)
 
     def test_errors(self):
         with pytest.raises(InadmissibleIndexError):
@@ -179,6 +181,18 @@ class TestZeta:
             for rec in records:
                 assert abs(rec["residual"]) <= rec["bound"] <= 1e-12
 
+    def test_relation_polynomials_vanish_within_bound(self):
+        # every nonzero addition and Pythagoras coefficient of weight 2..16 evaluates to 0
+        evaluator = H0Evaluator()
+        weights = range(2, 17, 2)
+        polys = [addition_defect_coeff(i, weight + 1 - i) for weight in weights for i in range(weight + 2)]
+        polys += [pythagoras_coeff(weight // 2) for weight in weights]
+        polys = [wp for wp in polys if not wp.is_zero]
+        assert len(polys) == 63
+        for wp in polys:
+            value, bound = z_num_with_bound(eval_w(wp, UNIT), evaluator)
+            assert abs(value) <= bound <= 1e-12
+
 
 def _zeta_pi_power(n):
     return mpmath.pi ** (2 * n) / mpmath.factorial(2 * n + 1)
@@ -222,14 +236,14 @@ class TestClosedForms:
 
 class TestIterint:
     def test_empty_word(self):
-        assert iterint_num(Word()) == 1.0
+        assert H0Evaluator()(Word())[0] == 1.0
 
     def test_log_two(self):
-        v = iterint_num(w(rational(2)))
+        v = H0Evaluator()(w(rational(2)))[0]
         assert abs(v + math.log(2)) < 1e-10
 
     def test_dilogarithm(self):
-        v = iterint_num(w(rational(2), ZERO))
+        v = H0Evaluator()(w(rational(2), ZERO))[0]
         assert abs(v + float(mpmath.polylog(2, 0.5))) < 1e-8
 
     def test_weight_two_against_mpmath(self):
@@ -237,26 +251,27 @@ class TestIterint:
             return mpmath.quad(lambda t1: 1 / (t1 - 2), [0, t2]) / (t2 - 3)
 
         ref = float(mpmath.quad(outer, [0, 1]))
-        v = iterint_num(w(rational(2), rational(3)))
+        v = H0Evaluator()(w(rational(2), rational(3)))[0]
         assert abs(v - ref) < 1e-8
 
     def test_multiplicativity_depth_one(self):
         u = w(rational(2))
-        lhs = iterint_num(u) ** 2
+        ev = H0Evaluator()
+        lhs = ev(u)[0] ** 2
         product = harmonic(HPoly.from_word(u), HPoly.from_word(u))
-        rhs = sum(float(c) * iterint_num(word) for word, c in product.terms.items())
+        rhs = sum(float(c) * ev(word)[0] for word, c in product.terms.items())
         assert abs(lhs - rhs) < 2e-7
 
     def test_decay_for_distant_poles(self):
         for q in (10, 100):
-            v = iterint_num(w(rational(q)))
+            v = H0Evaluator()(w(rational(q)))[0]
             assert abs(q * v + 1) < 1.2 / q
 
     def test_rejections(self):
         with pytest.raises(InadmissibleIndexError):
-            iterint_num(w(ZERO, rational(2)))
+            H0Evaluator()(w(ZERO, rational(2)))
         with pytest.raises(UnsupportedWordError):
-            iterint_num(w(cyclic(1)))
+            H0Evaluator()(w(cyclic(1)))
 
 
 def real_word(*letters) -> Word:
@@ -330,17 +345,17 @@ class TestIterintClosedForms:
     def test_letter_near_one_refused_fast(self):
         start = time.perf_counter()
         with pytest.raises(QuadratureError):
-            iterint_num(real_word(Fraction(1000001, 1000000)))
+            H0Evaluator()(real_word(Fraction(1000001, 1000000)))
         assert time.perf_counter() - start < 0.5
 
     def test_tolerance_below_double_precision(self):
         with pytest.raises(QuadratureError):
-            iterint_num(real_word(2), tol=1e-20)
+            H0Evaluator(tol=1e-20)(real_word(2))
 
     @pytest.mark.parametrize("tol", [0.0, -1e-7, math.nan])
     def test_tolerance_not_positive(self, tol):
         with pytest.raises(ValueError):
-            iterint_num(real_word(2), tol=tol)
+            H0Evaluator(tol=tol)(real_word(2))
 
 
 class TestEvaluator:
@@ -354,8 +369,8 @@ class TestEvaluator:
 
     def test_z_num_values(self):
         ev = H0Evaluator()
-        assert z_num(HPoly.from_word(w(UNIT)), ev) == 0.0
-        v = z_num(HPoly.from_word(s_word(UNIT, 2)), ev)
+        assert z_num_with_bound(HPoly.from_word(w(UNIT)), ev) == (0.0, 0.0)
+        v = z_num_with_bound(HPoly.from_word(s_word(UNIT, 2)), ev)[0]
         assert abs(v + math.pi**2 / 6) < 1e-12
         v, b = z_num_with_bound(HPoly.from_word(w(UNIT, UNIT)), ev)
         assert abs(v + math.pi**2 / 12) < 1e-12
@@ -397,7 +412,7 @@ class TestAssumptionChecks:
         ev = H0Evaluator()
         for n in range(4):
             poly = HPoly.from_word(s_chain(UNIT, 2, n)) * math.factorial(2 * n + 1)
-            v = z_num(poly, ev)
+            v = z_num_with_bound(poly, ev)[0]
             assert abs(v - (-(math.pi**2)) ** n) < 1e-8
 
 
