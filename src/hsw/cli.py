@@ -207,7 +207,7 @@ def relation_records(weight: int, evaluator: Evaluator) -> Iterator[dict]:
             continue
         seen.add(text)
         # Both sums are exact and rounded once, after the scaling.
-        residual, bound = exact_sum(poly, evaluator)
+        residual, bound = exact_sum(poly.terms, evaluator)
         yield {
             "type": "relation",
             "weight": weight,

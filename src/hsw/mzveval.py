@@ -291,15 +291,6 @@ def check_assumptions(n_max: int = 3, k_max: int = 6, tol: float = 1e-8) -> Iter
         )
 
 
-_ULP = 1 << 1074  # every finite float is a whole multiple of 2**-1074
-
-
-def _exact(x: float) -> int:
-    """The float ``x`` times ``2**1074``, an integer."""
-    n, d = x.as_integer_ratio()
-    return n * (_ULP // d)
-
-
 def verify_harmonic_hom(
     letters: Iterable = (2, 3, Fraction(5, 2)),
     max_weight: int = 2,
@@ -310,26 +301,21 @@ def verify_harmonic_hom(
 
     For all pairs ``u, v`` of words of weight <= ``max_weight`` over the given
     letters, compares ``I(u) I(v)`` with the evaluation of ``u * v``.  Both
-    sides and the bound are summed exactly in integers and rounded once;
+    sides and the bound are exact (:func:`reg.exact_sum`) and rounded once;
     rounding to float is monotone, so ``difference <= bound`` holds by construction.
     """
     elems = [rational(q) for q in letters]
     words = [Word(p) for n in range(1, max_weight + 1) for p in product(elems, repeat=n)]
     evaluator = H0Evaluator(tol=quad_tol)
-    one = _ULP * _ULP
     for i, u in enumerate(words):
         for v in words[i:]:
-            (lhs_u, bu), (lhs_v, bv) = (map(_exact, evaluator(x)) for x in (u, v))
+            (lhs_u, bu), (lhs_v, bv) = (map(Fraction, evaluator(x)) for x in (u, v))
             lhs = lhs_u * lhs_v
-            bound = abs(lhs_u) * bv + abs(lhs_v) * bu + bu * bv
-            rhs = 0
-            for w, c in star_terms(u, v).items():
-                val, b = map(_exact, evaluator(w))
-                rhs += c * val * _ULP
-                bound += abs(c) * b * _ULP
-            diff = abs(lhs - rhs) / one  # int / int rounds once, like float(Fraction)
+            rhs, bound = reg.exact_sum(star_terms(u, v), evaluator)
+            bound += abs(lhs_u) * bv + abs(lhs_v) * bu + bu * bv
+            diff = float(abs(lhs - rhs))
             yield CheckResult(
                 item=f"product {u} x {v}",
                 passed=diff < tol,
-                data={"difference": diff, "lhs": lhs / one, "rhs": rhs / one, "bound": bound / one},
+                data={"difference": diff, "lhs": float(lhs), "rhs": float(rhs), "bound": float(bound)},
             )

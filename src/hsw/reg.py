@@ -38,6 +38,7 @@ from typing import Callable, Iterator
 from .halg import (
     HPoly,
     LinComb,
+    Rational,
     Word,
     combine,
     format_terms,
@@ -302,23 +303,35 @@ def substitute_st(rv: RegularizedValue) -> HPoly:
 Evaluator = Callable[[Word], tuple[float, float]]
 
 
-def exact_sum(p: HPoly, evaluator: Evaluator) -> tuple[Fraction, Fraction]:
-    """``sum c * v`` and ``sum |c| * b`` exactly, over the terms ``c * w`` of ``p`` with ``(v, b) = evaluator(w)``.
+_ULP = 1 << 1074  # every finite float is a whole multiple of 2**-1074
 
+
+def _exact(x: float) -> int:
+    """The float ``x`` times ``2**1074``, an integer."""
+    n, d = x.as_integer_ratio()
+    return n * (_ULP // d)
+
+
+def exact_sum(terms: dict[Word, Rational], evaluator: Evaluator) -> tuple[Fraction, Fraction]:
+    """``sum c * v`` and ``sum |c| * b`` exactly, over ``terms`` ``{w: c}`` with ``(v, b) = evaluator(w)``.
+
+    Both sums are integers at the one scale ``lcm(denominators) * 2**1074``.
     Rounding to float is monotone: where the true sum is 0, as for a relation,
     rounding each sum once keeps ``|value| <= bound``.
     """
-    value = bound = Fraction(0)
-    for w, c in p.terms.items():
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    value = bound = 0
+    for w, c in terms.items():
         v, b = evaluator(w)
-        value += c * Fraction(v)
-        bound += abs(c) * Fraction(b)
-    return value, bound
+        n = c.numerator * (den // c.denominator)
+        value += n * _exact(v)
+        bound += abs(n) * _exact(b)
+    return Fraction(value, den * _ULP), Fraction(bound, den * _ULP)
 
 
 def z_num_with_bound(p: HPoly, evaluator: Evaluator) -> tuple[float, float]:
     """Evaluate at ``S = T = 0``: the admissible constant coefficient, numerically, with a bound."""
-    value, bound = exact_sum(z_st(p).coeff(0, 0), evaluator)
+    value, bound = exact_sum(z_st(p).coeff(0, 0).terms, evaluator)
     return float(value), float(bound)
 
 

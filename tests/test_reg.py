@@ -231,6 +231,21 @@ def test_one_rewrite_per_reachable_word():
     assert halg._star_words_cached.cache_info().misses == star_misses
 
 
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_COEFFS = st.integers(-50, 50) | st.fractions(max_denominator=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_COEFFS, _FLOATS, _FLOATS.map(abs)), max_size=6))
+def test_exact_sum_is_the_fraction_sum(rows):
+    # subnormal, huge and mixed-denominator terms: one scale must hold them all
+    terms = {Word((cyclic(i + 2),)): c for i, (c, _, _) in enumerate(rows)}
+    table = {w: (v, b) for w, (_, v, b) in zip(terms, rows)}
+    value = sum((Fraction(c) * Fraction(v) for c, v, _ in rows), Fraction(0))
+    bound = sum((abs(Fraction(c)) * Fraction(b) for c, _, b in rows), Fraction(0))
+    assert reg.exact_sum(terms, table.__getitem__) == (value, bound)
+
+
 class TestDriver:
     def test_verify_regularization(self):
         items = list(verify_regularization(count=40, max_weight=4, seed=1))
