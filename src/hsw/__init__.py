@@ -10,6 +10,7 @@ values and iterated integrals.
 """
 
 from .monoid import (
+    LETTERS,
     MonoidElement,
     MonoidMismatchError,
     UNIT,
@@ -20,10 +21,8 @@ from .monoid import (
     rational,
 )
 from .halg import (
-    EMPTY_WORD,
     HPoly,
     ParseError,
-    Word,
     clear_caches,
     concat,
     format_poly,
@@ -33,7 +32,8 @@ from .halg import (
     s_chain,
     s_word,
     star_words,
-    word_sort_key,
+    to_letters,
+    to_word,
 )
 from .series import DEFAULT_ORDER, OrderError, Series1, Series2
 from .trig import (

@@ -1,8 +1,15 @@
 """Words over a monoid-with-zero alphabet and the harmonic algebra built on them.
 
 A word is a finite sequence of monoid elements, written ``e[a1]e[a2]...``;
-its weight is its letter count.  Polynomials are exact-rational linear
-combinations of words.  Two products live side by side:
+its weight is its letter count.  In code a word is an exact tuple of its
+letters' ids (:data:`hsw.monoid.LETTERS`; ``0`` is the zero letter and ``1``
+the unit), which the garbage collector untracks, so the hundreds of thousands
+of memoized product terms cost it nothing.  Printing reads per-id text
+tables; ordering ranks letters by ``MonoidElement.key``, never by id, so no
+output depends on the order in which letters were interned.
+
+Polynomials are exact-rational linear combinations of words.  Two products
+live side by side:
 
 * plain concatenation, which is weight-additive and non-commutative, and
 * the harmonic product ``*``, the commutative quasi-shuffle determined by
@@ -49,17 +56,10 @@ import re
 from fractions import Fraction
 from typing import Any, Hashable, Iterable
 
-from .monoid import (
-    ZERO,
-    MonoidElement,
-    MonoidMismatchError,
-    parse_element,
-)
+from .monoid import LETTERS, MonoidElement, MonoidMismatchError, mul, parse_element
 from .memo import clear_all, term_bounded_cache
 
 __all__ = [
-    "Word",
-    "EMPTY_WORD",
     "HPoly",
     "LinComb",
     "ParseError",
@@ -71,7 +71,8 @@ __all__ = [
     "star_words",
     "s_word",
     "s_chain",
-    "word_sort_key",
+    "to_word",
+    "to_letters",
     "parse_poly",
     "format_poly",
     "format_terms",
@@ -94,49 +95,22 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-class Word(tuple):
-    """An immutable word; behaves like a tuple of monoid elements."""
-
-    __slots__ = ()
-
-    @property
-    def weight(self) -> int:
-        return len(self)
-
-    @property
-    def nonzero_count(self) -> int:
-        """Number of letters different from the zero element (0 for the empty word)."""
-        return sum(1 for a in self if not a.is_zero)
-
-    def __add__(self, other) -> "Word":
-        return Word(tuple.__add__(self, tuple(other)))
-
-    def __str__(self) -> str:
-        return format_word(self)
-
-    def __repr__(self) -> str:
-        return f"Word({format_word(self)!r})"
+Word = tuple[int, ...]  # letter ids; an alias for annotations
 
 
-EMPTY_WORD = Word()
+def to_word(letters: Iterable[MonoidElement]) -> Word:
+    """The word spelled by monoid elements: the tuple of their ids."""
+    return tuple([a.id for a in letters])
 
 
-def word_sort_key(w: Word) -> tuple:
-    """Total order on words: weight first, then letterwise."""
-    return (len(w), tuple([a.key for a in w]))
+def to_letters(w: Word) -> tuple[MonoidElement, ...]:
+    """The monoid elements a word spells."""
+    return tuple(map(LETTERS.__getitem__, w))
 
 
-def _check_single_instance(letters: Iterable[MonoidElement]) -> None:
-    seen: str | None = None
-    for a in letters:
-        if a.is_zero or a.is_unit:
-            continue
-        if seen is None:
-            seen = a.kind
-        elif a.kind != seen:
-            raise MonoidMismatchError(
-                "letters from different monoid instances in one polynomial"
-            )
+def _check_single_instance(w: Iterable[int]) -> None:
+    if len({LETTERS[a].kind for a in set(w) if a > 1}) > 1:
+        raise MonoidMismatchError("letters from different monoid instances in one polynomial")
 
 
 def combine(pairs: Iterable[tuple[Hashable, Any]]) -> dict:
@@ -269,16 +243,12 @@ class HPoly(LinComb):
 
     __slots__ = ()
 
-    _ONE_KEY = EMPTY_WORD
-
-    @staticmethod
-    def _key(w) -> Word:
-        return w if isinstance(w, Word) else Word(w)
+    _ONE_KEY = ()
+    _key = tuple
 
     @classmethod
     def from_word(cls, w: Word, coeff: Rational = 1) -> "HPoly":
-        if not isinstance(w, Word):
-            w = Word(w)
+        w = tuple(w)
         _check_single_instance(w)
         c = Fraction(coeff)
         return cls._raw({w: c} if c else {})
@@ -287,7 +257,13 @@ class HPoly(LinComb):
         return self.terms.get(self._key(w), _F0)
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: word_sort_key(t[0]), reverse=True)
+        """Terms by descending weight, then descending letters in ``MonoidElement.key`` order."""
+        # One character per letter, its rank among this polynomial's letters.
+        ids = sorted(set().union(*self.terms), key=lambda a: LETTERS[a].key)
+        rank = dict(zip(ids, map(chr, range(len(ids))))).__getitem__
+        return sorted(
+            self.terms.items(), key=lambda t: (len(t[0]), "".join(map(rank, t[0]))), reverse=True
+        )
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -303,16 +279,16 @@ def concat(p: HPoly, q: HPoly) -> HPoly:
 
 @term_bounded_cache()
 def _star_words_cached(u: Word, v: Word) -> dict[Word, int]:
-    ab = u[0] * v[0]
-    tail_u = Word(u[1:])
-    tail_v = Word(v[1:])
+    ab = mul(u[0], v[0])
+    tail_u = u[1:]
+    tail_v = v[1:]
     out: dict[Word, int] = {}
     for part in (star_terms(tail_u, v), star_terms(u, tail_v)):
         for w, c in part.items():
-            key = Word((ab,) + w)
+            key = (ab,) + w
             out[key] = out.get(key, 0) + c
     for w, c in star_terms(tail_u, tail_v).items():
-        key = Word((ab, ZERO) + w)
+        key = (ab, 0) + w
         out[key] = out.get(key, 0) - c
     return {w: c for w, c in out.items() if c}
 
@@ -367,17 +343,14 @@ def s_word(z: MonoidElement, k: int) -> Word:
     """The depth-one block ``s[z,k] = e_z e_0^{k-1}`` of weight ``k``."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("block length k must be a positive integer")
-    return Word((z,) + (ZERO,) * (k - 1))
+    return (z.id,) + (0,) * (k - 1)
 
 
 def s_chain(z: MonoidElement, k: int, n: int) -> Word:
     """The weight ``n*k`` word ``s[z^n,k] s[z^{n-1},k] ... s[z,k]`` (empty for n=0)."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("chain depth must be a non-negative integer")
-    letters: list[MonoidElement] = []
-    for i in range(n, 0, -1):
-        letters.extend(s_word(z**i, k))
-    return Word(letters)
+    return sum((s_word(z**i, k) for i in range(n, 0, -1)), ())
 
 
 def clear_caches() -> None:
@@ -390,20 +363,40 @@ def clear_caches() -> None:
 # ---------------------------------------------------------------------------
 
 
+class _Texts(dict):
+    """``key -> make(key)``, each made on its first lookup."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
+
+
+# Per letter id ``e[<text>]`` and ``s[<text>``; per block length ``,k]``.
+_E_TEXT = _Texts(lambda a: f"e[{LETTERS[a].text}]")
+_S_TEXT = _Texts(lambda a: f"s[{LETTERS[a].text}")
+_RUN_TEXT = _Texts(lambda k: f",{k}]")
+
+
 def format_word(w: Word) -> str:
     """Canonical text of a word: s-blocks when possible, e-letters otherwise."""
     if not w:
         return "1"
-    if w[0] is ZERO:
-        return "".join([f"e[{a.text}]" for a in w])
+    if w[0] == 0:
+        return "".join(map(_E_TEXT.__getitem__, w))
     parts = []
-    i = 0
-    while i < len(w):
-        j = i + 1
-        while j < len(w) and w[j] is ZERO:
-            j += 1
-        parts.append(f"s[{w[i].text},{j - i}]")
-        i = j
+    run = 0
+    for a in w:
+        if a:
+            if run:
+                parts.append(_RUN_TEXT[run])
+            parts.append(_S_TEXT[a])
+            run = 1
+        else:
+            run += 1
+    parts.append(_RUN_TEXT[run])
     return "".join(parts)
 
 
@@ -486,6 +479,10 @@ class _Parser:
                 return value
             self.next()
             rhs = self.parse_term()
+            try:
+                _check_single_instance(set().union(*value.terms, *rhs.terms))
+            except MonoidMismatchError as exc:
+                raise ParseError(str(exc), self.text, tok[2]) from exc
             value = value + rhs if tok[1] == "+" else value - rhs
 
     def parse_term(self) -> HPoly:
@@ -530,24 +527,24 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", self.text, pos)
 
     def parse_word(self) -> HPoly:
-        letters: list[MonoidElement] = []
+        w: list[int] = []
         while self.peek() is not None and self.peek()[0] == "atom":
             kind, val, pos = self.next()
             inner = val[2:-1]
             try:
                 if val[0] == "e":
-                    letters.append(parse_element(inner))
+                    w.append(parse_element(inner).id)
                 else:
                     left, _, right = inner.partition(",")
                     if not right.strip().isdigit():
                         raise ValueError("s-block needs a positive length")
-                    letters.extend(s_word(parse_element(left), int(right)))
+                    w.extend(s_word(parse_element(left), int(right)))
             except ValueError as exc:
                 raise ParseError(str(exc), self.text, pos) from exc
             except ZeroDivisionError as exc:
                 raise ParseError("division by zero", self.text, pos) from exc
         try:
-            return HPoly.from_word(Word(letters))
+            return HPoly.from_word(w)
         except MonoidMismatchError as exc:
             raise ParseError(str(exc), self.text, self.tokens[self.i - 1][2]) from exc
 

@@ -7,9 +7,15 @@ Beyond those two shared elements, three concrete monoids are supported:
 * the free cyclic monoid ``{0, 1, z, z^2, ...}`` with an adjoined zero,
 * the exact rationals of modulus at least one, together with ``0``.
 
-Elements are immutable, interned and totally ordered, so they can serve as
-dictionary keys and as letters of words in the harmonic algebra.  The
-rational instance is restricted to exact rationals (rather than arbitrary
+Elements are immutable, interned and totally ordered.  Interning also gives
+each element a small int ``id``, its index in the append-only letter table
+:data:`LETTERS` (``0`` is :data:`ZERO`, ``1`` is :data:`UNIT`, the rest
+follow the order of first use), and :func:`mul` multiplies letters by id
+through a memoized product table.  Words of the harmonic algebra are exact
+tuples of ids: the garbage collector untracks a tuple of ints at its first
+collection, while a tuple of element objects stays tracked for life.  Ids
+say nothing about the order of elements; ``key`` does.  The rational
+instance is restricted to exact rationals (rather than arbitrary
 complex numbers of modulus >= 1) so that element equality, and hence word
 normalization, stays decidable.
 
@@ -19,15 +25,18 @@ Element literals: ``0``, ``1``, ``z``, ``z^3``, ``5/2``, ``-3``.
 from __future__ import annotations
 
 import re
+import threading
 from fractions import Fraction
 
 __all__ = [
     "MonoidElement",
     "MonoidMismatchError",
+    "LETTERS",
     "ZERO",
     "UNIT",
     "cyclic",
     "rational",
+    "mul",
     "parse_element",
     "format_element",
 ]
@@ -44,6 +53,9 @@ _KIND_RATIONAL = "rational"
 
 _RANK = {_KIND_ZERO: 0, _KIND_UNIT: 1, _KIND_CYCLIC: 2, _KIND_RATIONAL: 3}
 
+LETTERS: list["MonoidElement"] = []  # id -> element, append-only
+_letters_lock = threading.Lock()
+
 
 class MonoidElement:
     """A canonical element of a monoid with zero.
@@ -52,10 +64,11 @@ class MonoidElement:
     :data:`UNIT`, :func:`cyclic` or :func:`rational`, which intern them: there
     is exactly one instance per element, so equality and hashing are the
     default ones, by identity.  ``key`` (the element's place in the total
-    order) and ``text`` (its canonical literal) are fixed at construction.
+    order), ``text`` (its canonical literal) and ``id`` (its index in
+    :data:`LETTERS`) are fixed at construction.
     """
 
-    __slots__ = ("kind", "value", "key", "text")
+    __slots__ = ("kind", "value", "key", "text", "id")
 
     def __init__(self, kind: str, value, text: str):
         object.__setattr__(self, "kind", kind)
@@ -63,6 +76,9 @@ class MonoidElement:
         # Sorting and printing words look at every letter: both are stored.
         object.__setattr__(self, "key", (_RANK[kind], value))
         object.__setattr__(self, "text", text)
+        with _letters_lock:
+            object.__setattr__(self, "id", len(LETTERS))
+            LETTERS.append(self)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MonoidElement is immutable")
@@ -120,6 +136,15 @@ UNIT = MonoidElement(_KIND_UNIT, 0, "1")
 
 _cyclic_cache: dict[int, MonoidElement] = {}
 _rational_cache: dict[Fraction, MonoidElement] = {}
+_products: dict[tuple[int, int], int] = {}
+
+
+def mul(a: int, b: int) -> int:
+    """The id of the product of the letters with ids ``a`` and ``b``, memoized."""
+    ab = _products.get((a, b))
+    if ab is None:
+        ab = _products[a, b] = (LETTERS[a] * LETTERS[b]).id
+    return ab
 
 
 def cyclic(exponent: int) -> MonoidElement:

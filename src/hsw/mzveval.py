@@ -35,9 +35,9 @@ from fractions import Fraction
 from itertools import accumulate, chain, product
 from typing import Iterable, Iterator
 
-from .halg import HPoly, Word, s_chain, s_word, star_terms
+from .halg import HPoly, Word, format_word, s_chain, s_word, star_terms, to_letters, to_word
 from .memo import term_bounded_cache
-from .monoid import UNIT, ZERO, MonoidElement, rational
+from .monoid import LETTERS, UNIT, MonoidElement, rational
 from .reporting import CheckResult
 from . import reg
 
@@ -67,13 +67,13 @@ class QuadratureError(RuntimeError):
 def word_to_mzv(w: Word) -> tuple[int, ...]:
     """The zeta index of a ``{0,1}``-alphabet admissible word: ``I(w) = (-1)^depth zeta(index)``."""
     for a in w:
-        if not (a.is_zero or a.is_unit):
-            raise UnsupportedWordError(f"letter {a} is not in the {{0,1}} alphabet")
-    if w and (w[0].is_zero or w[-1].is_unit):
-        raise InadmissibleIndexError(f"word {w} is not admissible")
+        if a > 1:
+            raise UnsupportedWordError(f"letter {LETTERS[a]} is not in the {{0,1}} alphabet")
+    if w and (w[0] == 0 or w[-1] == 1):
+        raise InadmissibleIndexError(f"word {format_word(w)} is not admissible")
     ks: list[int] = []
     for a in w:
-        if a.is_unit:
+        if a == 1:
             ks.append(1)
         else:
             ks[-1] += 1
@@ -117,19 +117,20 @@ def _prefix_sums(letters: list[tuple[int, int]], n_terms: int, bits: int) -> lis
 
 
 @term_bounded_cache(size=lambda split: 1, max_terms=1024)
-def _split(letters: frozenset[MonoidElement]) -> tuple[Fraction, dict]:
+def _split(ids: frozenset[int]) -> tuple[Fraction, dict]:
     """``R = m0 + m1``, and each letter ``a``'s head ``aR/m0`` and tail ``(1 - a)R/m1`` as ``(p, q)``.
 
     ``m0 = min |a|`` over the nonzero letters and ``m1 = min |1 - a|`` over
     the letters other than 1 (the unit letter counts as the number 1), so a
     zero letter is zero on the head side and a unit letter zero on the tail
-    side.  ``{0,1}`` words get ``R = 2``.
+    side.  ``{0,1}`` words get ``R = 2``.  Letters are given and keyed by id.
     """
     nums = {}
-    for a in letters:
-        if not (a.is_zero or a.is_unit or a.kind == "rational"):
-            raise UnsupportedWordError(f"letter {a} has no numeric value")
-        nums[a] = 1 if a.is_unit else a.value
+    for a in ids:
+        letter = LETTERS[a]
+        if not (a <= 1 or letter.kind == "rational"):
+            raise UnsupportedWordError(f"letter {letter} has no numeric value")
+        nums[a] = 1 if a == 1 else letter.value
     m0 = min(abs(x) for x in nums.values() if x)
     m1 = min(abs(1 - x) for x in nums.values() if x != 1)
     big_r = Fraction(m0 + m1)
@@ -157,8 +158,8 @@ def _iterint_estimate(w: Word, tol: float) -> tuple[float, float]:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if not w:
         return 1.0, 0.0
-    if w[0].is_zero or w[-1].is_unit:
-        raise InadmissibleIndexError(f"word {w} is not admissible")
+    if w[0] == 0 or w[-1] == 1:
+        raise InadmissibleIndexError(f"word {format_word(w)} is not admissible")
     big_r, forms = _split(frozenset(w))
     k = len(w)
     head = [forms[a][0] for a in w]
@@ -171,7 +172,7 @@ def _iterint_estimate(w: Word, tol: float) -> tuple[float, float]:
     target = min(size, math.log2(tol) - math.log2(16 * (k + 1)) - size)
     need, log_r = 1 - target - gap, math.log2(p) - math.log2(q)
     if need > MAX_TERMS * log_r:
-        raise QuadratureError(f"{w} needs more than {MAX_TERMS} series terms to reach {tol}")
+        raise QuadratureError(f"{format_word(w)} needs more than {MAX_TERMS} series terms to reach {tol}")
     n_terms = max(1, math.ceil(need / log_r))
     bits = (4 * k * n_terms).bit_length() + max(0, math.ceil(-target))
     trunc = -(-(q ** (n_terms + 1) << bits) // (p**n_terms * (p - q)))
@@ -196,7 +197,7 @@ def _iterint_estimate(w: Word, tol: float) -> tuple[float, float]:
 
 def _index_word(ks: tuple[int, ...]) -> Word:
     """The ``{0,1}`` word of an index: a unit letter, then ``k - 1`` zero letters, per entry."""
-    return Word(chain.from_iterable((UNIT,) + (ZERO,) * (k - 1) for k in ks))
+    return tuple(chain.from_iterable(s_word(UNIT, k) for k in ks))
 
 
 def zeta(index: Iterable[int]) -> tuple[float, float]:
@@ -225,34 +226,38 @@ def zeta(index: Iterable[int]) -> tuple[float, float]:
 
 
 class H0Evaluator:
-    """Evaluate admissible words numerically, with one cache keyed by word.
+    """Evaluate admissible words numerically, with one cache keyed by their letters.
 
-    ``{0,1}``-alphabet words go through :func:`zeta`; words with real
-    rational letters through the same kernel at the evaluator's absolute
-    tolerance, refusing a word whose bound exceeds it.  Calls return
-    ``(value, bound)``.
+    A call takes the letters of a word (:func:`~hsw.halg.to_letters`) and
+    returns ``(value, bound)``.  ``{0,1}``-alphabet words go through
+    :func:`zeta`; words with real rational letters through the same kernel
+    at the evaluator's absolute tolerance, refusing a word whose bound
+    exceeds it.
     """
 
     def __init__(self, tol: float = 1e-7):
         self.tol = tol
-        self._cache: dict[Word, tuple[float, float]] = {}
+        self._cache: dict[tuple[MonoidElement, ...], tuple[float, float]] = {}
 
-    def __call__(self, w: Word) -> tuple[float, float]:
-        hit = self._cache.get(w)
+    def __call__(self, letters: tuple[MonoidElement, ...]) -> tuple[float, float]:
+        hit = self._cache.get(letters)
         if hit is None:
-            if all(a.is_zero or a.is_unit for a in w):
+            w = to_word(letters)
+            if all(a <= 1 for a in w):
                 ks = word_to_mzv(w)
                 v, b = zeta(ks)
                 hit = (-v if len(ks) % 2 else v), b
             else:
                 hit = self._iterint(w)
-            self._cache[w] = hit
+            self._cache[letters] = hit
         return hit
 
     def _iterint(self, w: Word) -> tuple[float, float]:
         value, bound = _iterint_estimate(w, self.tol)
         if bound > self.tol:
-            raise QuadratureError(f"tolerance {self.tol} is below the double-precision resolution of {w}")
+            raise QuadratureError(
+                f"tolerance {self.tol} is below the double-precision resolution of {format_word(w)}"
+            )
         return value, bound
 
 
@@ -304,18 +309,18 @@ def verify_harmonic_hom(
     sides and the bound are exact (:func:`reg.exact_sum`) and rounded once;
     rounding to float is monotone, so ``difference <= bound`` holds by construction.
     """
-    elems = [rational(q) for q in letters]
-    words = [Word(p) for n in range(1, max_weight + 1) for p in product(elems, repeat=n)]
+    ids = [rational(q).id for q in letters]
+    words = [p for n in range(1, max_weight + 1) for p in product(ids, repeat=n)]
     evaluator = H0Evaluator(tol=quad_tol)
     for i, u in enumerate(words):
         for v in words[i:]:
-            (lhs_u, bu), (lhs_v, bv) = (map(Fraction, evaluator(x)) for x in (u, v))
+            (lhs_u, bu), (lhs_v, bv) = (map(Fraction, evaluator(to_letters(x))) for x in (u, v))
             lhs = lhs_u * lhs_v
             rhs, bound = reg.exact_sum(star_terms(u, v), evaluator)
             bound += abs(lhs_u) * bv + abs(lhs_v) * bu + bu * bv
             diff = float(abs(lhs - rhs))
             yield CheckResult(
-                item=f"product {u} x {v}",
+                item=f"product {format_word(u)} x {format_word(v)}",
                 passed=diff < tol,
                 data={"difference": diff, "lhs": float(lhs), "rhs": float(rhs), "bound": float(bound)},
             )

@@ -44,9 +44,10 @@ from .halg import (
     format_terms,
     format_word,
     harmonic,
+    to_letters,
 )
 from .memo import term_bounded_cache
-from .monoid import UNIT, ZERO, cyclic
+from .monoid import MonoidElement, cyclic
 from .reporting import CheckResult
 
 __all__ = [
@@ -82,21 +83,21 @@ def classify(w: Word) -> WordClass:
     """
     if not w:
         return WordClass.H0
-    if w[0].is_zero:
+    if w[0] == 0:
         return WordClass.GENERAL
-    return WordClass.H1_NOT_H0 if w[-1].is_unit else WordClass.H0
+    return WordClass.H1_NOT_H0 if w[-1] == 1 else WordClass.H0
 
 
 def _leading_zero_run(w: Word) -> int:
     i = 0
-    while i < len(w) and w[i].is_zero:
+    while i < len(w) and w[i] == 0:
         i += 1
     return i
 
 
 def _trailing_unit_run(w: Word) -> int:
     i = 0
-    while i < len(w) and w[-1 - i].is_unit:
+    while i < len(w) and w[-1 - i] == 1:
         i += 1
     return i
 
@@ -104,10 +105,10 @@ def _trailing_unit_run(w: Word) -> int:
 def strip_e0(p: HPoly) -> dict[int, HPoly]:
     """Peel maximal leading zero-letter powers: ``p = sum_s e_0^s (result[s])``."""
     runs = ((_leading_zero_run(w), w, c) for w, c in p.terms.items())
-    return combine((s, HPoly.from_word(Word(w[s:]), c)) for s, w, c in runs)
+    return combine((s, HPoly.from_word(w[s:], c)) for s, w, c in runs)
 
 
-_E1_WORD = Word((UNIT,))
+_E1_WORD = (1,)
 
 
 @term_bounded_cache()
@@ -119,7 +120,7 @@ def _e1_star_power(t: int) -> HPoly:
 
 def _bucket(w: Word) -> tuple[int, int]:
     """The (nonzero-letter count, trailing unit run) key that orders the rewriting."""
-    return len(w) - w.count(ZERO), _trailing_unit_run(w)
+    return len(w) - w.count(0), _trailing_unit_run(w)
 
 
 @term_bounded_cache(size=lambda rule: len(rule[1]))
@@ -139,20 +140,20 @@ def _reg_word(w: Word) -> tuple[int, tuple[tuple[Word, int, int, tuple[int, int]
     and a shorter trailing run.
     """
     m = _trailing_unit_run(w)
-    base = Word(w[:-1])
+    base = w[:-1]
     n = len(base)
-    d = n - base.count(ZERO)  # nonzero letters of base
+    d = n - base.count(0)  # nonzero letters of base
     doubled: dict[Word, int] = {}
     zeros = []
     for i, a in enumerate(base):
-        if a is ZERO:
+        if a == 0:
             continue
         head, tail = base[: i + 1], base[i + 1 :]
         if i <= n - m:
-            x = Word(head + (a,) + tail)
+            x = head + (a,) + tail
             doubled[x] = doubled.get(x, 0) - 1
         # the zero letter cuts the trailing unit run of base short
-        zeros.append((Word(head + (ZERO,) + tail), 0, 1, (d, min(m - 1, n - 1 - i))))
+        zeros.append((head + (0,) + tail, 0, 1, (d, min(m - 1, n - 1 - i))))
     return m, (
         (base, 1, 1, (d, m - 1)),
         *((x, 0, k, (d + 1, m - 1)) for x, k in doubled.items()),
@@ -167,8 +168,8 @@ def reg_t(p: HPoly) -> dict[int, HPoly]:
     letter back for ``T`` reproduces ``p`` exactly.
     """
     for w in p.terms:
-        if w and w[0] is ZERO:
-            raise RegularizationError(f"word {w} has leading zero letters")
+        if w and w[0] == 0:
+            raise RegularizationError(f"word {format_word(w)} has leading zero letters")
     return {t: h for (_, t), h in z_st(p).terms.items()}
 
 
@@ -212,7 +213,7 @@ class RegularizedValue(LinComb):
             for w in h.terms:
                 if classify(w) is not WordClass.H0:
                     raise RegularizationError(
-                        f"coefficient of S^{s}T^{t} contains inadmissible word {w}"
+                        f"coefficient of S^{s}T^{t} contains inadmissible word {format_word(w)}"
                     )
 
     def __mul__(self, other):
@@ -258,7 +259,7 @@ def z_st(p: HPoly) -> RegularizedValue:
 
     for w, c in p.terms.items():
         s = _leading_zero_run(w)
-        x = Word(w[s:])
+        x = w[s:]
         put(x, _bucket(x), (s, 0), c.numerator * (den // c.denominator))
     while pending:
         key = max(pending)
@@ -294,13 +295,14 @@ def substitute_st(rv: RegularizedValue) -> HPoly:
     for (s, t), h in rv.terms.items():
         expanded = harmonic(h, _e1_star_power(t))
         if s:
-            prefix = (ZERO,) * s
-            expanded = HPoly({Word(prefix + w): c for w, c in expanded.terms.items()})
+            prefix = (0,) * s
+            expanded = HPoly._raw({prefix + w: c for w, c in expanded.terms.items()})
         out = out + expanded
     return out
 
 
-Evaluator = Callable[[Word], tuple[float, float]]
+# Values a word from its letters (:func:`~hsw.halg.to_letters`), which carry the numbers.
+Evaluator = Callable[[tuple[MonoidElement, ...]], tuple[float, float]]
 
 
 _ULP = 1 << 1074  # every finite float is a whole multiple of 2**-1074
@@ -313,7 +315,7 @@ def _exact(x: float) -> int:
 
 
 def exact_sum(terms: dict[Word, Rational], evaluator: Evaluator) -> tuple[Fraction, Fraction]:
-    """``sum c * v`` and ``sum |c| * b`` exactly, over ``terms`` ``{w: c}`` with ``(v, b) = evaluator(w)``.
+    """``sum c * v`` and ``sum |c| * b`` exactly, over ``terms`` ``{w: c}`` with ``(v, b)`` the value of ``w``.
 
     Both sums are integers at the one scale ``lcm(denominators) * 2**1074``.
     Rounding to float is monotone: where the true sum is 0, as for a relation,
@@ -322,7 +324,7 @@ def exact_sum(terms: dict[Word, Rational], evaluator: Evaluator) -> tuple[Fracti
     den = math.lcm(*(c.denominator for c in terms.values()))
     value = bound = 0
     for w, c in terms.items():
-        v, b = evaluator(w)
+        v, b = evaluator(to_letters(w))
         n = c.numerator * (den // c.denominator)
         value += n * _exact(v)
         bound += abs(n) * _exact(b)
@@ -340,7 +342,7 @@ def _random_poly(rng: random.Random, alphabet, max_weight: int, max_terms: int =
     terms = []
     for _ in range(rng.randint(1, max_terms)):
         weight = rng.randint(0, max_weight)
-        word = Word(tuple(rng.choice(alphabet) for _ in range(weight)))
+        word = tuple(rng.choice(alphabet) for _ in range(weight))
         terms.append((word, rng.choice(coeff_pool)))
     return HPoly(terms)
 
@@ -350,7 +352,7 @@ def verify_regularization(
 ) -> Iterator[CheckResult]:
     """Roundtrip, admissibility, injectivity and multiplicativity on random input."""
     rng = random.Random(seed)
-    alphabets = [(ZERO, UNIT), (ZERO, UNIT, cyclic(1))]
+    alphabets = [(0, 1), (0, 1, cyclic(1).id)]
     for idx in range(count):
         alphabet = alphabets[idx % len(alphabets)]
         p = _random_poly(rng, alphabet, max_weight)

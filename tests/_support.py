@@ -7,8 +7,8 @@ import math
 import random
 from fractions import Fraction
 
-from hsw.halg import HPoly, Word, integer_sum, star_terms
-from hsw.monoid import UNIT, ZERO, cyclic, rational
+from hsw.halg import HPoly, Word, integer_sum, star_terms, to_letters, to_word
+from hsw.monoid import UNIT, ZERO, MonoidElement, cyclic, rational
 from hsw.reg import RegularizedValue
 
 ALPHABET_01 = (ZERO, UNIT)
@@ -20,7 +20,7 @@ COEFFS = (-3, -2, -1, 1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
 
 
 def random_word(rng: random.Random, weight: int, alphabet) -> Word:
-    return Word(tuple(rng.choice(alphabet) for _ in range(weight)))
+    return to_word(rng.choice(alphabet) for _ in range(weight))
 
 
 def random_poly(
@@ -36,35 +36,40 @@ def random_poly(
     return HPoly(terms)
 
 
-@functools.lru_cache(maxsize=None)
-def reference_star_words(u: Word, v: Word) -> HPoly:
-    """The harmonic product of two words by the plain Fraction recursion.
+Letters = tuple[MonoidElement, ...]
 
-    An independent check on the integer kernel of ``hsw.halg``:
+
+@functools.lru_cache(maxsize=None)
+def reference_quasi_shuffle(u: Letters, v: Letters) -> dict[Letters, int]:
+    """The harmonic product of two words spelled in monoid elements, by the plain recursion.
+
+    An independent check on the id-keyed kernel of ``hsw.halg``: it never
+    touches letter ids or the product table, only ``MonoidElement.__mul__``.
     ``e_a w * e_b w' = e_{ab}(w * e_b w' + e_a w * w' - e_0 (w * w'))``.
     """
     if not u:
-        return HPoly.from_word(v)
+        return {v: 1}
     if not v:
-        return HPoly.from_word(u)
+        return {u: 1}
     ab = u[0] * v[0]
-    tail_u = Word(u[1:])
-    tail_v = Word(v[1:])
-    head = reference_star_words(tail_u, v) + reference_star_words(u, tail_v)
-    cross = reference_star_words(tail_u, tail_v)
-    out: dict[Word, Fraction] = {}
-    for w, c in head.terms.items():
-        key = Word((ab,) + w)
-        out[key] = out.get(key, Fraction(0)) + c
-    for w, c in cross.terms.items():
-        key = Word((ab, ZERO) + w)
-        out[key] = out.get(key, Fraction(0)) - c
-    return HPoly({w: c for w, c in out.items() if c})
+    out: dict[Letters, int] = {}
+    for part in (reference_quasi_shuffle(u[1:], v), reference_quasi_shuffle(u, v[1:])):
+        for w, c in part.items():
+            out[(ab,) + w] = out.get((ab,) + w, 0) + c
+    for w, c in reference_quasi_shuffle(u[1:], v[1:]).items():
+        out[(ab, ZERO) + w] = out.get((ab, ZERO) + w, 0) - c
+    return {w: c for w, c in out.items() if c}
 
 
-def _run(letters, letter) -> int:
-    """Length of the leading run of ``letter`` in ``letters``."""
-    return next((i for i, a in enumerate(letters) if a is not letter), len(letters))
+def reference_star_words(u: Word, v: Word) -> HPoly:
+    """:func:`reference_quasi_shuffle` of two id words, as a polynomial."""
+    product = reference_quasi_shuffle(to_letters(u), to_letters(v))
+    return HPoly({to_word(w): c for w, c in product.items()})
+
+
+def _run(w: Word, letter: int) -> int:
+    """Length of the leading run of the letter id ``letter`` in ``w``."""
+    return next((i for i, a in enumerate(w) if a != letter), len(w))
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,13 +80,13 @@ def _reference_reg_word(w: Word) -> tuple[int, tuple[tuple[int, dict[Word, int]]
     ``base`` the word without its last letter; every word of ``rest`` is
     smaller, so ``w = (base * e_1 - rest) / m`` recurses down to admissible words.
     """
-    m = _run(w[::-1], UNIT)
+    m = _run(w[::-1], UNIT.id)
     if m == 0:
         return 1, ((0, {w: 1}),)
-    base = Word(w[:-1])
+    base = w[:-1]
     sources = [(1, 1, _reference_reg_word(base))] + [
         (-c, 0, _reference_reg_word(word))
-        for word, c in star_terms(base, Word((UNIT,))).items()
+        for word, c in star_terms(base, (UNIT.id,)).items()
         if word != w
     ]
     den = math.lcm(*(d for _, _, (d, _) in sources))
@@ -100,8 +105,8 @@ def reference_z_st(p: HPoly) -> RegularizedValue:
     """The S/T normal form by the per-word recursion, an independent check on ``hsw.reg.z_st``."""
     groups: dict[tuple[int, int], list] = {}
     for w, c in p.terms.items():
-        s = _run(w, ZERO)
-        den, parts = _reference_reg_word(Word(w[s:]))
+        s = _run(w, ZERO.id)
+        den, parts = _reference_reg_word(w[s:])
         for t, h in parts:
             groups.setdefault((s, t), []).append((c / den, h))
     return RegularizedValue({st: integer_sum(parts) for st, parts in groups.items()})

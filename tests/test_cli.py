@@ -63,6 +63,14 @@ class TestEval:
         assert code == 2
         assert err.startswith("parse error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [["e[z]+e[3]"], ["e[z]-e[3]", "--mode", "zst"]])
+    def test_mixed_monoid_sum_exit_2(self, capsys, argv):
+        # a sum mixes monoids no more than a product does: the error points at the + or -
+        code, out, err = run(capsys, "eval", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: letters from different monoid instances")
+        assert f"at position 4 in {argv[0]!r}" in err
+
     def test_unsupported_word_exit_2(self, capsys):
         code, _, err = run(capsys, "eval", "e[z]", "--mode", "znum")
         assert code == 2

@@ -75,12 +75,15 @@ def eval_cases(golden_text: str) -> list[tuple[str, str]]:
     return [tuple(line.split(" ", 2)[1:]) for line in golden_text.splitlines()]
 
 
+HARMONIC_HOM = ("verify", "harmonic-hom", "--letters=2,-2", "--max-weight", "2", "--format", "json")
+
 CASES = {
     "verify_all.txt": verify_all,
     "relations.txt": lambda: relations("text"),
     "relations.jsonl": lambda: relations("json"),
     "addition.jsonl": lambda: cli("verify", "addition", "--max-degree", "16", "--format", "json"),
     "pythagoras.jsonl": lambda: cli("verify", "pythagoras", "--max-N", "6", "--format", "json"),
+    "harmonic_hom.jsonl": lambda: cli(*HARMONIC_HOM),
 }
 
 
@@ -111,6 +114,42 @@ def test_golden_eval(clean_env):
     cases = eval_cases((GOLDEN / "eval.sha256").read_text())
     assert cases
     _check("eval.sha256", eval_digests(cases))
+
+
+# Interns letters against their order first, so that ids and ``MonoidElement.key``
+# disagree, then runs one ``hsw`` command.
+REVERSED_INTERNING = """
+import sys
+from fractions import Fraction
+from hsw.cli import main
+from hsw.monoid import cyclic, rational
+
+for q in (Fraction(7, 3), Fraction(5, 2), 3, -2, 2):
+    rational(q)
+for n in range(5, 0, -1):
+    cyclic(n)
+assert cyclic(1).id > cyclic(2).id and rational(2).id > rational(-2).id
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def reversed_interning(*argv: str) -> str:
+    env = {k: v for k, v in os.environ.items() if k not in ENV_VARS}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", REVERSED_INTERNING, *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return proc.stdout
+
+
+def test_output_does_not_depend_on_intern_order():
+    # byte-identical to the golden files when letter ids run against the letter order
+    golden = (GOLDEN / "eval.sha256").read_text()
+    mode, expr = next(case for case in eval_cases(golden) if "z^2" in case[1])
+    digest = hashlib.sha256(reversed_interning("eval", expr, "--mode", mode).encode()).hexdigest()
+    assert f"{digest} {mode} {expr}" in golden.splitlines()
+    _check("harmonic_hom.jsonl", mask(reversed_interning(*HARMONIC_HOM)))
 
 
 def record() -> None:

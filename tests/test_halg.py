@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -6,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsw.halg import (
-    EMPTY_WORD,
     HPoly,
     ParseError,
     Word,
@@ -18,15 +18,19 @@ from hsw.halg import (
     s_word,
     star_terms,
     star_words,
+    to_letters,
+    to_word,
 )
 from hsw.monoid import UNIT, ZERO, MonoidMismatchError, cyclic, rational
 
 from _support import (
+    ALPHABET_01,
     ALPHABET_01Z,
     ALPHABET_01ZZ2,
     ALPHABET_QQ,
     random_poly,
     random_word,
+    reference_quasi_shuffle,
     reference_star_words,
 )
 
@@ -34,7 +38,7 @@ Z = cyclic(1)
 
 
 def word(*letters) -> Word:
-    return Word(letters)
+    return to_word(letters)
 
 
 def poly(*pairs) -> HPoly:
@@ -49,10 +53,10 @@ ez = HPoly.from_word(word(Z))
 class TestWord:
     def test_weight_and_nonzero_count(self):
         w = s_chain(Z, 2, 3)
-        assert w.weight == 6
-        assert w.nonzero_count == 3
-        assert EMPTY_WORD.weight == 0
-        assert EMPTY_WORD.nonzero_count == 0
+        assert w == word(cyclic(3), ZERO, cyclic(2), ZERO, Z, ZERO)
+        assert len(w) == 6
+        assert len(w) - w.count(ZERO.id) == 3
+        assert s_chain(Z, 2, 0) == ()
 
     def test_s_word(self):
         assert s_word(Z, 1) == word(Z)
@@ -111,7 +115,7 @@ class TestHarmonic:
             u = random_word(rng, rng.randint(0, 5), ALPHABET_01Z)
             v = random_word(rng, rng.randint(0, 5), ALPHABET_01Z)
             product = harmonic(HPoly.from_word(u), HPoly.from_word(v))
-            assert all(w.weight == u.weight + v.weight for w in product.terms)
+            assert all(len(w) == len(u) + len(v) for w in product.terms)
 
     def test_s_form_rule(self):
         # s_{a,k}w * s_{b,l}w' =
@@ -144,7 +148,7 @@ def small_polys(draw):
             st.lists(st.sampled_from(ALPHABET_01Z), min_size=weight, max_size=weight)
         )
         coeff = draw(st.sampled_from([-2, -1, 1, 2, Fraction(1, 2)]))
-        terms.append((Word(letters), coeff))
+        terms.append((to_word(letters), coeff))
     return HPoly(terms)
 
 
@@ -167,7 +171,19 @@ def test_distributivity(p, q, r):
 
 
 def words(alphabet, max_weight=5):
-    return st.lists(st.sampled_from(alphabet), max_size=max_weight).map(Word)
+    return st.lists(st.sampled_from(alphabet), max_size=max_weight).map(to_word)
+
+
+@st.composite
+def element_word_pairs(draw, max_weight=7):
+    """Two words spelled in monoid elements, of total weight at most ``max_weight``.
+
+    The rational alphabet holds -1, whose square is the unit letter.
+    """
+    alphabet = st.sampled_from(draw(st.sampled_from([ALPHABET_01, ALPHABET_01ZZ2, ALPHABET_QQ])))
+    u = draw(st.lists(alphabet, max_size=max_weight))
+    v = draw(st.lists(alphabet, max_size=max_weight - len(u)))
+    return tuple(u), tuple(v)
 
 
 class TestIntegerKernel:
@@ -193,8 +209,25 @@ class TestIntegerKernel:
         star_terms(u, v)
         for i in range(len(u) + 1):
             for j in range(len(v) + 1):
-                terms = star_terms(Word(u[i:]), Word(v[j:]))
+                terms = star_terms(u[i:], v[j:])
                 assert terms and all(type(c) is int for c in terms.values())
+
+    @settings(max_examples=120, deadline=None)
+    @given(element_word_pairs())
+    def test_matches_element_reference(self, pair):
+        # the id kernel against the recursion over tuples of MonoidElements
+        u, v = pair
+        got = {to_letters(w): c for w, c in star_terms(to_word(u), to_word(v)).items()}
+        assert got == reference_quasi_shuffle(u, v)
+
+    def test_product_keys_are_untracked(self):
+        # exact tuples of ints leave the garbage collector's lists at its next pass
+        u = to_word((Z, ZERO, UNIT, cyclic(2), Z))
+        v = to_word((UNIT, Z, ZERO, Z))
+        terms = star_terms(u, v)
+        gc.collect()
+        assert terms and all(type(w) is tuple for w in terms)
+        assert not any(gc.is_tracked(w) for w in terms)
 
     @settings(max_examples=40, deadline=None)
     @given(small_polys(), small_polys())

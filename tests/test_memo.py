@@ -5,7 +5,7 @@ import sys
 import threading
 
 from hsw import halg, mzveval, reg, wcalc
-from hsw.halg import Word, star_words
+from hsw.halg import star_words, to_word
 from hsw.monoid import UNIT, ZERO, rational
 from hsw.memo import term_bounded_cache
 from hsw.reg import z_st
@@ -96,11 +96,11 @@ def test_clear_caches_empties_every_cache():
         halg._star_words_cached, reg._reg_word, reg._e1_star_power,
         wcalc.w_value, wcalc._eval_monomial, mzveval._split,
     )
-    star_words(Word((UNIT, ZERO)), Word((UNIT,)))
-    reg._reg_word(Word((UNIT, ZERO, UNIT, UNIT)))
+    star_words(to_word((UNIT, ZERO)), to_word((UNIT,)))
+    reg._reg_word(to_word((UNIT, ZERO, UNIT, UNIT)))
     reg._e1_star_power(3)
     wcalc._eval_monomial((1, 2), UNIT)
-    mzveval.H0Evaluator()(Word((rational(2), ZERO)))
+    mzveval.H0Evaluator()((rational(2), ZERO))
     assert all(cache.cache_info().currsize > 0 for cache in caches)
     halg.clear_caches()
     assert [cache.cache_info().currsize for cache in caches] == [0] * len(caches)

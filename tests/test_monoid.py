@@ -1,3 +1,5 @@
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -5,11 +7,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hsw.monoid import (
+    LETTERS,
     UNIT,
     ZERO,
     MonoidMismatchError,
     cyclic,
     format_element,
+    mul,
     parse_element,
     rational,
 )
@@ -107,3 +111,40 @@ def test_parse_literals():
         parse_element("w")
     with pytest.raises(ValueError):
         parse_element("1/2")
+
+
+def test_ids_index_the_letter_table():
+    assert (ZERO.id, UNIT.id) == (0, 1)
+    for a in (cyclic(3), rational(Fraction(-7, 2))):
+        assert LETTERS[a.id] is a
+    assert mul(cyclic(2).id, cyclic(3).id) == cyclic(5).id
+    assert mul(rational(-2).id, rational(-3).id) == rational(6).id
+    assert mul(ZERO.id, cyclic(4).id) == ZERO.id and mul(UNIT.id, cyclic(4).id) == cyclic(4).id
+    with pytest.raises(MonoidMismatchError):
+        mul(cyclic(1).id, rational(2).id)
+
+
+def test_concurrent_interning_gives_each_letter_its_own_id():
+    # more threads than cores intern fresh letters, some shared and some their own,
+    # while switching often: no two letters may get one id
+    shared = [Fraction(10**9 + n, 7) for n in range(300)]
+    results = [[] for _ in range(8)]
+
+    def intern(i, out):
+        own = (Fraction(10**9 + n, 11 + 2 * i) for n in range(1500))
+        out.extend(rational(q) for pair in zip(shared * 5, own) for q in pair)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=intern, args=(i, out)) for i, out in enumerate(results)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    letters = {a for out in results for a in out}
+    assert len(letters) == 300 + 8 * 1500
+    assert all(LETTERS[a.id] is a for a in letters)

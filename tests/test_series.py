@@ -4,14 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from hsw.halg import HPoly, Word, harmonic, s_word
+from hsw.halg import HPoly, harmonic, s_word, to_word
 from hsw.monoid import UNIT, ZERO, cyclic
 from hsw.series import OrderError, Series1, Series2
 
 from _support import ALPHABET_01Z, random_poly
 
 Z = cyclic(1)
-e1 = HPoly.from_word(Word((UNIT,)))
+e1 = HPoly.from_word(to_word((UNIT,)))
 
 
 def star_power(p: HPoly, n: int) -> HPoly:
