@@ -16,7 +16,6 @@ from .monoid import (
     UNIT,
     ZERO,
     cyclic,
-    format_element,
     parse_element,
     rational,
 )
@@ -38,7 +37,6 @@ from .halg import (
 from .series import DEFAULT_ORDER, OrderError, Series1, Series2
 from .trig import (
     cosine,
-    reflection_log_argument,
     sine,
     sine_reflection,
     sine_taylor,
@@ -47,7 +45,6 @@ from .trig import (
 )
 from .wcalc import (
     NoWitnessError,
-    WIndexError,
     WPoly,
     addition_defect_coeff,
     addition_series2,
@@ -64,8 +61,7 @@ from .wcalc import (
 from .reg import (
     RegularizationError,
     RegularizedValue,
-    WordClass,
-    classify,
+    is_admissible,
     reg_t,
     strip_e0,
     substitute_st,

@@ -15,7 +15,8 @@ Defaults honour the environment variables ``HSW_ORDER`` and ``HSW_TOL``;
 explicit flags win.  A variable's value is checked like the flag it stands
 for, so a bad one exits 2 unless that flag is given.  Exit codes: 0 pass, 1
 verification failure (a run with no items fails too), 2 usage or input error
-(also a word no oracle evaluates to the requested tolerance).
+(also a word no oracle evaluates to the requested tolerance, and an
+expression nested too deeply or with too long a word to evaluate).
 """
 
 from __future__ import annotations
@@ -364,6 +365,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except (UnsupportedWordError, QuadratureError) as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        # The parser recurses per parenthesis and the word product per letter.
+        print("input error: too deeply nested or too long a word to evaluate", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # Downstream consumer (e.g. head) closed the stream; not a failure.

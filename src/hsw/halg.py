@@ -543,6 +543,8 @@ class _Parser:
                 raise ParseError(str(exc), self.text, pos) from exc
             except ZeroDivisionError as exc:
                 raise ParseError("division by zero", self.text, pos) from exc
+            except OverflowError as exc:
+                raise ParseError("s-block length too large", self.text, pos) from exc
         try:
             return HPoly.from_word(w)
         except MonoidMismatchError as exc:

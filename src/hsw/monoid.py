@@ -38,7 +38,6 @@ __all__ = [
     "rational",
     "mul",
     "parse_element",
-    "format_element",
 ]
 
 
@@ -64,8 +63,9 @@ class MonoidElement:
     :data:`UNIT`, :func:`cyclic` or :func:`rational`, which intern them: there
     is exactly one instance per element, so equality and hashing are the
     default ones, by identity.  ``key`` (the element's place in the total
-    order), ``text`` (its canonical literal) and ``id`` (its index in
-    :data:`LETTERS`) are fixed at construction.
+    order), ``text`` (its canonical literal, which :func:`parse_element`
+    reads back) and ``id`` (its index in :data:`LETTERS`) are fixed at
+    construction.
     """
 
     __slots__ = ("kind", "value", "key", "text", "id")
@@ -192,8 +192,3 @@ def parse_element(text: str) -> MonoidElement:
     if _RATIONAL_RE.match(text):
         return rational(Fraction(text))
     raise ValueError(f"not an element literal: {text!r}")
-
-
-def format_element(elem: MonoidElement) -> str:
-    """Canonical text form; ``parse_element`` inverts it."""
-    return elem.text

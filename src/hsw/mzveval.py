@@ -69,7 +69,7 @@ def word_to_mzv(w: Word) -> tuple[int, ...]:
     for a in w:
         if a > 1:
             raise UnsupportedWordError(f"letter {LETTERS[a]} is not in the {{0,1}} alphabet")
-    if w and (w[0] == 0 or w[-1] == 1):
+    if not reg.is_admissible(w):
         raise InadmissibleIndexError(f"word {format_word(w)} is not admissible")
     ks: list[int] = []
     for a in w:
@@ -158,7 +158,7 @@ def _iterint_estimate(w: Word, tol: float) -> tuple[float, float]:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if not w:
         return 1.0, 0.0
-    if w[0] == 0 or w[-1] == 1:
+    if not reg.is_admissible(w):
         raise InadmissibleIndexError(f"word {format_word(w)} is not admissible")
     big_r, forms = _split(frozenset(w))
     k = len(w)

@@ -1,11 +1,9 @@
 """Harmonic regularization: rewriting arbitrary elements over admissible words.
 
-A word is *admissible* (class ``H0``) when it is empty or neither starts with
-the zero letter nor ends with the unit letter; admissible words span a
-subalgebra closed under the harmonic product.  Allowing trailing unit-letter
-powers on admissible words gives the intermediate class ``H1``.  Every
-element of the full algebra can be written uniquely as a polynomial in two
-central symbols
+A word is *admissible* (:func:`is_admissible`) when it is empty or neither
+starts with the zero letter nor ends with the unit letter; admissible words
+span a subalgebra closed under the harmonic product.  Every element of the
+full algebra can be written uniquely as a polynomial in two central symbols
 
     S  (standing for e_0)   and   T  (standing for e_1)
 
@@ -29,7 +27,6 @@ gives the regularized evaluation :func:`z_num_with_bound`.
 
 from __future__ import annotations
 
-import enum
 import math
 import random
 from fractions import Fraction
@@ -51,9 +48,8 @@ from .monoid import MonoidElement, cyclic
 from .reporting import CheckResult
 
 __all__ = [
-    "WordClass",
     "RegularizationError",
-    "classify",
+    "is_admissible",
     "strip_e0",
     "reg_t",
     "RegularizedValue",
@@ -68,24 +64,9 @@ class RegularizationError(ValueError):
     """Input outside the class a regularization step can handle."""
 
 
-class WordClass(enum.Enum):
-    H0 = "h0"
-    H1_NOT_H0 = "h1-not-h0"
-    GENERAL = "general"
-
-
-def classify(w: Word) -> WordClass:
-    """Admissibility class of a word.
-
-    ``H0``: empty, or first letter nonzero and last letter not the unit.
-    ``H1_NOT_H0``: first letter nonzero, trailing unit letters present.
-    ``GENERAL``: leading zero letters present.
-    """
-    if not w:
-        return WordClass.H0
-    if w[0] == 0:
-        return WordClass.GENERAL
-    return WordClass.H1_NOT_H0 if w[-1] == 1 else WordClass.H0
+def is_admissible(w: Word) -> bool:
+    """Whether ``w`` is empty, or neither starts with the zero letter nor ends with the unit."""
+    return not w or (w[0] != 0 and w[-1] != 1)
 
 
 def _leading_zero_run(w: Word) -> int:
@@ -211,7 +192,7 @@ class RegularizedValue(LinComb):
         """Assert the admissibility invariant on every coefficient."""
         for (s, t), h in self.terms.items():
             for w in h.terms:
-                if classify(w) is not WordClass.H0:
+                if not is_admissible(w):
                     raise RegularizationError(
                         f"coefficient of S^{s}T^{t} contains inadmissible word {format_word(w)}"
                     )

@@ -6,16 +6,15 @@ an error rather than a silent zero.  Binary operations reconcile operands to
 the smaller order.  Multiplication is the Cauchy product with the harmonic
 product on coefficients, so all arithmetic stays exact.
 
-``exp_star`` and ``log_star`` are computed degree by degree through the
-differential recurrence g' = f' * g, which needs one harmonic product per
-degree instead of nested powers.
+``exp_star`` is computed degree by degree through the differential
+recurrence g' = f' * g, which needs one harmonic product per degree instead
+of nested powers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterable
 
 from .halg import HPoly, combine, harmonic
 
@@ -23,22 +22,13 @@ __all__ = ["DEFAULT_ORDER", "OrderError", "Series1", "Series2"]
 
 DEFAULT_ORDER = 12
 
-_F1 = Fraction(1)
-
 
 class OrderError(ValueError):
     """Access past the truncation order of a series."""
 
 
 def _clean(coeffs: dict) -> dict:
-    out = {}
-    for key, poly in coeffs.items():
-        if isinstance(poly, (int, Fraction)):
-            poly = HPoly.rational(poly)
-        if poly.is_zero:
-            continue
-        out[key] = poly
-    return out
+    return {key: poly for key, poly in coeffs.items() if not poly.is_zero}
 
 
 class _Series:
@@ -78,11 +68,6 @@ class _Series:
 
     def _upto(self, order: int) -> list:
         return [(k, p) for k, p in self.coeffs.items() if self._degree(k) <= order]
-
-    def truncate(self, order: int):
-        if order >= self.order:
-            return self
-        return self._new(dict(self._upto(order)), order)
 
     def add(self, other):
         order = self._match(other)
@@ -168,24 +153,6 @@ class Series1(_Series):
         """Multiply every coefficient harmonically by a fixed polynomial."""
         return Series1({n: harmonic(h, p) for n, p in self.coeffs.items()}, self.order, self.var)
 
-    def inverse(self) -> "Series1":
-        """Harmonic-product inverse; needs an invertible rational constant term."""
-        c0 = self.coeffs.get(0, HPoly.zero())
-        c = c0.coeff(())
-        if not c or c0 != HPoly.rational(c):
-            raise ValueError("constant term is not a nonzero rational multiple of 1")
-        inv_c = _F1 / c
-        out: dict[int, HPoly] = {0: HPoly.rational(inv_c)}
-        for n in range(1, self.order + 1):
-            acc = HPoly.zero()
-            for k in range(1, n + 1):
-                fk = self.coeffs.get(k)
-                if fk is None:
-                    continue
-                acc = acc + harmonic(fk, out.get(n - k, HPoly.zero()))
-            out[n] = acc * (-inv_c)
-        return Series1(out, self.order, self.var)
-
     def exp_star(self) -> "Series1":
         """Exponential with respect to the harmonic product (zero constant term)."""
         if 0 in self.coeffs:
@@ -198,21 +165,6 @@ class Series1(_Series):
                 if fk is None:
                     continue
                 acc = acc + harmonic(fk * k, out.get(n - k, HPoly.zero()))
-            out[n] = acc / n
-        return Series1(out, self.order, self.var)
-
-    def log_star(self) -> "Series1":
-        """Inverse of ``exp_star`` (constant term must be 1)."""
-        if self.coeffs.get(0, HPoly.zero()) != HPoly.one():
-            raise ValueError("log_star needs constant term 1")
-        out: dict[int, HPoly] = {}
-        for n in range(1, self.order + 1):
-            acc = self.coeffs.get(n, HPoly.zero()) * n
-            for k in range(1, n):
-                fk = out.get(k)
-                if fk is None:
-                    continue
-                acc = acc - harmonic(fk * k, self.coeffs.get(n - k, HPoly.zero()))
             out[n] = acc / n
         return Series1(out, self.order, self.var)
 
@@ -275,10 +227,6 @@ class Series2(_Series):
 
     def _prefix(self, key: tuple[int, int]) -> str:
         return "".join(f"{v}^{e}*" for v, e in zip(self.var, key) if e)
-
-    @classmethod
-    def zero(cls, order: int) -> "Series2":
-        return cls({}, order)
 
     @classmethod
     def from_x(cls, f: Series1) -> "Series2":

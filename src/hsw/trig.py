@@ -25,7 +25,6 @@ from .series import DEFAULT_ORDER, Series1
 __all__ = [
     "sine_taylor",
     "sine_reflection",
-    "reflection_log_argument",
     "sine",
     "cosine",
     "verify_coincidence",
@@ -45,26 +44,18 @@ def sine_taylor(z: MonoidElement, k: int, order: int) -> Series1:
     return Series1(coeffs, order)
 
 
-def reflection_log_argument(z: MonoidElement, k: int, order: int) -> Series1:
-    """The series ``sum_{n>=1} s[z^n,nk] x^{nk} / n`` feeding ``exp_star``."""
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    coeffs: dict[int, HPoly] = {}
-    n = 1
-    while n * k <= order:
-        coeffs[n * k] = HPoly.from_word(s_word(z**n, n * k)) * Fraction(1, n)
-        n += 1
-    return Series1(coeffs, order)
-
-
 def sine_reflection(z: MonoidElement, k: int, order: int) -> Series1:
-    """Exponential form of the formal sine, truncated at ``order``."""
+    """The formal sine ``x^{k-1} exp_*(sum_{n>=1} s[z^n,nk] x^{nk} / n)``, truncated at ``order``."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     if order < k - 1:
         return Series1.zero(order)
-    core = reflection_log_argument(z, k, order - (k - 1)).exp_star()
-    return core.shift_up(k - 1)
+    core_order = order - (k - 1)
+    log_argument = {
+        n * k: HPoly.from_word(s_word(z**n, n * k)) * Fraction(1, n)
+        for n in range(1, core_order // k + 1)
+    }
+    return Series1(log_argument, core_order).exp_star().shift_up(k - 1)
 
 
 def sine(z: MonoidElement, order: int) -> Series1:

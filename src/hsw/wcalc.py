@@ -34,8 +34,6 @@ from .series import Series1, Series2
 from .trig import cosine, sine
 
 __all__ = [
-    "MAX_INDEX",
-    "WIndexError",
     "NoWitnessError",
     "WPoly",
     "g_gen",
@@ -52,24 +50,11 @@ __all__ = [
     "verify_pythagoras",
 ]
 
-# The largest generator index; the CLI's largest run, ``verify addition
-# --max-degree 16``, needs up to ``W_8``.
-MAX_INDEX = 8
-
 _F1 = Fraction(1)
-
-
-class WIndexError(ValueError):
-    """A generator index above :data:`MAX_INDEX` (raised, never truncated)."""
 
 
 class NoWitnessError(ValueError):
     """No single-generator witness exists (even total degree)."""
-
-
-def _check_index(n: int) -> None:
-    if n > MAX_INDEX:
-        raise WIndexError(f"generator index {n} exceeds the cap {MAX_INDEX}")
 
 
 class WPoly(LinComb):
@@ -90,7 +75,6 @@ class WPoly(LinComb):
         for n in key:
             if not isinstance(n, int) or n < 1:
                 raise ValueError("generator indices must be positive integers")
-            _check_index(n)
         return key
 
     @classmethod
@@ -100,7 +84,6 @@ class WPoly(LinComb):
             raise ValueError("generator index must be non-negative")
         if n == 0:
             return cls.one()
-        _check_index(n)
         return cls._raw({(n,): _F1})
 
     def __mul__(self, other):
@@ -112,10 +95,6 @@ class WPoly(LinComb):
             for ka, ca in self.terms.items()
             for kb, cb in other.terms.items()
         )
-
-    def weights(self) -> set[int]:
-        """Weights (twice the index sums) of the monomials present."""
-        return {2 * sum(k) for k in self.terms}
 
     def __str__(self) -> str:
         ordered = sorted(self.terms, key=lambda k: (2 * sum(k), k), reverse=True)
@@ -135,7 +114,6 @@ def g_gen(m: int, n: int) -> WPoly:
     """The relation generator ``W_{m+n} - W_m W_n`` (zero when m or n is 0)."""
     if m < 0 or n < 0:
         raise ValueError("indices must be non-negative")
-    _check_index(max(m + n, 1))
     return WPoly.gen(m + n) - WPoly.gen(m) * WPoly.gen(n)
 
 

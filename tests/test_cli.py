@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from hsw.cli import _emit_items, main
+from hsw.cli import _emit_items, main, relation_records
+from hsw.mzveval import H0Evaluator
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -75,6 +76,28 @@ class TestEval:
         code, _, err = run(capsys, "eval", "e[z]", "--mode", "znum")
         assert code == 2
         assert "evaluation error" in err
+
+    @pytest.mark.parametrize(
+        "expr",
+        ["(" * 400 + "1" + ")" * 400, "e[z^2]*" + "e[z]" * 300],
+        ids=["nested-parentheses", "long-word-product"],
+    )
+    def test_recursion_limit_exit_2(self, capsys, expr):
+        code, out, err = run(capsys, "eval", expr)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
+        # the memoized products stay usable afterwards
+        code, out, _ = run(capsys, "eval", "e[z^2]*e[z]e[z]")
+        assert code == 0
+        assert out == (
+            "s[z^3,1]s[z^3,1]s[z^2,1] + s[z^3,1]s[z^3,1]s[z,1] - s[z^3,1]s[z^3,2]"
+            " + s[z^3,1]s[z,1]s[z,1] - s[z^3,2]s[z,1]\n"
+        )
+
+    def test_s_block_length_overflow_exit_2(self, capsys):
+        code, out, err = run(capsys, "eval", "s[z,99999999999999999999]")
+        assert code == 2 and out == ""
+        assert err == "parse error: s-block length too large at position 0 in 's[z,99999999999999999999]'\n"
 
 
 class TestVerify:
@@ -183,6 +206,13 @@ class TestRelations:
         assert code == 0
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert records
+        for rec in records:
+            assert abs(rec["residual"]) <= rec["bound"]
+
+    def test_weight_18_in_process(self):
+        # past the CLI's weight cap the W generators go beyond W_8; nothing caps them
+        records = list(relation_records(18, H0Evaluator()))
+        assert len(records) == 5
         for rec in records:
             assert abs(rec["residual"]) <= rec["bound"]
 

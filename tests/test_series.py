@@ -34,18 +34,6 @@ def exp_star_oracle(f: Series1) -> Series1:
     return Series1(out, order)
 
 
-def inverse_oracle(f: Series1) -> Series1:
-    """Independent inverse of 1 + g: the geometric series sum (-g)^{*n}."""
-    order = f.order
-    g = f - Series1.one(order)
-    out = Series1.one(order)
-    power = Series1.one(order)
-    for _ in range(order):
-        power = power.star(g.scale(-1))
-        out = out + power
-    return out
-
-
 class TestBasics:
     def test_mul_examples(self):
         f = Series1({1: e1}, 4)
@@ -78,31 +66,6 @@ class TestBasics:
             f.star(g)
 
 
-class TestInverse:
-    def test_one(self):
-        assert Series1.one(6).inverse() == Series1.one(6)
-
-    def test_geometric(self):
-        f = Series1({0: HPoly.one(), 1: e1}, 5)
-        assert f.inverse() == inverse_oracle(f)
-
-    def test_roundtrip(self):
-        rng = random.Random(5)
-        for _ in range(8):
-            coeffs = {0: HPoly.rational(rng.choice([1, 2, Fraction(1, 3)]))}
-            for d in range(1, 5):
-                if rng.random() < 0.7:
-                    coeffs[d] = random_poly(rng, 2, ALPHABET_01Z, max_terms=1)
-            f = Series1(coeffs, 4)
-            assert f.star(f.inverse()) == Series1.one(4)
-
-    def test_zero_constant_rejected(self):
-        with pytest.raises(ValueError):
-            Series1({1: e1}, 4).inverse()
-        with pytest.raises(ValueError):
-            Series1({0: e1}, 4).inverse()
-
-
 class TestExpLog:
     def test_exp_zero(self):
         assert Series1.zero(5).exp_star() == Series1.one(5)
@@ -127,17 +90,6 @@ class TestExpLog:
             f = Series1(coeffs, 5)
             assert f.exp_star() == exp_star_oracle(f)
 
-    def test_log_exp_roundtrip(self):
-        rng = random.Random(13)
-        for _ in range(8):
-            coeffs = {
-                d: random_poly(rng, 2, ALPHABET_01Z, max_terms=1)
-                for d in range(1, 5)
-                if rng.random() < 0.5
-            }
-            f = Series1(coeffs, 6)
-            assert f.exp_star().log_star() == f
-
     def test_exp_additivity(self):
         rng = random.Random(17)
         for _ in range(6):
@@ -148,8 +100,6 @@ class TestExpLog:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             Series1.one(4).exp_star()
-        with pytest.raises(ValueError):
-            Series1.zero(4).log_star()
 
 
 class TestDerivativeAndShift:

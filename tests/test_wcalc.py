@@ -8,7 +8,6 @@ from hsw.halg import HPoly, harmonic, s_chain, s_word
 from hsw.monoid import UNIT, cyclic
 from hsw.wcalc import (
     NoWitnessError,
-    WIndexError,
     WPoly,
     addition_defect_coeff,
     addition_series2,
@@ -33,16 +32,6 @@ class TestWPoly:
         assert (w1 + w2) - w2 == w1
         assert w1 * w2 == w2 * w1
         assert (w1 * w1).terms == {(1, 1): Fraction(1)}
-
-    def test_weight_grading(self):
-        p = WPoly.gen(1) * WPoly.gen(2)
-        assert p.weights() == {6}
-
-    def test_index_cap(self):
-        with pytest.raises(WIndexError):
-            WPoly.gen(9)
-        with pytest.raises(WIndexError):
-            g_gen(5, 4)
 
     def test_str(self):
         assert str(g_gen(1, 1)) == "W2 - W1^2"
