@@ -21,6 +21,8 @@ head side and a unit letter on the tail side; ``{0,1}`` words split at
 floor rounding, with as many terms as the requested absolute tolerance
 needs, and the reported bound is the truncation term plus the counted
 rounding units plus the final rounding to float; nothing in it is fitted.
+The kernel takes a batch of words; those of one ``(m0, m1)``, term count and
+scale share their series, and each keeps its own precision, bit for bit.
 :class:`H0Evaluator` is the one numeric entry point for words, returning
 ``(value, bound)``: a ``{0,1}`` word goes through :func:`zeta`, at ``2^-60``
 of the value's first term and with the sign ``(-1)^depth`` applied once; any
@@ -89,8 +91,8 @@ def word_to_mzv(w: Word) -> tuple[int, ...]:
 MAX_TERMS = 10_000
 
 
-def _prefix_sums(letters: list[tuple[int, int]], n_terms: int, bits: int) -> list[int]:
-    """``G(b_1..b_j; 1)`` for ``j = 0..len(letters)`` at scale ``2^bits``; letter ``p/q`` as ``(p, q)``.
+def _walk_prefixes(seqs: Iterable[Word], forms: dict, n_terms: int, bits: int) -> dict[Word, list[int]]:
+    """``G(b_1..b_j; 1)`` for ``j = 0..len(s)`` per sequence ``s``, at scale ``2^bits``; ``b = p/q = forms[a]``.
 
     ``G(u; x) = sum c_n x^n`` integrates the word ``u`` (``dt/(t - b)`` per
     letter) from 0 to ``x``.  A letter ``b != 0`` maps the coefficients to
@@ -98,101 +100,121 @@ def _prefix_sums(letters: list[tuple[int, int]], n_terms: int, bits: int) -> lis
     ``c_n/n``.  If every nonzero ``|b| >= R > 1`` then ``|c_n| <= R^-n``.
     Floor rounding adds at most 2 units to a coefficient's error per nonzero
     letter (``d_n``'s grows by at most ``E + 1`` per step) and 1 per zero one.
+    The sorted sequences share one stack of coefficient lists, a root-to-leaf
+    path of their prefix tree, so each distinct prefix is stepped once.
     """
     ns = range(1, n_terms + 1)
-    c = [1 << bits] + [0] * n_terms
-    out = [c[0]]
-    for p, q in letters:
-        if p:
-            d = 0
-            nxt = [0]
-            for x, n in zip(c, ns):
-                d = (d - x) * q // p
-                nxt.append(d // n)
-            c = nxt
-        else:
-            c = [0] + [x // n for x, n in zip(c[1:], ns)]
-        out.append(sum(c))
+    stack, sums, prev = [[1 << bits] + [0] * n_terms], [1 << bits], ()
+    out = {}
+    for s in sorted(seqs):
+        i = 0
+        while i < len(prev) and i < len(s) and prev[i] == s[i]:
+            i += 1
+        del stack[i + 1 :], sums[i + 1 :]
+        for a in s[i:]:
+            c = stack[-1]
+            p, q = forms[a]
+            d, nxt = 0, [0]
+            if not p:
+                nxt += [x // n for x, n in zip(c[1:], ns)]
+            elif q == 1:  # every nonzero letter of a {0,1} word: skip the product
+                for x, n in zip(c, ns):
+                    d = (d - x) // p
+                    nxt.append(d // n)
+            else:
+                for x, n in zip(c, ns):
+                    d = (d - x) * q // p
+                    nxt.append(d // n)
+            stack.append(nxt)
+            sums.append(sum(nxt))
+        out[s], prev = sums.copy(), s
     return out
 
 
 @term_bounded_cache(size=lambda split: 1, max_terms=1024)
-def _split(ids: frozenset[int]) -> tuple[Fraction, dict]:
-    """``R = m0 + m1``, and each letter ``a``'s head ``aR/m0`` and tail ``(1 - a)R/m1`` as ``(p, q)``.
-
-    ``m0 = min |a|`` over the nonzero letters and ``m1 = min |1 - a|`` over
-    the letters other than 1 (the unit letter counts as the number 1), so a
-    zero letter is zero on the head side and a unit letter zero on the tail
-    side.  ``{0,1}`` words get ``R = 2``.  Letters are given and keyed by id.
-    """
-    nums = {}
-    for a in ids:
-        letter = LETTERS[a]
-        if not (a <= 1 or letter.kind == "rational"):
-            raise UnsupportedWordError(f"letter {letter} has no numeric value")
-        nums[a] = 1 if a == 1 else letter.value
-    m0 = min(abs(x) for x in nums.values() if x)
-    m1 = min(abs(1 - x) for x in nums.values() if x != 1)
+def _split(m0: Fraction, m1: Fraction) -> tuple[int, int, tuple[int, int], tuple[int, int]]:
+    """``R = m0 + m1`` as ``p/q``, and the head and tail scales ``R/m0`` and ``R/m1`` as ``(p, q)``."""
     big_r = Fraction(m0 + m1)
-    head, tail = big_r / m0, big_r / m1
-    hp, hq, tp, tq = head.numerator, head.denominator, tail.numerator, tail.denominator
-    forms = {
-        a: ((x.numerator * hp, x.denominator * hq), ((x.denominator - x.numerator) * tp, x.denominator * tq))
-        for a, x in nums.items()
-    }
-    return big_r, forms
+    return big_r.numerator, big_r.denominator, (big_r / m0).as_integer_ratio(), (big_r / m1).as_integer_ratio()
 
 
-def _iterint_estimate(w: Word, tol: float) -> tuple[float, float]:
-    """``I(w)`` split at ``y = m0/R`` (see :func:`_split`), with a bound.
+def _iterint_estimates(words: Iterable[Word], tol: float) -> dict[Word, tuple[float, float]]:
+    """``I(w)`` with a bound for every nonempty word ``w``, split at ``y = m0/R``.
 
+    ``m0 = min |a|`` over a word's nonzero letters and ``m1 = min |1 - a|``
+    over its letters other than 1 (the unit letter counts as the number 1),
+    so a zero letter is zero on the head side and a unit letter zero on the
+    tail side; ``{0,1}`` words get ``R = m0 + m1 = 2``.  Then
     ``I(a_1..a_k) = sum_j G(a_1..a_j; y) (-1)^(k-j) G(1-a_k..1-a_{j+1}; 1-y)``.
     Rescaled to ``x = 1``, every nonzero letter has modulus ``>= R > 1``, so
     ``N`` terms leave at most ``R^-N/(R-1)`` of a factor of modulus at most
     ``max(1, 1/(R-1))``.  The bound is the truncation plus the counted
     rounding units, carried through the products exactly, plus two units in
-    the last place of the result; ``N`` and the scale come from ``tol``, so
-    that all but those two units add up to at most ``5/16 tol``.
+    the last place of the result; ``N`` and the scale come from ``tol`` and
+    ``k``, so that all but those two units add up to at most ``5/16 tol``.
+    Words of one ``(m0, m1, N, scale)`` share their series (:func:`_walk_prefixes`).
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    if not w:
-        return 1.0, 0.0
-    if not reg.is_admissible(w):
-        raise InadmissibleIndexError(f"word {format_word(w)} is not admissible")
-    big_r, forms = _split(frozenset(w))
-    k = len(w)
-    head = [forms[a][0] for a in w]
-    tail = [forms[a][1] for a in reversed(w)]
-    # log2 of R - 1, of the bound on a factor and of each factor's error
-    # target: then the k + 1 products' errors add up to at most 5/16 tol.
-    p, q = big_r.numerator, big_r.denominator
-    gap = math.log2(p - q) - math.log2(q)
-    size = max(0.0, -gap)
-    target = min(size, math.log2(tol) - math.log2(16 * (k + 1)) - size)
-    need, log_r = 1 - target - gap, math.log2(p) - math.log2(q)
-    if need > MAX_TERMS * log_r:
-        raise QuadratureError(f"{format_word(w)} needs more than {MAX_TERMS} series terms to reach {tol}")
-    n_terms = max(1, math.ceil(need / log_r))
-    bits = (4 * k * n_terms).bit_length() + max(0, math.ceil(-target))
-    trunc = -(-(q ** (n_terms + 1) << bits) // (p**n_terms * (p - q)))
+    words = list(dict.fromkeys(words))
+    for w in words:
+        if not reg.is_admissible(w):
+            raise InadmissibleIndexError(f"word {format_word(w)} is not admissible")
+    nums = {}
+    for a in sorted(set(chain.from_iterable(words))):
+        if not (a <= 1 or LETTERS[a].kind == "rational"):
+            raise UnsupportedWordError(f"letter {LETTERS[a]} has no numeric value")
+        nums[a] = 1 if a == 1 else LETTERS[a].value
+    by_m0 = sorted({abs(x) for x in nums.values() if x})
+    by_m1 = sorted({abs(1 - x) for x in nums.values() if x != 1})
+    rank0 = {a: by_m0.index(abs(x)) if x else len(by_m0) for a, x in nums.items()}
+    rank1 = {a: by_m1.index(abs(1 - x)) if x != 1 else len(by_m1) for a, x in nums.items()}
+    plans, groups = {}, {}
+    for w in words:
+        k = len(w)
+        key = min(map(rank0.__getitem__, w)), min(map(rank1.__getitem__, w)), k
+        plan = plans.get(key)
+        if plan is None:
+            p, q, *_ = split = _split(by_m0[key[0]], by_m1[key[1]])
+            # log2 of R - 1, of the bound on a factor and of each factor's error
+            # target: then the k + 1 products' errors add up to at most 5/16 tol.
+            gap = math.log2(p - q) - math.log2(q)
+            size = max(0.0, -gap)
+            target = min(size, math.log2(tol) - math.log2(16 * (k + 1)) - size)
+            need, log_r = 1 - target - gap, math.log2(p) - math.log2(q)
+            if need > MAX_TERMS * log_r:
+                raise QuadratureError(f"{format_word(w)} needs more than {MAX_TERMS} series terms to reach {tol}")
+            n_terms = max(1, math.ceil(need / log_r))
+            bits = (4 * k * n_terms).bit_length() + max(0, math.ceil(-target))
+            trunc = -(-(q ** (n_terms + 1) << bits) // (p**n_terms * (p - q)))
+            plan = plans[key] = split, n_terms, bits, trunc
+        groups.setdefault(plan, []).append(w)
+    out: dict[Word, tuple[float, float]] = {}
+    for ((_, _, (hp, hq), (tp, tq)), n_terms, bits, trunc), group in groups.items():
+        head_forms = {a: (x.numerator * hp, x.denominator * hq) for a, x in nums.items()}
+        tail_forms = {a: ((x.denominator - x.numerator) * tp, x.denominator * tq) for a, x in nums.items()}
 
-    def errors(letters):
-        # a factor's error in units, 0 if empty: truncation plus n_terms
-        # coefficient errors of 2 units per nonzero letter, 1 per zero one
-        units = accumulate((2 if b else 1 for b, _ in letters), initial=0)
-        return [u and trunc + n_terms * u for u in units]
+        def errors(seq, forms):
+            # a factor's error in units, 0 if empty: truncation plus n_terms
+            # coefficient errors of 2 units per nonzero letter, 1 per zero one
+            units = accumulate((2 if forms[a][0] else 1 for a in seq), initial=0)
+            return [u and trunc + n_terms * u for u in units]
 
-    err_head, err_tail = errors(head), errors(tail)
-    hs, ts = _prefix_sums(head, n_terms, bits), _prefix_sums(tail, n_terms, bits)
-    total = slack = 0
-    for j in range(k + 1):
-        h, t, eh, et = hs[j], ts[k - j], err_head[j], err_tail[k - j]
-        total += -h * t if (k - j) % 2 else h * t
-        slack += abs(h) * et + (abs(t) + et) * eh
-    value = total / (1 << 2 * bits)
-    # one step up covers rounding the quotient and the sum
-    return value, math.nextafter(slack / (1 << 2 * bits) + 2 * math.ulp(value), math.inf)
+        heads = _walk_prefixes(group, head_forms, n_terms, bits)
+        tails = _walk_prefixes([w[::-1] for w in group], tail_forms, n_terms, bits)
+        for w in group:
+            k = len(w)
+            hs, ts = heads.pop(w), tails.pop(w[::-1])
+            err_head, err_tail = errors(w, head_forms), errors(w[::-1], tail_forms)
+            total = slack = 0
+            for j in range(k + 1):
+                h, t, eh, et = hs[j], ts[k - j], err_head[j], err_tail[k - j]
+                total += -h * t if (k - j) % 2 else h * t
+                slack += abs(h) * et + (abs(t) + et) * eh
+            value = total / (1 << 2 * bits)
+            # one step up covers rounding the quotient and the sum
+            out[w] = value, math.nextafter(slack / (1 << 2 * bits) + 2 * math.ulp(value), math.inf)
+    return out
 
 
 def _index_word(ks: tuple[int, ...]) -> Word:
@@ -216,7 +238,8 @@ def zeta(index: Iterable[int]) -> tuple[float, float]:
     if ks[-1] < 2:
         raise InadmissibleIndexError(f"trailing entry must be >= 2, got {ks}")
     floor_bits = sum(k * (i - 1).bit_length() for i, k in enumerate(ks, 1))  # 2^-floor_bits <= prod_i i^-k_i
-    value, bound = _iterint_estimate(_index_word(ks), 2.0 ** -(60 + floor_bits))
+    word = _index_word(ks)
+    value, bound = _iterint_estimates([word], 2.0 ** -(60 + floor_bits))[word]
     return (-value if len(ks) % 2 else value), bound
 
 
@@ -232,7 +255,8 @@ class H0Evaluator:
     returns ``(value, bound)``.  ``{0,1}``-alphabet words go through
     :func:`zeta`; words with real rational letters through the same kernel
     at the evaluator's absolute tolerance, refusing a word whose bound
-    exceeds it.
+    exceeds it.  :meth:`prefetch` evaluates many real-letter words in one
+    kernel batch, with the same values and bounds as one at a time.
     """
 
     def __init__(self, tol: float = 1e-7):
@@ -248,17 +272,30 @@ class H0Evaluator:
                 v, b = zeta(ks)
                 hit = (-v if len(ks) % 2 else v), b
             else:
-                hit = self._iterint(w)
+                hit = self._iterint([w])[w]
             self._cache[letters] = hit
         return hit
 
-    def _iterint(self, w: Word) -> tuple[float, float]:
-        value, bound = _iterint_estimate(w, self.tol)
-        if bound > self.tol:
-            raise QuadratureError(
-                f"tolerance {self.tol} is below the double-precision resolution of {format_word(w)}"
-            )
-        return value, bound
+    def prefetch(self, words: Iterable[Word]) -> None:
+        """Cache the uncached real-letter words in one batch; an error names the first failing word in order."""
+        words = dict.fromkeys(words)
+        batch = [w for w in words if w and max(w) > 1 and to_letters(w) not in self._cache]
+        try:
+            values = self._iterint(batch)
+        except (ValueError, QuadratureError):
+            for w in words:
+                self(to_letters(w))
+            raise
+        self._cache.update((to_letters(w), hit) for w, hit in values.items())
+
+    def _iterint(self, words: list[Word]) -> dict[Word, tuple[float, float]]:
+        values = _iterint_estimates(words, self.tol)
+        for w in words:
+            if values[w][1] > self.tol:
+                raise QuadratureError(
+                    f"tolerance {self.tol} is below the double-precision resolution of {format_word(w)}"
+                )
+        return values
 
 
 def check_assumptions(n_max: int = 3, k_max: int = 6, tol: float = 1e-8) -> Iterator[CheckResult]:
@@ -308,19 +345,22 @@ def verify_harmonic_hom(
     letters, compares ``I(u) I(v)`` with the evaluation of ``u * v``.  Both
     sides and the bound are exact (:func:`reg.exact_sum`) and rounded once;
     rounding to float is monotone, so ``difference <= bound`` holds by construction.
+    Every word is evaluated, in one batch, before the first item is yielded.
     """
     ids = [rational(q).id for q in letters]
     words = [p for n in range(1, max_weight + 1) for p in product(ids, repeat=n)]
+    pairs = [(u, v) for i, u in enumerate(words) for v in words[i:]]
     evaluator = H0Evaluator(tol=quad_tol)
-    for i, u in enumerate(words):
-        for v in words[i:]:
-            (lhs_u, bu), (lhs_v, bv) = (map(Fraction, evaluator(to_letters(x))) for x in (u, v))
-            lhs = lhs_u * lhs_v
-            rhs, bound = reg.exact_sum(star_terms(u, v), evaluator)
-            bound += abs(lhs_u) * bv + abs(lhs_v) * bu + bu * bv
-            diff = float(abs(lhs - rhs))
-            yield CheckResult(
-                item=f"product {format_word(u)} x {format_word(v)}",
-                passed=diff < tol,
-                data={"difference": diff, "lhs": float(lhs), "rhs": float(rhs), "bound": float(bound)},
-            )
+    # in the order the items evaluate them: u, v, then the terms of u * v
+    evaluator.prefetch(chain.from_iterable((u, v, *star_terms(u, v)) for u, v in pairs))
+    for u, v in pairs:
+        (lhs_u, bu), (lhs_v, bv) = (map(Fraction, evaluator(to_letters(x))) for x in (u, v))
+        lhs = lhs_u * lhs_v
+        rhs, bound = reg.exact_sum(star_terms(u, v), evaluator)
+        bound += abs(lhs_u) * bv + abs(lhs_v) * bu + bu * bv
+        diff = float(abs(lhs - rhs))
+        yield CheckResult(
+            item=f"product {format_word(u)} x {format_word(v)}",
+            passed=diff < tol,
+            data={"difference": diff, "lhs": float(lhs), "rhs": float(rhs), "bound": float(bound)},
+        )

@@ -10,6 +10,8 @@ from hsw.cli import _emit_items, main, relation_records
 from hsw.mzveval import H0Evaluator
 
 ROOT = Path(__file__).resolve().parent.parent
+NEAR_ONE = "s[1000001/1000000,1]"
+BELOW_DOUBLE = "tolerance 1e-30 is below the double-precision resolution of"
 
 
 def run(capsys, *argv):
@@ -282,6 +284,25 @@ class TestInputErrors:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "evaluation error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--letters", "1000001/1000000"], f"{NEAR_ONE} needs more than 10000 series terms to reach 1e-07"),
+            (["--quad-tol", "1e-30"], f"{BELOW_DOUBLE} s[2,1]"),
+            (["--letters", "2,1000001/1000000"], f"{NEAR_ONE} needs more than 10000 series terms to reach 1e-07"),
+            # the later word's refusal does not jump ahead of s[2,1]'s bound
+            (["--letters", "2,1000001/1000000", "--quad-tol", "1e-30"], f"{BELOW_DOUBLE} s[2,1]"),
+            (["--letters", "1000001/1000000,2", "--quad-tol", "1e-30"],
+             f"{NEAR_ONE} needs more than 10000 series terms to reach 1e-30"),
+        ],
+        ids=["near-one", "below-double", "second-near-one", "bound-first", "refusal-first"],
+    )
+    def test_harmonic_hom_error_names_first_failing_word(self, capsys, argv, message):
+        # every word is evaluated before the first item: no partial output, and the
+        # message names the first failing word in the order u, v, then the terms of u*v
+        code, out, err = run(capsys, "verify", "harmonic-hom", *argv)
+        assert (code, out, err) == (2, "", f"evaluation error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",

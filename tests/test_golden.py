@@ -3,7 +3,9 @@
 Only wall times are masked: the ``(N items, X.XXs)`` of a text summary and
 the ``wall_time`` of a JSON summary.  ``eval`` outputs run to megabytes, so
 ``golden/eval.sha256`` keeps the SHA-256 of each output instead of the text;
-its expressions are the ones ``perfbench/reference.json`` records.
+its expressions are the ones ``perfbench/reference.json`` records.  So does
+``golden/harmonic_hom_bench.sha256`` for the 465 items of the benchmark's
+``verify harmonic-hom`` command, wall time masked.
 
 Re-record (only when an output change is intended) with
 
@@ -76,6 +78,13 @@ def eval_cases(golden_text: str) -> list[tuple[str, str]]:
 
 
 HARMONIC_HOM = ("verify", "harmonic-hom", "--letters=2,-2", "--max-weight", "2", "--format", "json")
+# The quadrature benchmark workload's command: 465 items, kept as a SHA-256.
+HARMONIC_HOM_BENCH = ("verify", "harmonic-hom", "--letters=2,3,5/2,-2,7/3", "--max-weight", "2", "--format", "json")
+
+
+def digest_line(*argv: str) -> str:
+    return f"{hashlib.sha256(mask(cli(*argv)).encode()).hexdigest()} {' '.join(argv)}\n"
+
 
 CASES = {
     "verify_all.txt": verify_all,
@@ -84,6 +93,7 @@ CASES = {
     "addition.jsonl": lambda: cli("verify", "addition", "--max-degree", "16", "--format", "json"),
     "pythagoras.jsonl": lambda: cli("verify", "pythagoras", "--max-N", "6", "--format", "json"),
     "harmonic_hom.jsonl": lambda: cli(*HARMONIC_HOM),
+    "harmonic_hom_bench.sha256": lambda: digest_line(*HARMONIC_HOM_BENCH),
 }
 
 

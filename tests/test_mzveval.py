@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsw.halg import HPoly, Word, harmonic, s_chain, s_word, to_letters, to_word
 from hsw.monoid import UNIT, ZERO, cyclic, rational
@@ -16,14 +18,14 @@ from hsw.mzveval import (
     check_assumptions,
     verify_harmonic_hom,
     _index_word,
-    _iterint_estimate,
-    _prefix_sums,
+    _iterint_estimates,
     _split,
+    _walk_prefixes,
     word_to_mzv,
     zeta,
 )
 from hsw.cli import relation_records
-from hsw.reg import RegularizationError, RegularizedValue, reg_t, z_num_with_bound
+from hsw.reg import RegularizationError, RegularizedValue, is_admissible, reg_t, z_num_with_bound
 from hsw.wcalc import addition_defect_coeff, eval_w, pythagoras_coeff
 
 
@@ -109,10 +111,11 @@ class TestZeta:
         # the fixed-point prefix series equals the nested sum up to its rounding units:
         # at R = 2 a unit letter is the letter 2 at x = 1, so the series is at 1/2
         n_terms, bits = 40, 40
-        forms = _split(frozenset((UNIT.id, ZERO.id)))[1]
+        head_scale = _split(1, 1)[2]
+        forms = {UNIT.id: head_scale, ZERO.id: (0, 1)}
         for ks in [(2,), (3,), (1,), (2, 2), (1, 2), (2, 1), (2, 3), (2, 2, 2), (1, 1, 3), (1, 2, 1)]:
             word = _index_word(ks)
-            head = _prefix_sums([forms[a][0] for a in word], n_terms, bits)
+            head = _walk_prefixes([word], forms, n_terms, bits)[word]
             assert len(head) == len(word) + 1 and head[0] == 1 << bits
             series = (-1) ** len(ks) * head[-1] / (1 << bits)
             units = sum(1 if a == ZERO.id else 2 for a in word)
@@ -156,8 +159,8 @@ class TestZeta:
         # a coarse and a fine truncation differ by at most their stated shortfalls
         for ks in [(2,), (2, 2), (1, 2), (1, 1, 3)]:
             word = _index_word(ks)
-            v1, b1 = _iterint_estimate(word, 2.0**-30)
-            v2, b2 = _iterint_estimate(word, 2.0**-60)
+            v1, b1 = _iterint_estimates([word], 2.0**-30)[word]
+            v2, b2 = _iterint_estimates([word], 2.0**-60)[word]
             assert abs(v2 - v1) <= b1 + b2
             assert b2 < b1 <= 2.0**-30
 
@@ -167,7 +170,7 @@ class TestZeta:
         with mpmath.workdps(40):
             exact = mpmath.pi**4 / 120
             for tol in (2.0**-20, 2.0**-40, 2.0**-50):
-                v, b = _iterint_estimate(word, tol)
+                v, b = _iterint_estimates([word], tol)[word]
                 assert abs(exact - mpmath.mpf(v)) <= b
                 bounds.append(b)
         assert bounds[0] > bounds[1] > bounds[2]
@@ -357,6 +360,24 @@ class TestIterintClosedForms:
     def test_tolerance_not_positive(self, tol):
         with pytest.raises(ValueError):
             H0Evaluator(tol=tol)(real_word(2))
+
+
+BATCH_LETTERS = [ZERO.id, UNIT.id] + [rational(q).id for q in (2, 3, Fraction(5, 2), -2, Fraction(7, 3), -1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.sampled_from(BATCH_LETTERS), min_size=1, max_size=6).map(tuple).filter(is_admissible),
+             min_size=1, max_size=12),
+    st.sampled_from([1e-5, 1e-9, 1e-13, 2.0**-70]),
+)
+def test_batch_equals_its_parts(words, tol):
+    # a word's value and bound do not depend on the rest of its batch, bit for bit
+    batch = _iterint_estimates(words, tol)
+    assert batch.keys() == set(words)
+    for word in words:
+        value, bound = _iterint_estimates([word], tol)[word]
+        assert (batch[word][0].hex(), batch[word][1].hex()) == (value.hex(), bound.hex())
 
 
 class TestEvaluator:
