@@ -12,16 +12,19 @@ Three verbs:
   (``symbolic``), in S/T normal form (``zst``) or numerically (``znum``).
 
 Defaults honour the environment variables ``HSW_ORDER`` and ``HSW_TOL``;
-explicit flags win.  A variable's value is checked like the flag it stands
-for, so a bad one exits 2 unless that flag is given.  Exit codes: 0 pass, 1
-verification failure (a run with no items fails too), 2 usage or input error
-(also a word no oracle evaluates to the requested tolerance, and an
-expression nested too deeply or with too long a word to evaluate).
+explicit flags win.  They are read on every call of :func:`main`, which keeps
+one parser per pair of values (:func:`build_parser`).  A variable's value is
+checked like the flag it stands for, so a bad one exits 2 unless that flag is
+given.  Exit codes: 0 pass, 1 verification failure (a run with no items fails
+too), 2 usage or input error (also a word no oracle evaluates to the requested
+tolerance, and an expression nested too deeply or with too long a word to
+evaluate).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -294,9 +297,21 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser for the current ``HSW_ORDER`` and ``HSW_TOL``.
+
+    One parser is built per pair of values, on first use, and shared by every
+    later call with that pair: treat it as read-only.  argparse passes a string
+    default through the flag's ``type`` at every parse, so a bad value still
+    exits 2 on every call.
+    """
+    return _parser(os.environ.get("HSW_ORDER"), os.environ.get("HSW_TOL"))
+
+
+@functools.lru_cache(maxsize=8)
+def _parser(order: str | None, tol: str | None) -> argparse.ArgumentParser:
     # Raw strings when set: argparse checks them through the flag's ``type``.
-    default_order = os.environ.get("HSW_ORDER", DEFAULT_ORDER)
-    default_tol = os.environ.get("HSW_TOL", 1e-7)
+    default_order = DEFAULT_ORDER if order is None else order
+    default_tol = 1e-7 if tol is None else tol
 
     # theorem -> (driver, [(option strings, argparse type, default, help)]):
     # a theorem takes exactly the flags its driver reads.

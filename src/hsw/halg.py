@@ -31,9 +31,12 @@ notation; in terms of them the recursion reads
 W-polynomials of :mod:`hsw.wcalc` and the S/T normal forms of :mod:`hsw.reg`;
 :func:`format_terms` is their one signed-sum printer.
 
-Coefficients are arbitrary-precision rationals; nothing here rounds.  A word
-product only adds and subtracts words, so :func:`star_terms` keeps its
-coefficients in ``int`` and :func:`harmonic` divides once per output term.
+Coefficients are arbitrary-precision rationals; nothing here rounds.  A
+coefficient is an ``int`` exactly when it is integral and a ``Fraction``
+otherwise (:func:`to_rational`).  A word product only adds and subtracts
+words, so :func:`star_terms` keeps its coefficients in ``int``, and
+:func:`harmonic` sums in ``int`` over one denominator and divides only where
+a term is not integral.
 Polynomials are immutable by convention, so they can be shared across threads.
 Word-pair products are memoized within a budget of stored terms
 (:mod:`hsw.memo`); concurrent recomputation only stores an equal value twice.
@@ -67,6 +70,8 @@ __all__ = [
     "concat",
     "harmonic",
     "integer_sum",
+    "over",
+    "to_rational",
     "star_terms",
     "star_words",
     "s_word",
@@ -82,7 +87,6 @@ __all__ = [
 
 Rational = Fraction | int
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -113,15 +117,27 @@ def _check_single_instance(w: Iterable[int]) -> None:
         raise MonoidMismatchError("letters from different monoid instances in one polynomial")
 
 
+def to_rational(c) -> Rational:
+    """The exact rational ``c`` as an ``int`` when it is integral, else as a ``Fraction``."""
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def combine(pairs: Iterable[tuple[Hashable, Any]]) -> dict:
-    """Sum ``(key, coefficient)`` pairs into a map that never stores a zero coefficient."""
+    """Sum ``(key, coefficient)`` pairs into a map that never stores a zero coefficient.
+
+    An integral ``Fraction`` is stored as its ``int`` (:func:`to_rational`).
+    """
     out: dict = {}
     for key, c in pairs:
         prev = out.get(key)
         if prev is not None:
             c = prev + c
         if c:
-            out[key] = c
+            out[key] = c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
         elif prev is not None:
             del out[key]
     return out
@@ -132,6 +148,8 @@ class LinComb:
 
     Coefficients are rationals, or polynomials for
     :class:`~hsw.reg.RegularizedValue`; both kinds are false exactly when zero.
+    A rational coefficient is an ``int`` exactly when it is integral
+    (:func:`to_rational`): sums and scalings keep that form.
     A subclass fixes its monomials through ``_key`` (normalize and check one
     key) and ``_ONE_KEY`` (the constant monomial), its coefficients through
     ``_coefficient``, and adds its products and its text form.  Instances are
@@ -141,7 +159,7 @@ class LinComb:
     __slots__ = ("terms",)
 
     _ONE_KEY: Hashable
-    _coefficient = Fraction
+    _coefficient = staticmethod(to_rational)
 
     @staticmethod
     def _key(key):
@@ -198,6 +216,8 @@ class LinComb:
                 if not c:
                     del out[k]
                     continue
+                if c.__class__ is Fraction and c.denominator == 1:
+                    c = c.numerator
             out[k] = c
         return self._raw(out)
 
@@ -213,10 +233,11 @@ class LinComb:
         """Scaling by a rational; subclasses with a product extend this."""
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        c = Fraction(scalar)
+        c = to_rational(scalar)
         if not c:
             return self.zero()
-        return self._raw({k: v * c for k, v in self.terms.items()})
+        coefficient = self._coefficient
+        return self._raw({k: coefficient(v * c) for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -250,13 +271,13 @@ class HPoly(LinComb):
     def from_word(cls, w: Word, coeff: Rational = 1) -> "HPoly":
         w = tuple(w)
         _check_single_instance(w)
-        c = Fraction(coeff)
+        c = to_rational(coeff)
         return cls._raw({w: c} if c else {})
 
-    def coeff(self, w: Word) -> Fraction:
-        return self.terms.get(self._key(w), _F0)
+    def coeff(self, w: Word) -> Rational:
+        return self.terms.get(self._key(w), 0)
 
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Word, Rational]]:
         """Terms by descending weight, then descending letters in ``MonoidElement.key`` order."""
         # One character per letter, its rank among this polynomial's letters.
         ids = sorted(set().union(*self.terms), key=lambda a: LETTERS[a].key)
@@ -324,8 +345,8 @@ def harmonic(p: HPoly, q: HPoly) -> HPoly:
 def integer_sum(parts: Iterable[tuple[Rational, dict[Word, int]]]) -> HPoly:
     """``sum c * h`` over pairs of a rational ``c`` and integer coefficients ``h``.
 
-    The sum runs in integers over the common denominator of the ``c`` and
-    divides once per output term.
+    The sum runs in integers over the common denominator of the ``c``; an
+    output coefficient is an ``int`` when it is integral (:func:`to_rational`).
     """
     parts = list(parts)
     den = math.lcm(*(c.denominator for c, _ in parts))
@@ -334,9 +355,14 @@ def integer_sum(parts: Iterable[tuple[Rational, dict[Word, int]]]) -> HPoly:
         scale = c.numerator * (den // c.denominator)
         for w, n in h.items():
             out[w] = out.get(w, 0) + scale * n
+    return HPoly._raw(over(out, den))
+
+
+def over(nums: dict[Word, int], den: int) -> dict[Word, Rational]:
+    """The nonzero ``n / den`` of ``nums``, each an ``int`` when integral (:func:`to_rational`)."""
     if den == 1:
-        return HPoly._raw({w: Fraction(n) for w, n in out.items() if n})
-    return HPoly._raw({w: Fraction(n, den) for w, n in out.items() if n})
+        return {w: n for w, n in nums.items() if n}
+    return {w: n // den if n % den == 0 else Fraction(n, den) for w, n in nums.items() if n}
 
 
 def s_word(z: MonoidElement, k: int) -> Word:

@@ -41,6 +41,7 @@ from .halg import (
     format_terms,
     format_word,
     harmonic,
+    over,
     to_letters,
 )
 from .memo import term_bounded_cache
@@ -224,7 +225,8 @@ def z_st(p: HPoly) -> RegularizedValue:
     largest bucket goes first, so each reachable word is rewritten once by its
     rule (:func:`_reg_word`).  Coefficients are ``int`` over one denominator;
     the whole state is scaled only when a bucket's coefficients are not all
-    divisible by its run ``m``, and the pass divides once per output term.
+    divisible by its run ``m``, and the pass divides only where an output
+    term is not integral.
     """
     den = math.lcm(*(c.denominator for c in p.terms.values()))
     done: dict[tuple[int, int], dict[Word, int]] = {}
@@ -261,11 +263,9 @@ def z_st(p: HPoly) -> RegularizedValue:
                     n //= m
                     for x, dt, k, bucket in rule:
                         put(x, bucket, (s, t + dt), k * n)
-    value = RegularizedValue._raw({
-        st: HPoly._raw(h)
-        for st, slot in done.items()
-        if (h := {w: Fraction(n, den) for w, n in slot.items() if n})
-    })
+    value = RegularizedValue._raw(
+        {st: HPoly._raw(h) for st, slot in done.items() if (h := over(slot, den))}
+    )
     value.validate()
     return value
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator
 
-from .halg import HPoly, LinComb, combine, format_terms, harmonic, s_chain
+from .halg import HPoly, LinComb, Rational, combine, format_terms, harmonic, s_chain
 from .memo import term_bounded_cache
 from .monoid import MonoidElement
 from .reporting import CheckResult
@@ -49,9 +49,6 @@ __all__ = [
     "verify_addition",
     "verify_pythagoras",
 ]
-
-_F1 = Fraction(1)
-
 
 class NoWitnessError(ValueError):
     """No single-generator witness exists (even total degree)."""
@@ -84,7 +81,7 @@ class WPoly(LinComb):
             raise ValueError("generator index must be non-negative")
         if n == 0:
             return cls.one()
-        return cls._raw({(n,): _F1})
+        return cls._raw({(n,): 1})
 
     def __mul__(self, other):
         """Commutative product of monomials (index multisets join); a rational scales."""
@@ -141,7 +138,7 @@ def eval_w(p: WPoly, z: MonoidElement) -> HPoly:
     return out
 
 
-def reduce_ap(p: WPoly) -> dict[int, Fraction]:
+def reduce_ap(p: WPoly) -> dict[int, Rational]:
     """Substitute ``W_n -> W_1^n``; the result is a univariate polynomial in ``W_1``.
 
     The kernel of this substitution is exactly the ideal generated by all
@@ -151,7 +148,7 @@ def reduce_ap(p: WPoly) -> dict[int, Fraction]:
     return combine((sum(key), c) for key, c in p.terms.items())
 
 
-def format_reduced(reduced: dict[int, Fraction]) -> str:
+def format_reduced(reduced: dict[int, Rational]) -> str:
     """Text form of a ``reduce_ap`` result, e.g. ``2*W1^2 + 1``."""
     degrees = sorted(reduced, reverse=True)
     return format_terms((reduced[d], _monomial_text((1,) * d)) for d in degrees)
@@ -267,7 +264,7 @@ def verify_pythagoras(z: MonoidElement, max_n: int = 5) -> Iterator[CheckResult]
     for n in range(max_n + 1):
         wp = pythagoras_coeff(n)
         reduced = reduce_ap(wp)
-        expected = {0: _F1} if n == 0 else {}
+        expected = {0: 1} if n == 0 else {}
         ok = reduced == expected
         ok = ok and direct.coeff(2 * n) == eval_w(wp, z)
         if 2 * n + 1 <= direct.order:

@@ -108,5 +108,5 @@ def reference_z_st(p: HPoly) -> RegularizedValue:
         s = _run(w, ZERO.id)
         den, parts = _reference_reg_word(w[s:])
         for t, h in parts:
-            groups.setdefault((s, t), []).append((c / den, h))
+            groups.setdefault((s, t), []).append((Fraction(c) / den, h))
     return RegularizedValue({st: integer_sum(parts) for st, parts in groups.items()})

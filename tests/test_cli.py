@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hsw.cli import _emit_items, main, relation_records
+from hsw.cli import _emit_items, _parser, build_parser, main, relation_records
 from hsw.mzveval import H0Evaluator
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -174,6 +174,56 @@ class TestEnvironmentDefaults:
         code, out, _ = run(capsys, "eval", "e[2]e[3]", "--mode", "znum", "--tol", "1e-13")
         assert code == 0
         assert float(out.split("±")[1]) == env_bound
+
+
+class TestParserCache:
+    """One parser per ``HSW_ORDER``/``HSW_TOL`` pair, built on first use."""
+
+    COINCIDENCE = ("verify", "coincidence", "--k", "1", "--max-n", "1", "--format", "json")
+
+    def test_shared_within_one_environment(self, monkeypatch):
+        monkeypatch.setenv("HSW_ORDER", "8")
+        eight = build_parser()
+        assert build_parser() is eight
+        monkeypatch.setenv("HSW_ORDER", "10")
+        assert build_parser() is not eight
+        assert _parser.cache_info().maxsize == 8
+
+    def test_bad_variable_between_good_calls(self, capsys, monkeypatch):
+        monkeypatch.delenv("HSW_ORDER", raising=False)
+        code, first, _ = run(capsys, *self.COINCIDENCE)
+        assert code == 0
+        monkeypatch.setenv("HSW_ORDER", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(list(self.COINCIDENCE))
+        assert exc.value.code == 2
+        assert "--order: must be an integer from 0 to 16, got 'abc'" in capsys.readouterr().err
+        monkeypatch.delenv("HSW_ORDER")
+        code, last, _ = run(capsys, *self.COINCIDENCE)
+        assert code == 0
+        items = [line for line in last.splitlines() if '"item"' in line]
+        assert items and items == [line for line in first.splitlines() if '"item"' in line]
+        summary = json.loads(last.splitlines()[-1])
+        assert summary["status"] == "pass" and summary["params"]["order"] == 12
+
+    def test_help_shows_the_current_default(self, capsys, monkeypatch):
+        monkeypatch.setenv("HSW_ORDER", "8")
+        code, out, _ = run(capsys, *self.COINCIDENCE)
+        assert code == 0 and json.loads(out.splitlines()[-1])["params"]["order"] == 8
+        monkeypatch.setenv("HSW_ORDER", "10")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "coincidence", "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "HSW_ORDER sets the default (default: 10)" in help_text
+
+    def test_import_builds_no_parser(self):
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        probe = "import hsw.cli; print(hsw.cli._parser.cache_info().currsize)"
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0 and proc.stdout.strip() == "0"
 
 
 class TestRelations:

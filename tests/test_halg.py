@@ -22,6 +22,8 @@ from hsw.halg import (
     to_word,
 )
 from hsw.monoid import UNIT, ZERO, MonoidMismatchError, cyclic, rational
+from hsw.reg import z_st
+from hsw.wcalc import eval_w, pythagoras_coeff
 
 from _support import (
     ALPHABET_01,
@@ -194,7 +196,7 @@ class TestIntegerKernel:
     def test_matches_reference_cyclic(self, u, v):
         product = star_words(u, v)
         assert product == reference_star_words(u, v)
-        assert all(type(c) is Fraction for c in product.terms.values())
+        assert all(type(c) is int for c in product.terms.values())
 
     @settings(max_examples=80, deadline=None)
     @given(words(ALPHABET_QQ), words(ALPHABET_QQ))
@@ -237,6 +239,63 @@ class TestIntegerKernel:
             for wv, cv in q.terms.items():
                 expected = expected + reference_star_words(wu, wv) * (cu * cv)
         assert harmonic(p, q) == expected
+
+
+@st.composite
+def rational_polys(draw, max_weight=3):
+    """Up to three terms over the rational alphabet, with rational coefficients."""
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        letters = draw(st.lists(st.sampled_from(ALPHABET_QQ), max_size=max_weight))
+        coeff = draw(st.fractions(min_value=-4, max_value=4, max_denominator=6))
+        terms.append((to_word(letters), coeff))
+    return HPoly(terms)
+
+
+def assert_int_iff_integral(p: HPoly) -> None:
+    for c in p.terms.values():
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+class TestCoefficientForm:
+    """A coefficient is an ``int`` exactly when it is integral, and a ``Fraction`` otherwise."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polys(), rational_polys())
+    def test_products_and_sums(self, p, q):
+        for value in (p, q, harmonic(p, q), p + q, p - q, concat(p, q)):
+            assert_int_iff_integral(value)
+        halved = p * Fraction(1, 2)
+        assert_int_iff_integral(halved)
+        assert_int_iff_integral(halved * 2)
+        assert halved * 2 == p
+        # thirds that add up to whole coefficients again
+        thirds = p * Fraction(1, 3) + p * Fraction(2, 3)
+        assert_int_iff_integral(thirds)
+        assert thirds == p
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_polys())
+    def test_z_st_output(self, p):
+        for h in z_st(p).terms.values():
+            assert_int_iff_integral(h)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_polys())
+    def test_parse_poly(self, p):
+        parsed = parse_poly(format_poly(p))
+        assert_int_iff_integral(parsed)
+        assert parsed == p
+
+    def test_constructors(self):
+        w = word(Z, ZERO)
+        assert type(HPoly.from_word(w, Fraction(4, 2)).coeff(w)) is int
+        assert type(HPoly({w: Fraction(1, 2)}).coeff(w)) is Fraction
+        assert type(HPoly.rational(Fraction(3)).coeff(())) is int
+        assert HPoly.zero().coeff(w) == 0 and type(HPoly.zero().coeff(w)) is int
+        for n in range(6):
+            assert_int_iff_integral(pythagoras_coeff(n))
+            assert_int_iff_integral(eval_w(pythagoras_coeff(n), Z))
 
 
 class TestGrammar:
