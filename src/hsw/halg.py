@@ -1,12 +1,15 @@
 """Words over a monoid-with-zero alphabet and the harmonic algebra built on them.
 
 A word is a finite sequence of monoid elements, written ``e[a1]e[a2]...``;
-its weight is its letter count.  In code a word is an exact tuple of its
-letters' ids (:data:`hsw.monoid.LETTERS`; ``0`` is the zero letter and ``1``
-the unit), which the garbage collector untracks, so the hundreds of thousands
-of memoized product terms cost it nothing.  Printing reads per-id text
-tables; ordering ranks letters by ``MonoidElement.key``, never by id, so no
-output depends on the order in which letters were interned.
+its weight is its letter count.  In code a word is a ``str`` with one
+character per letter, the letter's id (:data:`hsw.monoid.LETTERS`;
+``"\\0"`` is the zero letter and ``"\\1"`` the unit).  A ``str`` caches its
+hash, concatenates by copying and is never tracked by the garbage collector,
+so the hundreds of thousands of memoized product terms cost dict operations
+and collections little.  Nothing assumes one byte per letter.  Printing
+reads per-letter text tables; ordering ranks letters by
+``MonoidElement.key``, never by id, so no output depends on the order in
+which letters were interned.
 
 Polynomials are exact-rational linear combinations of words.  Two products
 live side by side:
@@ -40,6 +43,8 @@ a term is not integral.
 Polynomials are immutable by convention, so they can be shared across threads.
 Word-pair products are memoized within a budget of stored terms
 (:mod:`hsw.memo`); concurrent recomputation only stores an equal value twice.
+A product missing from the memo is built from its suffix pairs' products,
+shortest first, so the recursion is one level deep whatever the word lengths.
 
 Text grammar (shared with the command line)::
 
@@ -99,12 +104,12 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-Word = tuple[int, ...]  # letter ids; an alias for annotations
+Word = str  # one letter id per character; an alias for annotations
 
 
 def to_word(letters: Iterable[MonoidElement]) -> Word:
-    """The word spelled by monoid elements: the tuple of their ids."""
-    return tuple([a.id for a in letters])
+    """The word spelled by monoid elements: the string of their ids."""
+    return "".join([a.id for a in letters])
 
 
 def to_letters(w: Word) -> tuple[MonoidElement, ...]:
@@ -112,8 +117,8 @@ def to_letters(w: Word) -> tuple[MonoidElement, ...]:
     return tuple(map(LETTERS.__getitem__, w))
 
 
-def _check_single_instance(w: Iterable[int]) -> None:
-    if len({LETTERS[a].kind for a in set(w) if a > 1}) > 1:
+def _check_single_instance(w: Iterable[str]) -> None:
+    if len({LETTERS[a].kind for a in set(w) if a > "\1"}) > 1:
         raise MonoidMismatchError("letters from different monoid instances in one polynomial")
 
 
@@ -264,26 +269,24 @@ class HPoly(LinComb):
 
     __slots__ = ()
 
-    _ONE_KEY = ()
-    _key = tuple
+    _ONE_KEY = ""
 
     @classmethod
     def from_word(cls, w: Word, coeff: Rational = 1) -> "HPoly":
-        w = tuple(w)
         _check_single_instance(w)
         c = to_rational(coeff)
         return cls._raw({w: c} if c else {})
 
     def coeff(self, w: Word) -> Rational:
-        return self.terms.get(self._key(w), 0)
+        return self.terms.get(w, 0)
 
     def sorted_terms(self) -> list[tuple[Word, Rational]]:
         """Terms by descending weight, then descending letters in ``MonoidElement.key`` order."""
-        # One character per letter, its rank among this polynomial's letters.
+        # Each letter translates to its rank among this polynomial's letters.
         ids = sorted(set().union(*self.terms), key=lambda a: LETTERS[a].key)
-        rank = dict(zip(ids, map(chr, range(len(ids))))).__getitem__
+        rank = str.maketrans(dict(zip(ids, map(chr, range(len(ids))))))
         return sorted(
-            self.terms.items(), key=lambda t: (len(t[0]), "".join(map(rank, t[0]))), reverse=True
+            self.terms.items(), key=lambda t: (len(t[0]), t[0].translate(rank)), reverse=True
         )
 
     def __str__(self) -> str:
@@ -292,7 +295,7 @@ class HPoly(LinComb):
 
 def concat(p: HPoly, q: HPoly) -> HPoly:
     """Bilinear extension of word concatenation."""
-    _check_single_instance(a for w in (*p.terms, *q.terms) for a in w)
+    _check_single_instance(set().union(*p.terms, *q.terms))
     return HPoly._raw(combine(
         (wu + wv, cu * cv) for wu, cu in p.terms.items() for wv, cv in q.terms.items()
     ))
@@ -303,15 +306,21 @@ def _star_words_cached(u: Word, v: Word) -> dict[Word, int]:
     ab = mul(u[0], v[0])
     tail_u = u[1:]
     tail_v = v[1:]
-    out: dict[Word, int] = {}
-    for part in (star_terms(tail_u, v), star_terms(u, tail_v)):
-        for w, c in part.items():
-            key = (ab,) + w
-            out[key] = out.get(key, 0) + c
+    # The first part's words are distinct; the other two merge into them.
+    out = {ab + w: c for w, c in star_terms(tail_u, v).items()}
+    for w, c in star_terms(u, tail_v).items():
+        key = ab + w
+        out[key] = out.get(key, 0) + c
+    ab += "\0"
     for w, c in star_terms(tail_u, tail_v).items():
-        key = (ab, 0) + w
+        key = ab + w
         out[key] = out.get(key, 0) - c
     return {w: c for w, c in out.items() if c}
+
+
+def _ordered(u: Word, v: Word) -> tuple[Word, Word]:
+    # The product is commutative; order the pair so the cache sees each once.
+    return (u, v) if (len(u), u) <= (len(v), v) else (v, u)
 
 
 def star_terms(u: Word, v: Word) -> dict[Word, int]:
@@ -323,15 +332,20 @@ def star_terms(u: Word, v: Word) -> dict[Word, int]:
         return {v: 1}
     if not v:
         return {u: 1}
-    # The product is commutative; order the pair so the cache sees each once.
-    if (len(u), u) <= (len(v), v):
-        return _star_words_cached(u, v)
-    return _star_words_cached(v, u)
+    u, v = _ordered(u, v)
+    terms = _star_words_cached.get(u, v)
+    if terms is None:
+        # Fill the suffix pairs bottom-up: each product then finds the three it
+        # is built from memoized, so a miss recurses one level, whatever the length.
+        for i in range(len(u) - 1, -1, -1):
+            for j in range(len(v) - 1, -1, -1):
+                terms = _star_words_cached(*_ordered(u[i:], v[j:]))
+    return terms
 
 
 def star_words(u: Word, v: Word) -> HPoly:
     """Harmonic product of two words."""
-    _check_single_instance((*u, *v))
+    _check_single_instance(u + v)
     return integer_sum([(1, star_terms(u, v))])
 
 
@@ -369,14 +383,14 @@ def s_word(z: MonoidElement, k: int) -> Word:
     """The depth-one block ``s[z,k] = e_z e_0^{k-1}`` of weight ``k``."""
     if not isinstance(k, int) or k < 1:
         raise ValueError("block length k must be a positive integer")
-    return (z.id,) + (0,) * (k - 1)
+    return z.id + "\0" * (k - 1)
 
 
 def s_chain(z: MonoidElement, k: int, n: int) -> Word:
     """The weight ``n*k`` word ``s[z^n,k] s[z^{n-1},k] ... s[z,k]`` (empty for n=0)."""
     if not isinstance(n, int) or n < 0:
         raise ValueError("chain depth must be a non-negative integer")
-    return sum((s_word(z**i, k) for i in range(n, 0, -1)), ())
+    return "".join([s_word(z**i, k) for i in range(n, 0, -1)])
 
 
 def clear_caches() -> None:
@@ -400,7 +414,7 @@ class _Texts(dict):
         return text
 
 
-# Per letter id ``e[<text>]`` and ``s[<text>``; per block length ``,k]``.
+# Per letter ``e[<text>]`` and ``s[<text>``; per block length ``,k]``.
 _E_TEXT = _Texts(lambda a: f"e[{LETTERS[a].text}]")
 _S_TEXT = _Texts(lambda a: f"s[{LETTERS[a].text}")
 _RUN_TEXT = _Texts(lambda k: f",{k}]")
@@ -410,12 +424,12 @@ def format_word(w: Word) -> str:
     """Canonical text of a word: s-blocks when possible, e-letters otherwise."""
     if not w:
         return "1"
-    if w[0] == 0:
+    if w[0] == "\0":
         return "".join(map(_E_TEXT.__getitem__, w))
     parts = []
     run = 0
     for a in w:
-        if a:
+        if a != "\0":
             if run:
                 parts.append(_RUN_TEXT[run])
             parts.append(_S_TEXT[a])
@@ -553,7 +567,7 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r}", self.text, pos)
 
     def parse_word(self) -> HPoly:
-        w: list[int] = []
+        w: list[str] = []
         while self.peek() is not None and self.peek()[0] == "atom":
             kind, val, pos = self.next()
             inner = val[2:-1]
@@ -564,7 +578,7 @@ class _Parser:
                     left, _, right = inner.partition(",")
                     if not right.strip().isdigit():
                         raise ValueError("s-block needs a positive length")
-                    w.extend(s_word(parse_element(left), int(right)))
+                    w.append(s_word(parse_element(left), int(right)))
             except ValueError as exc:
                 raise ParseError(str(exc), self.text, pos) from exc
             except ZeroDivisionError as exc:
@@ -572,7 +586,7 @@ class _Parser:
             except OverflowError as exc:
                 raise ParseError("s-block length too large", self.text, pos) from exc
         try:
-            return HPoly.from_word(w)
+            return HPoly.from_word("".join(w))
         except MonoidMismatchError as exc:
             raise ParseError(str(exc), self.text, self.tokens[self.i - 1][2]) from exc
 

@@ -24,9 +24,11 @@ from typing import Any, Callable
 
 __all__ = ["MAX_TERMS", "CacheInfo", "TermBoundedCache", "term_bounded_cache", "clear_all"]
 
-# The default budget of one cache, about 200-300 MB of word-keyed terms.  The
-# benchmark workloads store at most about 180,000 terms in one cache (the
-# algebra workload's word-pair products), so none of them evicts anything.
+# The default budget of one cache.  Filled to it, the word-pair products of
+# 10-16 letter words take about 90 MB, and the regularization rules of 11-19
+# letter words about 235 MB (Python 3.11, x86_64).  The benchmark workloads
+# store at most about 180,000 terms in one cache (the algebra workload's
+# word-pair products), so none of them evicts anything.
 MAX_TERMS = 1_000_000
 
 CacheInfo = namedtuple("CacheInfo", "hits misses currsize terms max_terms evictions")
@@ -48,12 +50,24 @@ class TermBoundedCache:
         self._terms = self._hits = self._misses = self._evictions = 0
         _CACHES.add(self)
 
+    def _lookup(self, args):
+        # Under the lock: the stored ``(value, size)`` of ``args``, counted as a hit, or None.
+        entry = self._data.get(args)
+        if entry is not None:
+            self._data.move_to_end(args)
+            self._hits += 1
+        return entry
+
+    def get(self, *args):
+        """The stored result for ``args``, counted as a hit, or ``None``; never runs the function."""
+        with self._lock:
+            entry = self._lookup(args)
+        return None if entry is None else entry[0]
+
     def __call__(self, *args):
         with self._lock:
-            entry = self._data.get(args)
+            entry = self._lookup(args)
             if entry is not None:
-                self._data.move_to_end(args)
-                self._hits += 1
                 return entry[0]
             self._misses += 1
         value = self.fn(*args)

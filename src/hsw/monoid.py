@@ -8,13 +8,13 @@ Beyond those two shared elements, three concrete monoids are supported:
 * the exact rationals of modulus at least one, together with ``0``.
 
 Elements are immutable, interned and totally ordered.  Interning also gives
-each element a small int ``id``, its index in the append-only letter table
-:data:`LETTERS` (``0`` is :data:`ZERO`, ``1`` is :data:`UNIT`, the rest
-follow the order of first use), and :func:`mul` multiplies letters by id
-through a memoized product table.  Words of the harmonic algebra are exact
-tuples of ids: the garbage collector untracks a tuple of ints at its first
-collection, while a tuple of element objects stays tracked for life.  Ids
-say nothing about the order of elements; ``key`` does.  The rational
+each element an ``id``, the one-character string ``chr(n)`` for the n-th
+element interned, which keys the append-only letter table :data:`LETTERS`
+(``"\\0"`` is :data:`ZERO`, ``"\\1"`` is :data:`UNIT`, the rest follow the order
+of first use, up to the 1,114,112 code points); :func:`mul` multiplies
+letters by id through a memoized product table.  A word of the harmonic
+algebra is the ``str`` of its letters' ids, so the product kernel never
+touches an element object.  Ids say nothing about the order of elements; ``key`` does.  The rational
 instance is restricted to exact rationals (rather than arbitrary
 complex numbers of modulus >= 1) so that element equality, and hence word
 normalization, stays decidable.
@@ -52,7 +52,7 @@ _KIND_RATIONAL = "rational"
 
 _RANK = {_KIND_ZERO: 0, _KIND_UNIT: 1, _KIND_CYCLIC: 2, _KIND_RATIONAL: 3}
 
-LETTERS: list["MonoidElement"] = []  # id -> element, append-only
+LETTERS: dict[str, "MonoidElement"] = {}  # id -> element, append-only
 _letters_lock = threading.Lock()
 
 
@@ -64,8 +64,8 @@ class MonoidElement:
     is exactly one instance per element, so equality and hashing are the
     default ones, by identity.  ``key`` (the element's place in the total
     order), ``text`` (its canonical literal, which :func:`parse_element`
-    reads back) and ``id`` (its index in :data:`LETTERS`) are fixed at
-    construction.
+    reads back) and ``id`` (its one-character key in :data:`LETTERS`) are
+    fixed at construction.
     """
 
     __slots__ = ("kind", "value", "key", "text", "id")
@@ -77,8 +77,8 @@ class MonoidElement:
         object.__setattr__(self, "key", (_RANK[kind], value))
         object.__setattr__(self, "text", text)
         with _letters_lock:
-            object.__setattr__(self, "id", len(LETTERS))
-            LETTERS.append(self)
+            object.__setattr__(self, "id", chr(len(LETTERS)))
+            LETTERS[self.id] = self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MonoidElement is immutable")
@@ -136,10 +136,10 @@ UNIT = MonoidElement(_KIND_UNIT, 0, "1")
 
 _cyclic_cache: dict[int, MonoidElement] = {}
 _rational_cache: dict[Fraction, MonoidElement] = {}
-_products: dict[tuple[int, int], int] = {}
+_products: dict[tuple[str, str], str] = {}
 
 
-def mul(a: int, b: int) -> int:
+def mul(a: str, b: str) -> str:
     """The id of the product of the letters with ids ``a`` and ``b``, memoized."""
     ab = _products.get((a, b))
     if ab is None:

@@ -69,17 +69,12 @@ class QuadratureError(RuntimeError):
 def word_to_mzv(w: Word) -> tuple[int, ...]:
     """The zeta index of a ``{0,1}``-alphabet admissible word: ``I(w) = (-1)^depth zeta(index)``."""
     for a in w:
-        if a > 1:
+        if a > "\1":
             raise UnsupportedWordError(f"letter {LETTERS[a]} is not in the {{0,1}} alphabet")
     if not reg.is_admissible(w):
         raise InadmissibleIndexError(f"word {format_word(w)} is not admissible")
-    ks: list[int] = []
-    for a in w:
-        if a == 1:
-            ks.append(1)
-        else:
-            ks[-1] += 1
-    return tuple(ks)
+    # an admissible {0,1} word is a unit letter, then zero letters, per entry
+    return tuple(len(run) + 1 for run in w.split("\1")[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +99,7 @@ def _walk_prefixes(seqs: Iterable[Word], forms: dict, n_terms: int, bits: int) -
     path of their prefix tree, so each distinct prefix is stepped once.
     """
     ns = range(1, n_terms + 1)
-    stack, sums, prev = [[1 << bits] + [0] * n_terms], [1 << bits], ()
+    stack, sums, prev = [[1 << bits] + [0] * n_terms], [1 << bits], ""
     out = {}
     for s in sorted(seqs):
         i = 0
@@ -161,10 +156,10 @@ def _iterint_estimates(words: Iterable[Word], tol: float) -> dict[Word, tuple[fl
         if not reg.is_admissible(w):
             raise InadmissibleIndexError(f"word {format_word(w)} is not admissible")
     nums = {}
-    for a in sorted(set(chain.from_iterable(words))):
-        if not (a <= 1 or LETTERS[a].kind == "rational"):
+    for a in sorted(set().union(*words)):
+        if not (a <= "\1" or LETTERS[a].kind == "rational"):
             raise UnsupportedWordError(f"letter {LETTERS[a]} has no numeric value")
-        nums[a] = 1 if a == 1 else LETTERS[a].value
+        nums[a] = 1 if a == "\1" else LETTERS[a].value
     by_m0 = sorted({abs(x) for x in nums.values() if x})
     by_m1 = sorted({abs(1 - x) for x in nums.values() if x != 1})
     rank0 = {a: by_m0.index(abs(x)) if x else len(by_m0) for a, x in nums.items()}
@@ -219,7 +214,7 @@ def _iterint_estimates(words: Iterable[Word], tol: float) -> dict[Word, tuple[fl
 
 def _index_word(ks: tuple[int, ...]) -> Word:
     """The ``{0,1}`` word of an index: a unit letter, then ``k - 1`` zero letters, per entry."""
-    return tuple(chain.from_iterable(s_word(UNIT, k) for k in ks))
+    return "".join([s_word(UNIT, k) for k in ks])
 
 
 def zeta(index: Iterable[int]) -> tuple[float, float]:
@@ -267,7 +262,7 @@ class H0Evaluator:
         hit = self._cache.get(letters)
         if hit is None:
             w = to_word(letters)
-            if all(a <= 1 for a in w):
+            if not w.strip("\0\1"):
                 ks = word_to_mzv(w)
                 v, b = zeta(ks)
                 hit = (-v if len(ks) % 2 else v), b
@@ -279,7 +274,7 @@ class H0Evaluator:
     def prefetch(self, words: Iterable[Word]) -> None:
         """Cache the uncached real-letter words in one batch; an error names the first failing word in order."""
         words = dict.fromkeys(words)
-        batch = [w for w in words if w and max(w) > 1 and to_letters(w) not in self._cache]
+        batch = [w for w in words if w.strip("\0\1") and to_letters(w) not in self._cache]
         try:
             values = self._iterint(batch)
         except (ValueError, QuadratureError):
@@ -348,7 +343,7 @@ def verify_harmonic_hom(
     Every word is evaluated, in one batch, before the first item is yielded.
     """
     ids = [rational(q).id for q in letters]
-    words = [p for n in range(1, max_weight + 1) for p in product(ids, repeat=n)]
+    words = ["".join(p) for n in range(1, max_weight + 1) for p in product(ids, repeat=n)]
     pairs = [(u, v) for i, u in enumerate(words) for v in words[i:]]
     evaluator = H0Evaluator(tol=quad_tol)
     # in the order the items evaluate them: u, v, then the terms of u * v

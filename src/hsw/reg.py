@@ -67,21 +67,15 @@ class RegularizationError(ValueError):
 
 def is_admissible(w: Word) -> bool:
     """Whether ``w`` is empty, or neither starts with the zero letter nor ends with the unit."""
-    return not w or (w[0] != 0 and w[-1] != 1)
+    return not w or (w[0] != "\0" and w[-1] != "\1")
 
 
 def _leading_zero_run(w: Word) -> int:
-    i = 0
-    while i < len(w) and w[i] == 0:
-        i += 1
-    return i
+    return len(w) - len(w.lstrip("\0"))
 
 
 def _trailing_unit_run(w: Word) -> int:
-    i = 0
-    while i < len(w) and w[-1 - i] == 1:
-        i += 1
-    return i
+    return len(w) - len(w.rstrip("\1"))
 
 
 def strip_e0(p: HPoly) -> dict[int, HPoly]:
@@ -90,7 +84,7 @@ def strip_e0(p: HPoly) -> dict[int, HPoly]:
     return combine((s, HPoly.from_word(w[s:], c)) for s, w, c in runs)
 
 
-_E1_WORD = (1,)
+_E1_WORD = "\1"
 
 
 @term_bounded_cache()
@@ -102,7 +96,7 @@ def _e1_star_power(t: int) -> HPoly:
 
 def _bucket(w: Word) -> tuple[int, int]:
     """The (nonzero-letter count, trailing unit run) key that orders the rewriting."""
-    return len(w) - w.count(0), _trailing_unit_run(w)
+    return len(w) - w.count("\0"), _trailing_unit_run(w)
 
 
 @term_bounded_cache(size=lambda rule: len(rule[1]))
@@ -124,18 +118,18 @@ def _reg_word(w: Word) -> tuple[int, tuple[tuple[Word, int, int, tuple[int, int]
     m = _trailing_unit_run(w)
     base = w[:-1]
     n = len(base)
-    d = n - base.count(0)  # nonzero letters of base
+    d = n - base.count("\0")  # nonzero letters of base
     doubled: dict[Word, int] = {}
     zeros = []
     for i, a in enumerate(base):
-        if a == 0:
+        if a == "\0":
             continue
         head, tail = base[: i + 1], base[i + 1 :]
         if i <= n - m:
-            x = head + (a,) + tail
+            x = head + a + tail
             doubled[x] = doubled.get(x, 0) - 1
         # the zero letter cuts the trailing unit run of base short
-        zeros.append((head + (0,) + tail, 0, 1, (d, min(m - 1, n - 1 - i))))
+        zeros.append((head + "\0" + tail, 0, 1, (d, min(m - 1, n - 1 - i))))
     return m, (
         (base, 1, 1, (d, m - 1)),
         *((x, 0, k, (d + 1, m - 1)) for x, k in doubled.items()),
@@ -150,7 +144,7 @@ def reg_t(p: HPoly) -> dict[int, HPoly]:
     letter back for ``T`` reproduces ``p`` exactly.
     """
     for w in p.terms:
-        if w and w[0] == 0:
+        if w and w[0] == "\0":
             raise RegularizationError(f"word {format_word(w)} has leading zero letters")
     return {t: h for (_, t), h in z_st(p).terms.items()}
 
@@ -276,7 +270,7 @@ def substitute_st(rv: RegularizedValue) -> HPoly:
     for (s, t), h in rv.terms.items():
         expanded = harmonic(h, _e1_star_power(t))
         if s:
-            prefix = (0,) * s
+            prefix = "\0" * s
             expanded = HPoly._raw({prefix + w: c for w, c in expanded.terms.items()})
         out = out + expanded
     return out
@@ -323,7 +317,7 @@ def _random_poly(rng: random.Random, alphabet, max_weight: int, max_terms: int =
     terms = []
     for _ in range(rng.randint(1, max_terms)):
         weight = rng.randint(0, max_weight)
-        word = tuple(rng.choice(alphabet) for _ in range(weight))
+        word = "".join([rng.choice(alphabet) for _ in range(weight)])
         terms.append((word, rng.choice(coeff_pool)))
     return HPoly(terms)
 
@@ -333,7 +327,7 @@ def verify_regularization(
 ) -> Iterator[CheckResult]:
     """Roundtrip, admissibility, injectivity and multiplicativity on random input."""
     rng = random.Random(seed)
-    alphabets = [(0, 1), (0, 1, cyclic(1).id)]
+    alphabets = ["\0\1", "\0\1" + cyclic(1).id]
     for idx in range(count):
         alphabet = alphabets[idx % len(alphabets)]
         p = _random_poly(rng, alphabet, max_weight)

@@ -86,7 +86,7 @@ def _reference_reg_word(w: Word) -> tuple[int, tuple[tuple[int, dict[Word, int]]
     base = w[:-1]
     sources = [(1, 1, _reference_reg_word(base))] + [
         (-c, 0, _reference_reg_word(word))
-        for word, c in star_terms(base, (UNIT.id,)).items()
+        for word, c in star_terms(base, UNIT.id).items()
         if word != w
     ]
     den = math.lcm(*(d for _, _, (d, _) in sources))

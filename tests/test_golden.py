@@ -162,6 +162,28 @@ def test_output_does_not_depend_on_intern_order():
     _check("harmonic_hom.jsonl", mask(reversed_interning(*HARMONIC_HOM)))
 
 
+def hash_seed_digests(*argv: str) -> set[str]:
+    """SHA-256 of one ``hsw`` command's masked stdout in fresh interpreters, per ``PYTHONHASHSEED`` 0 and 1."""
+    env = {k: v for k, v in os.environ.items() if k not in ENV_VARS}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    digests = set()
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsw", *argv],
+            capture_output=True, text=True, env={**env, "PYTHONHASHSEED": seed}, check=True,
+        )
+        digests.add(hashlib.sha256(mask(proc.stdout).encode()).hexdigest())
+    return digests
+
+
+def test_output_does_not_depend_on_hash_seed():
+    # a word is a str, whose hash is seeded: no output order may follow a set's or dict's layout
+    digest, mode, expr = (GOLDEN / "eval.sha256").read_text().splitlines()[0].split(" ", 2)
+    assert hash_seed_digests("eval", expr, "--mode", mode) == {digest}
+    regularization = ("verify", "regularization", "--count", "20", "--max-weight", "6", "--format", "json")
+    assert len(hash_seed_digests(*regularization)) == 1
+
+
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, produce in CASES.items():

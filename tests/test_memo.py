@@ -28,6 +28,10 @@ def test_lru_eviction_by_terms():
     assert (info.currsize, info.terms, info.evictions) == (2, 3, 1)
     digits(3)
     assert calls == [2, 3, 1, 3]
+    # get reads a stored result as a hit, and never runs the function
+    hits = digits.cache_info().hits
+    assert digits.get(3) == [0, 1, 2] and digits.get(4) is None
+    assert calls == [2, 3, 1, 3] and digits.cache_info().hits == hits + 1
     digits(9)  # larger than the whole budget: returned, not stored
     assert digits.cache_info().terms <= 5
     digits.cache_clear()

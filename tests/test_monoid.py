@@ -113,7 +113,7 @@ def test_parse_literals():
 
 
 def test_ids_index_the_letter_table():
-    assert (ZERO.id, UNIT.id) == (0, 1)
+    assert (ZERO.id, UNIT.id) == ("\0", "\1")
     for a in (cyclic(3), rational(Fraction(-7, 2))):
         assert LETTERS[a.id] is a
     assert mul(cyclic(2).id, cyclic(3).id) == cyclic(5).id

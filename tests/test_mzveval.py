@@ -86,7 +86,7 @@ class TestWordToMzv:
         assert_index(w(UNIT, UNIT, ZERO), (1, 2), 1)
 
     def test_empty(self):
-        assert_index((), (), 1)
+        assert_index("", (), 1)
 
     def test_errors(self):
         with pytest.raises(InadmissibleIndexError):
@@ -367,7 +367,7 @@ BATCH_LETTERS = [ZERO.id, UNIT.id] + [rational(q).id for q in (2, 3, Fraction(5,
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.lists(st.lists(st.sampled_from(BATCH_LETTERS), min_size=1, max_size=6).map(tuple).filter(is_admissible),
+    st.lists(st.lists(st.sampled_from(BATCH_LETTERS), min_size=1, max_size=6).map("".join).filter(is_admissible),
              min_size=1, max_size=12),
     st.sampled_from([1e-5, 1e-9, 1e-13, 2.0**-70]),
 )

@@ -207,7 +207,7 @@ def tail_words(draw):
 @given(tail_words())
 def test_rule_is_the_product_with_the_unit_letter(w):
     # w = (base*e_1 + sum k*x) / m, so base*e_1 = m*w - sum k*x
-    w_unit = (UNIT.id,)
+    w_unit = UNIT.id
     m, rule = reg._reg_word(w)
     base = w[:-1]
     assert rule[0] == (base, 1, 1, reg._bucket(base))
