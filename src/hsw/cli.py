@@ -7,7 +7,8 @@ Three verbs:
   item (text or JSON), exiting 0 on success and 1 on any failure;
 * ``relations --weight W`` emits each distinct linear relation among
   multiple zeta values that the addition/Pythagoras coefficients of the given
-  even weight induce, together with its numeric residual and error bound;
+  even weight induce, together with its numeric residual and error bound,
+  exiting 1 if some residual exceeds its bound;
 * ``eval EXPR`` parses a polynomial expression and prints it normalized
   (``symbolic``), in S/T normal form (``zst``) or numerically (``znum``).
 
@@ -16,9 +17,9 @@ explicit flags win.  They are read on every call of :func:`main`, which keeps
 one parser per pair of values (:func:`build_parser`).  A variable's value is
 checked like the flag it stands for, so a bad one exits 2 unless that flag is
 given.  Exit codes: 0 pass, 1 verification failure (a run with no items fails
-too), 2 usage or input error (also a word no oracle evaluates to the requested
-tolerance, and an expression nested too deeply or with too long a word to
-evaluate).
+too, and so does a relation whose residual exceeds its bound), 2 usage or
+input error (also a word no oracle evaluates to the requested tolerance, and
+an expression nested too deeply or with too long a word to evaluate).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Any, Callable, Iterable, Iterator
@@ -50,36 +50,10 @@ from .wcalc import (
     verify_pythagoras,
 )
 
-__all__ = ["main", "VerificationReport", "relation_records"]
+__all__ = ["main", "relation_records"]
 
 MAX_ORDER = 16
 MAX_RELATION_WEIGHT = 16
-
-
-@dataclass
-class VerificationReport:
-    """Outcome of one theorem run; machine and human renderings agree on status."""
-
-    theorem: str
-    params: dict
-    items: list[CheckResult]
-    wall_time: float
-
-    @property
-    def passed(self) -> bool:
-        """True when there was at least one item and every item passed."""
-        return bool(self.items) and all(item.passed for item in self.items)
-
-    def summary_dict(self) -> dict:
-        return {
-            "type": "summary",
-            "theorem": self.theorem,
-            "params": self.params,
-            "status": "pass" if self.passed else "fail",
-            "items": len(self.items),
-            "failed": sum(1 for i in self.items if not i.passed),
-            "wall_time": round(self.wall_time, 3),
-        }
 
 
 def _checked(convert: Callable[[str], Any], ok: Callable[[Any], Any], requirement: str):
@@ -109,9 +83,9 @@ def _int_range(low: int, high: int):
 
 
 def _letters(text: str) -> list[Fraction]:
-    """The rationals of a comma-separated ``--letters`` list, each a valid letter."""
+    """The rationals of a comma-separated ``--letters`` list, distinct valid letters."""
     letters = [Fraction(part) for part in text.split(",") if part.strip()]
-    if not letters or any(abs(q) < 1 or q == 1 for q in letters):
+    if not letters or len(set(letters)) < len(letters) or any(abs(q) < 1 or q == 1 for q in letters):
         raise ValueError(f"not a list of letters: {text!r}")
     return letters
 
@@ -124,7 +98,9 @@ _WEIGHT = _checked(
 )
 # ``--z`` and ``--letters`` keep the text as typed: the JSON params echo it.
 _ELEMENT = _checked(str, parse_element, "an element literal: 0, 1, z, z^n or a rational of modulus >= 1")
-_LETTERS = _checked(str, _letters, "a non-empty comma-separated list of rationals of modulus >= 1 other than 1")
+_LETTERS = _checked(
+    str, _letters, "a non-empty comma-separated list of distinct rationals of modulus >= 1 other than 1"
+)
 
 
 def _emit_items(
@@ -132,11 +108,13 @@ def _emit_items(
     params: dict,
     items: Iterable[CheckResult],
     fmt: str,
-) -> VerificationReport:
-    collected: list[CheckResult] = []
+) -> bool:
+    """Print each item and a summary; True when there was at least one item and every item passed."""
+    count = failed = 0
     start = time.perf_counter()
     for item in items:
-        collected.append(item)
+        count += 1
+        failed += not item.passed
         if fmt == "json":
             record = {"type": "item", "theorem": theorem}
             record.update(item.as_dict())
@@ -145,16 +123,22 @@ def _emit_items(
             status = "PASS" if item.passed else "FAIL"
             detail = f"  {item.detail}" if item.detail else ""
             print(f"[{status}] {theorem}: {item.item}{detail}", flush=True)
-    report = VerificationReport(theorem, params, collected, time.perf_counter() - start)
+    wall_time = time.perf_counter() - start
+    passed = count > 0 and not failed
     if fmt == "json":
-        print(json.dumps(report.summary_dict()), flush=True)
+        summary = {
+            "type": "summary",
+            "theorem": theorem,
+            "params": params,
+            "status": "pass" if passed else "fail",
+            "items": count,
+            "failed": failed,
+            "wall_time": round(wall_time, 3),
+        }
+        print(json.dumps(summary), flush=True)
     else:
-        print(
-            f"RESULT {theorem}: {'pass' if report.passed else 'fail'} "
-            f"({len(collected)} items, {report.wall_time:.2f}s)",
-            flush=True,
-        )
-    return report
+        print(f"RESULT {theorem}: {'pass' if passed else 'fail'} ({count} items, {wall_time:.2f}s)", flush=True)
+    return passed
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +245,15 @@ def _harmonic_hom(args: argparse.Namespace) -> tuple[dict, Iterator[CheckResult]
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     params, items = args.driver(args)
-    return 0 if _emit_items(args.theorem, params, items, args.format).passed else 1
+    return 0 if _emit_items(args.theorem, params, items, args.format) else 1
 
 
 def _cmd_relations(args: argparse.Namespace) -> int:
     evaluator = H0Evaluator()
+    code = 0
     for record in relation_records(args.weight, evaluator):
+        if abs(record["residual"]) > record["bound"]:
+            code = 1
         if args.format == "json":
             print(json.dumps(record), flush=True)
         else:
@@ -276,7 +263,7 @@ def _cmd_relations(args: argparse.Namespace) -> int:
                 f"bound={record['bound']:.3e}",
                 flush=True,
             )
-    return 0
+    return code
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:

@@ -26,8 +26,9 @@ scale share their series, and each keeps its own precision, bit for bit.
 :class:`H0Evaluator` is the one numeric entry point for words, returning
 ``(value, bound)``: a ``{0,1}`` word goes through :func:`zeta`, at ``2^-60``
 of the value's first term and with the sign ``(-1)^depth`` applied once; any
-other word runs at the evaluator's tolerance.  :func:`zeta` and
-:func:`word_to_mzv` serve the zeta index where a user types or reads it.
+other word runs at the evaluator's tolerance.  It caches each result once,
+under the word.  :func:`zeta` and :func:`word_to_mzv` serve the zeta index
+where a user types or reads it.
 """
 
 from __future__ import annotations
@@ -244,7 +245,7 @@ def zeta(index: Iterable[int]) -> tuple[float, float]:
 
 
 class H0Evaluator:
-    """Evaluate admissible words numerically, with one cache keyed by their letters.
+    """Evaluate admissible words numerically, with one cache keyed by the word.
 
     A call takes the letters of a word (:func:`~hsw.halg.to_letters`) and
     returns ``(value, bound)``.  ``{0,1}``-alphabet words go through
@@ -256,32 +257,34 @@ class H0Evaluator:
 
     def __init__(self, tol: float = 1e-7):
         self.tol = tol
-        self._cache: dict[tuple[MonoidElement, ...], tuple[float, float]] = {}
+        self._cache: dict[Word, tuple[float, float]] = {}
 
     def __call__(self, letters: tuple[MonoidElement, ...]) -> tuple[float, float]:
-        hit = self._cache.get(letters)
+        return self._value(to_word(letters))
+
+    def _value(self, w: Word) -> tuple[float, float]:
+        hit = self._cache.get(w)
         if hit is None:
-            w = to_word(letters)
             if not w.strip("\0\1"):
                 ks = word_to_mzv(w)
                 v, b = zeta(ks)
                 hit = (-v if len(ks) % 2 else v), b
             else:
                 hit = self._iterint([w])[w]
-            self._cache[letters] = hit
+            self._cache[w] = hit
         return hit
 
     def prefetch(self, words: Iterable[Word]) -> None:
         """Cache the uncached real-letter words in one batch; an error names the first failing word in order."""
         words = dict.fromkeys(words)
-        batch = [w for w in words if w.strip("\0\1") and to_letters(w) not in self._cache]
+        batch = [w for w in words if w.strip("\0\1") and w not in self._cache]
         try:
             values = self._iterint(batch)
         except (ValueError, QuadratureError):
             for w in words:
-                self(to_letters(w))
+                self._value(w)
             raise
-        self._cache.update((to_letters(w), hit) for w, hit in values.items())
+        self._cache.update(values)
 
     def _iterint(self, words: list[Word]) -> dict[Word, tuple[float, float]]:
         values = _iterint_estimates(words, self.tol)
@@ -339,7 +342,8 @@ def verify_harmonic_hom(
     For all pairs ``u, v`` of words of weight <= ``max_weight`` over the given
     letters, compares ``I(u) I(v)`` with the evaluation of ``u * v``.  Both
     sides and the bound are exact (:func:`reg.exact_sum`) and rounded once;
-    rounding to float is monotone, so ``difference <= bound`` holds by construction.
+    rounding to float is monotone, so correct values meet ``difference <= bound``,
+    and an item passes only when it holds as well as ``difference < tol``.
     Every word is evaluated, in one batch, before the first item is yielded.
     """
     ids = [rational(q).id for q in letters]
@@ -353,9 +357,9 @@ def verify_harmonic_hom(
         lhs = lhs_u * lhs_v
         rhs, bound = reg.exact_sum(star_terms(u, v), evaluator)
         bound += abs(lhs_u) * bv + abs(lhs_v) * bu + bu * bv
-        diff = float(abs(lhs - rhs))
+        diff, bound = float(abs(lhs - rhs)), float(bound)
         yield CheckResult(
             item=f"product {format_word(u)} x {format_word(v)}",
-            passed=diff < tol,
-            data={"difference": diff, "lhs": float(lhs), "rhs": float(rhs), "bound": float(bound)},
+            passed=diff < tol and diff <= bound,
+            data={"difference": diff, "lhs": float(lhs), "rhs": float(rhs), "bound": bound},
         )

@@ -36,13 +36,12 @@ class _Series:
 
     A subclass fixes the exponent key (an int, or an ``(i, j)`` pair) through
     ``_in_range``, ``_degree`` (total degree), ``_add_keys`` and
-    ``_prefix`` (the monomial text in front of a coefficient); ``var`` holds
-    its variable name, or the pair of names.
+    ``_prefix`` (the monomial text in front of a coefficient).
     """
 
-    __slots__ = ("coeffs", "order", "var")
+    __slots__ = ("coeffs", "order")
 
-    def __init__(self, coeffs: dict | None, order: int, var):
+    def __init__(self, coeffs: dict | None, order: int):
         if order < 0:
             raise ValueError("order must be non-negative")
         coeffs = coeffs or {}
@@ -50,10 +49,9 @@ class _Series:
             raise OrderError("coefficient degree outside truncation range")
         self.coeffs = _clean(coeffs)
         self.order = order
-        self.var = var
 
     def _new(self, coeffs: dict, order: int):
-        return type(self)(coeffs, order, self.var)
+        return type(self)(coeffs, order)
 
     @property
     def is_zero(self) -> bool:
@@ -62,8 +60,6 @@ class _Series:
     def _match(self, other) -> int:
         if not isinstance(other, type(self)):
             raise TypeError(f"expected a {type(self).__name__}")
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
         return min(self.order, other.order)
 
     def _upto(self, order: int) -> list:
@@ -96,7 +92,7 @@ class _Series:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.var == other.var and self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -110,12 +106,9 @@ class _Series:
 
 
 class Series1(_Series):
-    """Univariate truncated series; ``coeffs[n]`` is the coefficient of ``var**n``."""
+    """Univariate truncated series in ``x``; ``coeffs[n]`` is the coefficient of ``x**n``."""
 
     __slots__ = ()
-
-    def __init__(self, coeffs: dict[int, HPoly] | None, order: int, var: str = "x"):
-        super().__init__(coeffs, order, var)
 
     # An attribute of each class, so that profilers (perfbench's tracer) can
     # wrap the two products separately.
@@ -134,15 +127,15 @@ class Series1(_Series):
         return i + j
 
     def _prefix(self, n: int) -> str:
-        return f"{self.var}^{n}*" if n else ""
+        return f"x^{n}*" if n else ""
 
     @classmethod
-    def zero(cls, order: int, var: str = "x") -> "Series1":
-        return cls({}, order, var)
+    def zero(cls, order: int) -> "Series1":
+        return cls({}, order)
 
     @classmethod
-    def one(cls, order: int, var: str = "x") -> "Series1":
-        return cls({0: HPoly.one()}, order, var)
+    def one(cls, order: int) -> "Series1":
+        return cls({0: HPoly.one()}, order)
 
     def coeff(self, n: int) -> HPoly:
         if not self._in_range(n, self.order):
@@ -151,7 +144,7 @@ class Series1(_Series):
 
     def mul_poly(self, h: HPoly) -> "Series1":
         """Multiply every coefficient harmonically by a fixed polynomial."""
-        return Series1({n: harmonic(h, p) for n, p in self.coeffs.items()}, self.order, self.var)
+        return Series1({n: harmonic(h, p) for n, p in self.coeffs.items()}, self.order)
 
     def exp_star(self) -> "Series1":
         """Exponential with respect to the harmonic product (zero constant term)."""
@@ -166,31 +159,27 @@ class Series1(_Series):
                     continue
                 acc = acc + harmonic(fk * k, out.get(n - k, HPoly.zero()))
             out[n] = acc / n
-        return Series1(out, self.order, self.var)
+        return Series1(out, self.order)
 
     def derivative(self) -> "Series1":
         """Formal derivative; the output order drops by one."""
         if self.order == 0:
-            return Series1.zero(0, self.var)
+            return Series1.zero(0)
         out = {n - 1: p * n for n, p in self.coeffs.items() if n >= 1}
-        return Series1(out, self.order - 1, self.var)
+        return Series1(out, self.order - 1)
 
     def shift_up(self, k: int) -> "Series1":
-        """Multiply by ``var**k``; knowledge extends to order + k."""
+        """Multiply by ``x**k``; knowledge extends to order + k."""
         if k < 0:
             raise ValueError("shift must be non-negative")
-        return Series1({n + k: p for n, p in self.coeffs.items()}, self.order + k, self.var)
+        return Series1({n + k: p for n, p in self.coeffs.items()}, self.order + k)
 
     def negate_argument(self) -> "Series1":
-        """Substitute ``-var`` for ``var`` (flip odd-degree coefficients)."""
-        return Series1(
-            {n: (p if n % 2 == 0 else -p) for n, p in self.coeffs.items()},
-            self.order,
-            self.var,
-        )
+        """Substitute ``-x`` for ``x`` (flip odd-degree coefficients)."""
+        return Series1({n: (p if n % 2 == 0 else -p) for n, p in self.coeffs.items()}, self.order)
 
     def shift_sum(self) -> "Series2":
-        """Substitute ``x + y`` for the variable: binomially spread coefficients."""
+        """Substitute ``x + y`` for ``x``: binomially spread coefficients."""
         out: dict[tuple[int, int], HPoly] = {}
         for n, p in self.coeffs.items():
             for i in range(n + 1):
@@ -198,17 +187,9 @@ class Series1(_Series):
         return Series2(out, self.order)
 
 class Series2(_Series):
-    """Bivariate truncated series; keys are ``(i, j)`` with ``i + j <= order``."""
+    """Bivariate truncated series in ``x`` and ``y``; keys are ``(i, j)`` with ``i + j <= order``."""
 
     __slots__ = ()
-
-    def __init__(
-        self,
-        coeffs: dict[tuple[int, int], HPoly] | None,
-        order: int,
-        vars: tuple[str, str] = ("x", "y"),
-    ):
-        super().__init__(coeffs, order, vars)
 
     star = _Series.star
 
@@ -226,7 +207,7 @@ class Series2(_Series):
         return (a[0] + b[0], a[1] + b[1])
 
     def _prefix(self, key: tuple[int, int]) -> str:
-        return "".join(f"{v}^{e}*" for v, e in zip(self.var, key) if e)
+        return "".join(f"{v}^{e}*" for v, e in zip("xy", key) if e)
 
     @classmethod
     def from_x(cls, f: Series1) -> "Series2":

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from hsw.cli import _emit_items, _parser, build_parser, main, relation_records
+from hsw import mzveval
+from hsw.monoid import ZERO, rational
 from hsw.mzveval import H0Evaluator
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,6 +151,30 @@ class TestVerify:
         assert code == 0
         assert "RESULT harmonic-hom: pass (3 items" in out
 
+    def test_harmonic_hom_fails_beyond_bound(self, capsys, monkeypatch):
+        # I(s[6,2]), a term of s[2,1] * s[3,1] only, moved by 1e-9: inside --tol, outside the item's bound
+        word = rational(6).id + ZERO.id
+        kernel = H0Evaluator._iterint
+
+        def perturbed(self, words):
+            values = kernel(self, words)
+            if word in values:
+                value, bound = values[word]
+                values[word] = value + 1e-9, bound
+            return values
+
+        monkeypatch.setattr(H0Evaluator, "_iterint", perturbed)
+        code, out, _ = run(
+            capsys, "verify", "harmonic-hom", "--letters", "2,3", "--max-weight", "1",
+            "--quad-tol", "1e-12", "--format", "json",
+        )
+        assert code == 1
+        records = [json.loads(line) for line in out.splitlines()]
+        failed = [rec for rec in records[:-1] if rec["status"] == "fail"]
+        assert [rec["item"] for rec in failed] == ["product s[2,1] x s[3,1]"]
+        assert failed[0]["bound"] < failed[0]["difference"] < 1e-5
+        assert records[-1]["failed"] == 1
+
     def test_unknown_theorem_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "frobnicate"])
@@ -276,6 +302,19 @@ class TestRelations:
         for rec in records:
             assert abs(rec["residual"]) <= rec["bound"]
 
+    def test_residual_over_bound_exit_1(self, capsys, monkeypatch):
+        # z(4) off by 1e-6 breaks 4*z(2,2) - 3*z(4) = 0 far beyond its bound; the record is still printed
+        exact = mzveval.zeta
+
+        def perturbed(index):
+            value, bound = exact(index)
+            return (value + 1e-6 if tuple(index) == (4,) else value), bound
+
+        monkeypatch.setattr(mzveval, "zeta", perturbed)
+        code, out, _ = run(capsys, "relations", "--weight", "4")
+        assert code == 1
+        assert "4*z(2,2) - 3*z(4) = 0" in out
+
     def test_weight_2_empty(self, capsys):
         code, out, _ = run(capsys, "relations", "--weight", "2")
         assert code == 0
@@ -317,6 +356,8 @@ class TestInputErrors:
             ({}, ["eval", "s[1,2]", "--mode", "bogus"]),
             ({"HSW_TOL": "inf"}, ["eval", "s[1,2]", "--mode", "znum"]),
             ({"HSW_ORDER": "-1"}, ["verify", "coincidence"]),
+            ({}, ["verify", "harmonic-hom", "--letters", "2,2"]),
+            ({}, ["verify", "harmonic-hom", "--letters", "2,4/2"]),
         ],
     )
     def test_exit_2_with_message(self, capsys, monkeypatch, env, argv):
@@ -389,8 +430,7 @@ class TestInputErrors:
         assert outputs[0] == outputs[1]
 
     def test_zero_items_fail(self, capsys):
-        report = _emit_items("harmonic-hom", {}, iter(()), "text")
-        assert report.passed is False
+        assert _emit_items("harmonic-hom", {}, iter(()), "text") is False
         assert "RESULT harmonic-hom: fail (0 items" in capsys.readouterr().out
 
 

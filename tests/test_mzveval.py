@@ -425,6 +425,52 @@ class TestEvaluator:
                 assert abs(vu * vv - rhs) <= combined
 
 
+class TestPrefetch:
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The word lists that reach the kernel, one per ``_iterint`` call."""
+        seen = []
+        kernel = H0Evaluator._iterint
+
+        def counted(self, words):
+            seen.append(list(words))
+            return kernel(self, words)
+
+        monkeypatch.setattr(H0Evaluator, "_iterint", counted)
+        return seen
+
+    def test_one_kernel_call_then_cache_hits(self, batches):
+        words = [w(rational(2)), w(rational(3), ZERO), w(rational(2)), w(UNIT, rational(-1))]
+        ev = H0Evaluator(tol=1e-9)
+        ev.prefetch(words)
+        assert batches == [list(dict.fromkeys(words))]
+        for word in words:
+            assert ev(to_letters(word)) == _iterint_estimates([word], 1e-9)[word]
+        assert len(batches) == 1
+
+    def test_zeta_words_left_to_zeta(self, batches):
+        zeta_word = s_word(UNIT, 2)
+        ev = H0Evaluator()
+        ev.prefetch([zeta_word, w(rational(2))])
+        assert batches == [[w(rational(2))]]
+        assert ev(to_letters(zeta_word)) == (-zeta((2,))[0], zeta((2,))[1])
+        assert len(batches) == 1
+
+    @pytest.mark.parametrize(
+        "letters, message",
+        [
+            # the kernel meets the near-one refusal first, while planning its series
+            ([2, Fraction(1000001, 1000000)], r"^tolerance 1e-30 is below the double-precision resolution of s\[2,1\]$"),
+            ([Fraction(1000001, 1000000), 2], r"^s\[1000001/1000000,1\] needs more than"),
+        ],
+        ids=["bound-first", "refusal-first"],
+    )
+    def test_failing_batch_names_first_word_in_order(self, letters, message):
+        ev = H0Evaluator(tol=1e-30)
+        with pytest.raises(QuadratureError, match=message):
+            ev.prefetch([w(rational(q)) for q in letters])
+
+
 def test_error_messages_show_word_text():
     # a word in a message reads as e[..]/s[..] text, never as a tuple of letter ids
     with pytest.raises(InadmissibleIndexError, match=r"^word e\[0\]e\[1\] is not admissible$"):

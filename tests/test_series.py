@@ -59,12 +59,6 @@ class TestBasics:
         with pytest.raises(OrderError):
             Series1({5: e1}, 4)
 
-    def test_variable_mismatch(self):
-        f = Series1({1: e1}, 4, var="x")
-        g = Series1({1: e1}, 4, var="y")
-        with pytest.raises(ValueError):
-            f.star(g)
-
 
 class TestExpLog:
     def test_exp_zero(self):
