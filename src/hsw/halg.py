@@ -62,7 +62,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Any, Hashable, Iterable
+from typing import Any, Hashable, Iterable, Iterator
 
 from .monoid import LETTERS, MonoidElement, MonoidMismatchError, mul, parse_element
 from .memo import clear_all, term_bounded_cache
@@ -87,6 +87,7 @@ __all__ = [
     "format_poly",
     "format_terms",
     "format_word",
+    "format_words",
     "clear_caches",
 ]
 
@@ -281,13 +282,23 @@ class HPoly(LinComb):
         return self.terms.get(w, 0)
 
     def sorted_terms(self) -> list[tuple[Word, Rational]]:
-        """Terms by descending weight, then descending letters in ``MonoidElement.key`` order."""
-        # Each letter translates to its rank among this polynomial's letters.
-        ids = sorted(set().union(*self.terms), key=lambda a: LETTERS[a].key)
-        rank = str.maketrans(dict(zip(ids, map(chr, range(len(ids))))))
-        return sorted(
-            self.terms.items(), key=lambda t: (len(t[0]), t[0].translate(rank)), reverse=True
-        )
+        """Terms by descending weight, then descending letters in ``MonoidElement.key`` order.
+
+        Two stable passes, letters first and weight second.  When the ids of
+        this polynomial's letters already rise with their keys, which is the
+        usual case, the letter pass compares the words themselves; otherwise
+        each word translates once to its letters' ranks.
+        """
+        ids = sorted(set("".join(self.terms)))
+        by_key = sorted(ids, key=lambda a: LETTERS[a].key)
+        if by_key == ids:
+            words = sorted(self.terms, reverse=True)
+        else:
+            rank = str.maketrans(dict(zip(by_key, map(chr, range(len(ids))))))
+            words = sorted(self.terms, key=lambda w: w.translate(rank), reverse=True)
+        words.sort(key=len, reverse=True)
+        terms = self.terms
+        return [(w, terms[w]) for w in words]
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -440,6 +451,26 @@ def format_word(w: Word) -> str:
     return "".join(parts)
 
 
+def format_words(words: Iterable[Word]) -> Iterator[str]:
+    """:func:`format_word` of each word in turn, with ``""`` for the empty word.
+
+    A word with a nonzero first letter is cut before its first nonzero letter
+    at or after the middle.  No s-block spans the cut, so the word's text is
+    its halves' texts joined; the halves repeat across the words of one
+    polynomial far more than whole words or tails do, and each distinct half
+    is printed once per call.
+    """
+    halves = _Texts(format_word)
+    for w in words:
+        if not w:
+            yield ""
+        elif w[0] == "\0":
+            yield format_word(w)
+        else:
+            right = w[(len(w) + 1) // 2:].lstrip("\0")
+            yield halves[w[:-len(right)]] + halves[right] if right else halves[w]
+
+
 def format_terms(terms: Iterable[tuple[Rational, str]]) -> str:
     """Signed-sum text ``a - 2*b + 1/3`` of ``(coefficient, monomial text)`` pairs, in order.
 
@@ -465,7 +496,8 @@ def format_terms(terms: Iterable[tuple[Rational, str]]) -> str:
 
 def format_poly(p: HPoly) -> str:
     """Canonical text; terms in descending word order, parseable back."""
-    return format_terms((c, format_word(w) if w else "") for w, c in p.sorted_terms())
+    terms = p.sorted_terms()
+    return format_terms(zip((c for _, c in terms), format_words(w for w, _ in terms)))
 
 
 _TOKEN_RE = re.compile(

@@ -40,6 +40,7 @@ from .halg import (
     combine,
     format_terms,
     format_word,
+    format_words,
     harmonic,
     over,
     to_letters,
@@ -204,10 +205,10 @@ class RegularizedValue(LinComb):
 
     def __str__(self) -> str:
         keys = sorted(self.terms, key=lambda k: (k[0] + k[1], k[0], k[1]), reverse=True)
+        terms = [(w, c, _st_text(*k)) for k in keys for w, c in self.terms[k].sorted_terms()]
         return format_terms(
-            (c, "*".join(filter(None, (format_word(w) if w else "", _st_text(s, t)))))
-            for s, t in keys
-            for w, c in self.terms[(s, t)].sorted_terms()
+            (c, "*".join(filter(None, (text, st))))
+            for (_, c, st), text in zip(terms, format_words(w for w, _, _ in terms))
         )
 
 

@@ -12,6 +12,8 @@ from hsw.halg import (
     Word,
     concat,
     format_poly,
+    format_word,
+    format_words,
     harmonic,
     parse_poly,
     s_chain,
@@ -21,7 +23,7 @@ from hsw.halg import (
     to_letters,
     to_word,
 )
-from hsw.monoid import UNIT, ZERO, MonoidMismatchError, cyclic, rational
+from hsw.monoid import LETTERS, UNIT, ZERO, MonoidMismatchError, cyclic, rational
 from hsw.reg import substitute_st, z_st
 from hsw.wcalc import eval_w, pythagoras_coeff
 
@@ -383,3 +385,77 @@ class TestGrammar:
         assert format_poly(HPoly.zero()) == "0"
         assert parse_poly("0") == HPoly.zero()
         assert parse_poly("e[1] - e[1]") == HPoly.zero()
+
+
+def expected_texts(ws: list[Word]) -> list[str]:
+    return [format_word(w) if w else "" for w in ws]
+
+
+# Letters and rationals for the printer: the rationals are not integers.
+ALPHABET_PRINT = (ZERO, UNIT, Z, cyclic(2), rational(-3), rational(Fraction(5, 2)))
+
+
+class TestFormatWords:
+    """The half-splitting printer against the one-word printer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(words(ALPHABET_PRINT, max_weight=20), max_size=12))
+    def test_matches_format_word(self, ws):
+        assert list(format_words(ws)) == expected_texts(ws)
+
+    def test_cases(self):
+        wide = WIDE[-1]
+        ws = [
+            "",
+            word(Z),  # a single letter: no cut, so no empty half printed as "1"
+            word(UNIT),
+            word(ZERO, Z, ZERO, UNIT),  # a leading zero letter keeps the e-form
+            word(ZERO),
+            word(Z, ZERO, ZERO, ZERO, UNIT, ZERO),  # the middle falls inside a zero run
+            word(Z, ZERO, ZERO, ZERO, UNIT),  # a shared left half
+            word(cyclic(2), UNIT, ZERO, ZERO, ZERO),  # only zero letters after the middle
+            word(wide, ZERO, WIDE[-2], ZERO, wide),  # letter ids past 255
+            word(wide, ZERO, WIDE[-2], ZERO, wide),
+        ]
+        texts = list(format_words(ws))
+        assert texts == expected_texts(ws)
+        assert texts[:4] == ["", "s[z,1]", "s[1,1]", "e[0]e[z]e[0]e[1]"]
+        assert texts[5] == "s[z,4]s[1,2]"
+        assert texts[7] == "s[z^2,1]s[1,4]"
+
+    def test_is_lazy(self):
+        texts = format_words(iter([word(Z), word(ZERO)]))
+        assert next(texts) == "s[z,1]"
+        assert next(texts) == "e[0]"
+
+
+def old_sorted_terms(p: HPoly) -> list:
+    """The former order: one key per term, each word translated to its letters' ranks."""
+    ids = sorted(set().union(*p.terms), key=lambda a: LETTERS[a].key)
+    rank = str.maketrans(dict(zip(ids, map(chr, range(len(ids))))))
+    return sorted(p.terms.items(), key=lambda t: (len(t[0]), t[0].translate(rank)), reverse=True)
+
+
+# Rationals no other test uses, interned here: the first pair in key order,
+# the second against it, so that a later id belongs to a smaller letter.
+IN_ORDER = (rational(Fraction(10**9 + 1, 7)), rational(Fraction(10**9 + 2, 7)))
+AGAINST_ORDER = (rational(Fraction(10**9 + 4, 7)), rational(Fraction(10**9 + 3, 7)))[::-1]
+
+
+class TestSortedTerms:
+    @pytest.mark.parametrize("letters", [IN_ORDER, AGAINST_ORDER], ids=["key-order", "reversed"])
+    def test_mixed_weights(self, letters):
+        a, b = letters
+        assert a.key < b.key
+        assert (a.id < b.id) == (letters is IN_ORDER)
+        p = parse_poly(
+            f"e[1] + s[{a},2]e[1] - 3*e[{b}]e[{b}]e[0] + 1/2*e[{a}]e[{b}]e[1] - e[{b}]e[{a}]e[1]"
+            f" + 2*s[{b},2] - e[{a}]e[1] + e[0]e[{a}] + 5"
+        )
+        got = p.sorted_terms()
+        assert got == old_sorted_terms(p)
+        assert [len(w) for w, _ in got] == [3, 3, 3, 3, 2, 2, 2, 1, 0]
+        assert format_poly(p) == (
+            f"-3*s[{b},1]s[{b},2] - s[{b},1]s[{a},1]s[1,1] + 1/2*s[{a},1]s[{b},1]s[1,1]"
+            f" + s[{a},2]s[1,1] + 2*s[{b},2] - s[{a},1]s[1,1] + e[0]e[{a}] + s[1,1] + 5"
+        )
