@@ -7,7 +7,8 @@ character per letter, the letter's id (:data:`hsw.monoid.LETTERS`;
 hash, concatenates by copying and is never tracked by the garbage collector,
 so the hundreds of thousands of memoized product terms cost dict operations
 and collections little.  Nothing assumes one byte per letter.  Printing
-reads per-letter text tables; ordering ranks letters by
+reads per-letter text tables, and a polynomial prints each distinct half of
+its words once (:func:`format_words`); ordering ranks letters by
 ``MonoidElement.key``, never by id, so no output depends on the order in
 which letters were interned.
 

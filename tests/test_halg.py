@@ -391,7 +391,8 @@ def expected_texts(ws: list[Word]) -> list[str]:
     return [format_word(w) if w else "" for w in ws]
 
 
-# Letters and rationals for the printer: the rationals are not integers.
+# The cyclic letters and two rationals in one alphabet: printing does not
+# check that a word's letters share one monoid.
 ALPHABET_PRINT = (ZERO, UNIT, Z, cyclic(2), rational(-3), rational(Fraction(5, 2)))
 
 
@@ -429,8 +430,8 @@ class TestFormatWords:
         assert next(texts) == "e[0]"
 
 
-def old_sorted_terms(p: HPoly) -> list:
-    """The former order: one key per term, each word translated to its letters' ranks."""
+def reference_sorted_terms(p: HPoly) -> list:
+    """One key per term: the weight, then the word translated to its letters' ranks."""
     ids = sorted(set().union(*p.terms), key=lambda a: LETTERS[a].key)
     rank = str.maketrans(dict(zip(ids, map(chr, range(len(ids))))))
     return sorted(p.terms.items(), key=lambda t: (len(t[0]), t[0].translate(rank)), reverse=True)
@@ -453,7 +454,7 @@ class TestSortedTerms:
             f" + 2*s[{b},2] - e[{a}]e[1] + e[0]e[{a}] + 5"
         )
         got = p.sorted_terms()
-        assert got == old_sorted_terms(p)
+        assert got == reference_sorted_terms(p)
         assert [len(w) for w, _ in got] == [3, 3, 3, 3, 2, 2, 2, 1, 0]
         assert format_poly(p) == (
             f"-3*s[{b},1]s[{b},2] - s[{b},1]s[{a},1]s[1,1] + 1/2*s[{a},1]s[{b},1]s[1,1]"
