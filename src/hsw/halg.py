@@ -7,10 +7,10 @@ character per letter, the letter's id (:data:`hsw.monoid.LETTERS`;
 hash, concatenates by copying and is never tracked by the garbage collector,
 so the hundreds of thousands of memoized product terms cost dict operations
 and collections little.  Nothing assumes one byte per letter.  Printing
-reads per-letter text tables, and a polynomial prints each distinct half of
-its words once (:func:`format_words`); ordering ranks letters by
-``MonoidElement.key``, never by id, so no output depends on the order in
-which letters were interned.
+reads per-letter text tables and makes each distinct half word and signed
+coefficient once per call (:class:`_SignedSum`); ordering ranks letters by
+``MonoidElement.key``, never by id, and compares raw words when the letter
+table's ids already follow keys, so no output depends on intern order.
 
 Polynomials are exact-rational linear combinations of words.  Two products
 live side by side:
@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Any, Hashable, Iterable, Iterator
+from typing import Any, Hashable, Iterable
 
 from .monoid import LETTERS, MonoidElement, MonoidMismatchError, mul, parse_element
 from .memo import clear_all, term_bounded_cache
@@ -88,7 +88,6 @@ __all__ = [
     "format_poly",
     "format_terms",
     "format_word",
-    "format_words",
     "clear_caches",
 ]
 
@@ -282,27 +281,30 @@ class HPoly(LinComb):
     def coeff(self, w: Word) -> Rational:
         return self.terms.get(w, 0)
 
-    def sorted_terms(self) -> list[tuple[Word, Rational]]:
-        """Terms by descending weight, then descending letters in ``MonoidElement.key`` order.
+    def sorted_words(self) -> list[Word]:
+        """Words by descending weight, then descending letters in ``MonoidElement.key`` order.
 
-        Two stable passes, letters first and weight second.  When the ids of
-        this polynomial's letters already rise with their keys, which is the
-        usual case, the letter pass compares the words themselves; otherwise
-        each word translates once to its letters' ranks.
+        Two stable passes, letters first and weight second.  When the ids of the
+        interned letters rise with their keys (:func:`_rise_with_keys`), which is
+        the usual case, the letter pass compares the words themselves; otherwise
+        each word translates once to the ranks of this polynomial's letters.
         """
-        ids = sorted(set("".join(self.terms)))
-        by_key = sorted(ids, key=lambda a: LETTERS[a].key)
-        if by_key == ids:
+        if _rise_with_keys(tuple(LETTERS.values())):  # a snapshot: other threads may intern
             words = sorted(self.terms, reverse=True)
         else:
-            rank = str.maketrans(dict(zip(by_key, map(chr, range(len(ids))))))
+            by_key = sorted(set("".join(self.terms)), key=lambda a: LETTERS[a].key)
+            rank = str.maketrans(dict(zip(by_key, map(chr, range(len(by_key))))))
             words = sorted(self.terms, key=lambda w: w.translate(rank), reverse=True)
         words.sort(key=len, reverse=True)
-        terms = self.terms
-        return [(w, terms[w]) for w in words]
+        return words
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def _rise_with_keys(letters: tuple[MonoidElement, ...]) -> bool:
+    """Whether letters listed by id rise in ``key`` order, so that raw words compare as keys do."""
+    return all(a.key < b.key for a, b in zip(letters, letters[1:]))
 
 
 def concat(p: HPoly, q: HPoly) -> HPoly:
@@ -316,18 +318,21 @@ def concat(p: HPoly, q: HPoly) -> HPoly:
 @term_bounded_cache()
 def _star_words_cached(u: Word, v: Word) -> dict[Word, int]:
     ab = mul(u[0], v[0])
-    tail_u = u[1:]
-    tail_v = v[1:]
-    # The first part's words are distinct; the other two merge into them.
-    out = {ab + w: c for w, c in star_terms(tail_u, v).items()}
-    for w, c in star_terms(u, tail_v).items():
-        key = ab + w
-        out[key] = out.get(key, 0) + c
+    # The first part's words are distinct; the other two merge in, dropping sums that cancel.
+    t = star_terms(u[1:], v)
+    out = dict(zip(map(ab.__add__, t), t.values()))
+    for w, c in star_terms(u, v[1:]).items():
+        w = ab + w
+        c = out[w] = out.get(w, 0) + c
+        if not c:
+            del out[w]
     ab += "\0"
-    for w, c in star_terms(tail_u, tail_v).items():
-        key = ab + w
-        out[key] = out.get(key, 0) - c
-    return {w: c for w, c in out.items() if c}
+    for w, c in star_terms(u[1:], v[1:]).items():
+        w = ab + w
+        c = out[w] = out.get(w, 0) - c
+        if not c:
+            del out[w]
+    return out
 
 
 def _ordered(u: Word, v: Word) -> tuple[Word, Word]:
@@ -375,6 +380,8 @@ def integer_sum(parts: Iterable[tuple[Rational, dict[Word, int]]]) -> HPoly:
     output coefficient is an ``int`` when it is integral (:func:`to_rational`).
     """
     parts = list(parts)
+    if len(parts) == 1 and parts[0][0] == 1:  # one word-pair product: copy the memoized map
+        return HPoly._raw(dict(parts[0][1]))
     den = math.lcm(*(c.denominator for c, _ in parts))
     out: dict[Word, int] = {}
     for c, h in parts:
@@ -452,24 +459,58 @@ def format_word(w: Word) -> str:
     return "".join(parts)
 
 
-def format_words(words: Iterable[Word]) -> Iterator[str]:
-    """:func:`format_word` of each word in turn, with ``""`` for the empty word.
+def _prefix(c: Rational, first: bool = False) -> str:
+    """The text before a monomial with coefficient ``c``: ``" - 3*"``, ``" + "`` or
+    ``" + 1/2*"`` in a later term, ``"-3*"``, ``""`` or ``"1/2*"`` in the first."""
+    # numerator and denominator once: Fraction's abs, compare and str cost more
+    num, den = c.numerator, c.denominator
+    sign = ("" if num > 0 else "-") if first else (" + " if num > 0 else " - ")
+    if den != 1:
+        return f"{sign}{abs(num)}/{den}*"
+    return sign if num == 1 or num == -1 else f"{sign}{abs(num)}*"
 
-    A word with a nonzero first letter is cut before its first nonzero letter
-    at or after the middle.  No s-block spans the cut, so the word's text is
-    its halves' texts joined; the halves repeat across the words of one
-    polynomial far more than whole words or tails do, and each distinct half
-    is printed once per call.
+
+class _SignedSum:
+    """The text ``a - 2*b + 1/3`` of a sum, built term by term in order.
+
+    Each distinct later-term :func:`_prefix`, and each distinct half of a word, is made once
+    per sum.  A word is cut before its first nonzero letter at or after the middle: no s-block
+    spans that cut, and halves repeat across a polynomial's words far more than whole words do.
     """
-    halves = _Texts(format_word)
-    for w in words:
-        if not w:
-            yield ""
-        elif w[0] == "\0":
-            yield format_word(w)
+
+    def __init__(self):
+        self.chunks: list[str] = []
+        self.prefixes = _Texts(_prefix)
+        self.halves = _Texts(format_word)
+
+    def word(self, w: Word) -> str:
+        """:func:`format_word`, with ``""`` for the empty word."""
+        if not w or w[0] == "\0":
+            return format_word(w) if w else ""
+        right = w[(len(w) + 1) // 2:].lstrip("\0")
+        halves = self.halves
+        return halves[w[:-len(right)]] + halves[right] if right else halves[w]
+
+    def add(self, c: Rational, mono: str) -> None:
+        """One term; an empty ``mono`` is the constant monomial, printed as the magnitude."""
+        if self.chunks and mono:
+            self.chunks.append(self.prefixes[c] + mono)
         else:
-            right = w[(len(w) + 1) // 2:].lstrip("\0")
-            yield halves[w[:-len(right)]] + halves[right] if right else halves[w]
+            text = _prefix(c, not self.chunks) + (mono or "1")
+            self.chunks.append(text if mono else text.removesuffix("*1"))
+
+    def add_poly(self, p: HPoly, st: str = "") -> None:
+        """The terms of ``p`` in :meth:`HPoly.sorted_words` order, each monomial times ``st``."""
+        chunks, terms, prefixes, word = self.chunks, p.terms, self.prefixes, self.word
+        tail = "*" + st if st else ""
+        for w in p.sorted_words():
+            if w and chunks:
+                chunks.append(prefixes[terms[w]] + word(w) + tail)
+            else:
+                self.add(terms[w], word(w) + tail if w else st)
+
+    def __str__(self) -> str:
+        return "".join(self.chunks) or "0"
 
 
 def format_terms(terms: Iterable[tuple[Rational, str]]) -> str:
@@ -477,28 +518,17 @@ def format_terms(terms: Iterable[tuple[Rational, str]]) -> str:
 
     An empty monomial text stands for the constant monomial; no pairs give ``0``.
     """
-    chunks: list[str] = []
+    out = _SignedSum()
     for c, mono in terms:
-        # numerator and denominator once: Fraction's abs, compare and str cost more
-        num, den = c.numerator, c.denominator
-        mag = f"{abs(num)}/{den}" if den != 1 else str(abs(num))
-        if not mono:
-            body = mag
-        elif mag == "1":
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not chunks:
-            chunks.append(body if num > 0 else f"-{body}")
-        else:
-            chunks.append(f" + {body}" if num > 0 else f" - {body}")
-    return "".join(chunks) or "0"
+        out.add(c, mono)
+    return str(out)
 
 
 def format_poly(p: HPoly) -> str:
     """Canonical text; terms in descending word order, parseable back."""
-    terms = p.sorted_terms()
-    return format_terms(zip((c for _, c in terms), format_words(w for w, _ in terms)))
+    out = _SignedSum()
+    out.add_poly(p)
+    return str(out)
 
 
 _TOKEN_RE = re.compile(

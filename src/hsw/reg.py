@@ -37,10 +37,9 @@ from .halg import (
     LinComb,
     Rational,
     Word,
+    _SignedSum,
     combine,
-    format_terms,
     format_word,
-    format_words,
     harmonic,
     over,
     to_letters,
@@ -204,12 +203,10 @@ class RegularizedValue(LinComb):
         ))
 
     def __str__(self) -> str:
-        keys = sorted(self.terms, key=lambda k: (k[0] + k[1], k[0], k[1]), reverse=True)
-        terms = [(w, c, _st_text(*k)) for k in keys for w, c in self.terms[k].sorted_terms()]
-        return format_terms(
-            (c, "*".join(filter(None, (text, st))))
-            for (_, c, st), text in zip(terms, format_words(w for w, _, _ in terms))
-        )
+        out = _SignedSum()
+        for k in sorted(self.terms, key=lambda k: (k[0] + k[1], k[0], k[1]), reverse=True):
+            out.add_poly(self.terms[k], _st_text(*k))
+        return str(out)
 
 
 def z_st(p: HPoly) -> RegularizedValue:

@@ -3,17 +3,20 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hsw import halg
 from hsw.halg import (
     HPoly,
     ParseError,
     Word,
+    _rise_with_keys,
+    _SignedSum,
     concat,
     format_poly,
+    format_terms,
     format_word,
-    format_words,
     harmonic,
     parse_poly,
     s_chain,
@@ -24,8 +27,8 @@ from hsw.halg import (
     to_word,
 )
 from hsw.monoid import LETTERS, UNIT, ZERO, MonoidMismatchError, cyclic, rational
-from hsw.reg import substitute_st, z_st
-from hsw.wcalc import eval_w, pythagoras_coeff
+from hsw.reg import RegularizedValue, _st_text, substitute_st, z_st
+from hsw.wcalc import WPoly, eval_w, pythagoras_coeff
 
 from _support import (
     ALPHABET_01,
@@ -391,6 +394,12 @@ def expected_texts(ws: list[Word]) -> list[str]:
     return [format_word(w) if w else "" for w in ws]
 
 
+def word_texts(ws: list[Word]) -> list[str]:
+    """The texts of ``ws`` from one printer, which shares their halves."""
+    printer = _SignedSum()
+    return [printer.word(w) for w in ws]
+
+
 # The cyclic letters and two rationals in one alphabet: printing does not
 # check that a word's letters share one monoid.
 ALPHABET_PRINT = (ZERO, UNIT, Z, cyclic(2), rational(-3), rational(Fraction(5, 2)))
@@ -402,7 +411,7 @@ class TestFormatWords:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(words(ALPHABET_PRINT, max_weight=20), max_size=12))
     def test_matches_format_word(self, ws):
-        assert list(format_words(ws)) == expected_texts(ws)
+        assert word_texts(ws) == expected_texts(ws)
 
     def test_cases(self):
         wide = WIDE[-1]
@@ -418,16 +427,11 @@ class TestFormatWords:
             word(wide, ZERO, WIDE[-2], ZERO, wide),  # letter ids past 255
             word(wide, ZERO, WIDE[-2], ZERO, wide),
         ]
-        texts = list(format_words(ws))
+        texts = word_texts(ws)
         assert texts == expected_texts(ws)
         assert texts[:4] == ["", "s[z,1]", "s[1,1]", "e[0]e[z]e[0]e[1]"]
         assert texts[5] == "s[z,4]s[1,2]"
         assert texts[7] == "s[z^2,1]s[1,4]"
-
-    def test_is_lazy(self):
-        texts = format_words(iter([word(Z), word(ZERO)]))
-        assert next(texts) == "s[z,1]"
-        assert next(texts) == "e[0]"
 
 
 def reference_sorted_terms(p: HPoly) -> list:
@@ -453,10 +457,153 @@ class TestSortedTerms:
             f"e[1] + s[{a},2]e[1] - 3*e[{b}]e[{b}]e[0] + 1/2*e[{a}]e[{b}]e[1] - e[{b}]e[{a}]e[1]"
             f" + 2*s[{b},2] - e[{a}]e[1] + e[0]e[{a}] + 5"
         )
-        got = p.sorted_terms()
+        got = [(w, p.terms[w]) for w in p.sorted_words()]
         assert got == reference_sorted_terms(p)
         assert [len(w) for w, _ in got] == [3, 3, 3, 3, 2, 2, 2, 1, 0]
         assert format_poly(p) == (
             f"-3*s[{b},1]s[{b},2] - s[{b},1]s[{a},1]s[1,1] + 1/2*s[{a},1]s[{b},1]s[1,1]"
             f" + s[{a},2]s[1,1] + 2*s[{b},2] - s[{a},1]s[1,1] + e[0]e[{a}] + s[1,1] + 5"
         )
+
+
+class TestLetterOrder:
+    """The choice between comparing raw words and translating them to ranks."""
+
+    def test_ids_following_keys_compare_raw_words(self):
+        assert _rise_with_keys((ZERO, UNIT, *IN_ORDER))
+        assert _rise_with_keys((ZERO, UNIT, Z, cyclic(2), rational(-3), rational(2)))
+
+    def test_ids_against_keys_translate_to_ranks(self):
+        a, b = AGAINST_ORDER  # a.key < b.key, a.id > b.id
+        assert not _rise_with_keys((ZERO, UNIT, b, a))
+        assert not _rise_with_keys((ZERO, UNIT, rational(2), Z))
+        # interned at import, AGAINST_ORDER leaves this session's table out of key order
+        assert not _rise_with_keys(tuple(LETTERS.values()))
+
+    @pytest.mark.parametrize("letters", [IN_ORDER, AGAINST_ORDER], ids=["raw-words", "ranks"])
+    def test_sorted_words_either_way(self, letters, monkeypatch):
+        a, b = letters
+        p = parse_poly(
+            f"e[{a}]e[{b}] - 2*e[{b}]e[{a}] + e[{a}]e[0]e[{b}] + 3*e[{b}] + e[{a}]e[1] - 1"
+        )
+        table = {x.id: x for x in sorted((ZERO, UNIT, a, b), key=lambda x: x.id)}
+        monkeypatch.setattr(halg, "LETTERS", table)
+        assert _rise_with_keys(tuple(table.values())) == (letters is IN_ORDER)
+        assert [(w, p.terms[w]) for w in p.sorted_words()] == reference_sorted_terms(p)
+
+
+def reference_signed_sum(pairs) -> str:
+    """The plain per-term printer: sign, magnitude, ``*``, monomial text."""
+    out = []
+    for c, mono in pairs:
+        mag = str(abs(Fraction(c)))
+        body = mag if not mono else mono if mag == "1" else f"{mag}*{mono}"
+        if not out:
+            out.append(body if c > 0 else "-" + body)
+        else:
+            out.append((" + " if c > 0 else " - ") + body)
+    return "".join(out) or "0"
+
+
+def reference_text(p: HPoly, st_text: str = "") -> list[tuple]:
+    """``(coefficient, monomial text)`` of each term of ``p`` times the S/T monomial ``st_text``."""
+    return [
+        (c, "*".join(filter(None, (format_word(w) if w else "", st_text))))
+        for w, c in reference_sorted_terms(p)
+    ]
+
+
+COEFFICIENTS = st.one_of(
+    st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)]),
+    st.integers(-(10**20), 10**20),
+    st.fractions(max_denominator=40),
+)
+
+
+@st.composite
+def printable_polys(draw):
+    """Up to six terms: constants, e-form words and ±1, int and Fraction coefficients."""
+    terms = draw(st.lists(st.tuples(words(ALPHABET_PRINT, max_weight=6), COEFFICIENTS), max_size=6))
+    return HPoly(terms)
+
+
+class TestSignedSum:
+    """The one-walk printer against the plain per-term printer."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(printable_polys())
+    @example(HPoly.zero())
+    def test_format_poly(self, p):
+        assert format_poly(p) == reference_signed_sum(reference_text(p))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(
+        st.tuples(COEFFICIENTS.filter(bool), st.sampled_from(["", "W2*W1^2", "z(3,1)"])), max_size=6
+    ))
+    def test_format_terms(self, pairs):
+        assert format_terms(pairs) == reference_signed_sum(pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)), printable_polys(), max_size=4
+    ))
+    def test_regularized_value(self, parts):
+        rv = RegularizedValue(parts)
+        keys = sorted(rv.terms, key=lambda k: (k[0] + k[1], k[0], k[1]), reverse=True)
+        expected = [term for k in keys for term in reference_text(rv.terms[k], _st_text(*k))]
+        assert str(rv) == reference_signed_sum(expected)
+
+    def test_cases(self):
+        p = parse_poly("-2*s[z,1]s[1,2] + 1/2*s[z,2] - 3*s[1,1]s[z,1] - e[0]e[z] + e[z^2] - 7/3")
+        assert format_poly(p) == reference_signed_sum(reference_text(p)) == (
+            "-2*s[z,1]s[1,2] + 1/2*s[z,2] - 3*s[1,1]s[z,1] - e[0]e[z] + s[z^2,1] - 7/3"
+        )
+        assert format_poly(HPoly.rational(-1)) == "-1"
+        assert format_poly(HPoly.rational(Fraction(1, 2)) - ez) == "-s[z,1] + 1/2"
+        rv = RegularizedValue({(1, 0): -p, (0, 2): HPoly.one(), (0, 0): HPoly.rational(3)})
+        assert str(rv) == (
+            "T^2 + 2*s[z,1]s[1,2]*S - 1/2*s[z,2]*S + 3*s[1,1]s[z,1]*S + e[0]e[z]*S - s[z^2,1]*S"
+            " + 7/3*S + 3"
+        )
+        w1 = WPoly.gen(1)
+        w = WPoly.gen(3) * Fraction(-1, 2) + w1 * w1 * 2 - WPoly.gen(2) + WPoly.rational(5)
+        assert str(w) == "-1/2*W3 - W2 + 2*W1^2 + 5"
+
+
+def plain_star(u: Word, v: Word) -> dict[Word, int]:
+    """The defining recursion with no memo: all three parts summed, then the zeros dropped."""
+    if not u or not v:
+        return {u + v: 1}
+    ab = (LETTERS[u[0]] * LETTERS[v[0]]).id
+    out: dict[Word, int] = {}
+    for head, sign, part in (
+        (ab, 1, plain_star(u[1:], v)),
+        (ab, 1, plain_star(u, v[1:])),
+        (ab + ZERO.id, -1, plain_star(u[1:], v[1:])),
+    ):
+        for w, c in part.items():
+            out[head + w] = out.get(head + w, 0) + sign * c
+    return {w: c for w, c in out.items() if c}
+
+
+# Mostly zero and unit letters, whose merges cancel often.
+ALPHABET_CANCEL = (ZERO, UNIT, ZERO, UNIT, Z)
+
+
+class TestProductMaps:
+    """Memoized word-pair products, whose merges delete a word when its sum cancels."""
+
+    def test_merge_cancels(self):
+        # e_0 * e_1 = e_0 e_1 + e_0 e_0 - e_0 e_0: the last two cancel
+        assert star_terms(ZERO.id, UNIT.id) == {ZERO.id + UNIT.id: 1}
+
+    @settings(max_examples=150, deadline=None)
+    @given(words(ALPHABET_CANCEL), words(ALPHABET_CANCEL))
+    def test_no_zero_stored(self, u, v):
+        product = star_words(u, v)
+        assert product.terms is not star_terms(u, v)  # a copy: the memoized map stays unshared
+        for i in range(len(u) + 1):
+            for j in range(len(v) + 1):
+                terms = star_terms(u[i:], v[j:])
+                assert all(terms.values())
+                assert terms == plain_star(u[i:], v[j:])
