@@ -5,7 +5,7 @@ its weight is its letter count.  In code a word is a ``str`` with one
 character per letter, the letter's id (:data:`hsw.monoid.LETTERS`;
 ``"\\0"`` is the zero letter and ``"\\1"`` the unit).  A ``str`` caches its
 hash, concatenates by copying and is never tracked by the garbage collector,
-so the hundreds of thousands of memoized product terms cost dict operations
+so the hundreds of thousands of product terms cost dict operations
 and collections little.  Nothing assumes one byte per letter.  Printing
 reads per-letter text tables and makes each distinct half word and signed
 coefficient once per call (:class:`_SignedSum`); ordering ranks letters by
@@ -44,8 +44,11 @@ a term is not integral.
 Polynomials are immutable by convention, so they can be shared across threads.
 Word-pair products are memoized within a budget of stored terms
 (:mod:`hsw.memo`); concurrent recomputation only stores an equal value twice.
-A product missing from the memo is built from its suffix pairs' products,
-shortest first, so the recursion is one level deep whatever the word lengths.
+A product missing from the memo is built in one row of its suffix pairs'
+products, local to the call and rewritten in place from the last suffix up;
+a cell takes the product the memo holds for its pair or builds it from three
+neighbours.  Nothing recurses, whatever the word lengths, and only the product
+asked for is stored: the suffix pairs' products die with the call.
 
 Text grammar (shared with the command line)::
 
@@ -65,7 +68,7 @@ import re
 from fractions import Fraction
 from typing import Any, Hashable, Iterable
 
-from .monoid import LETTERS, MonoidElement, MonoidMismatchError, mul, parse_element
+from .monoid import LETTERS, MonoidElement, MonoidMismatchError, mul, parse_element, rank_table
 from .memo import clear_all, term_bounded_cache
 
 __all__ = [
@@ -284,27 +287,21 @@ class HPoly(LinComb):
     def sorted_words(self) -> list[Word]:
         """Words by descending weight, then descending letters in ``MonoidElement.key`` order.
 
-        Two stable passes, letters first and weight second.  When the ids of the
-        interned letters rise with their keys (:func:`_rise_with_keys`), which is
-        the usual case, the letter pass compares the words themselves; otherwise
-        each word translates once to the ranks of this polynomial's letters.
+        Two stable passes, letters first and weight second.  While the ids of the
+        interned letters rise with their keys, which is the usual case, the letter
+        pass compares the words themselves; otherwise each word translates once to
+        letter ranks (:func:`~hsw.monoid.rank_table`).
         """
-        if _rise_with_keys(tuple(LETTERS.values())):  # a snapshot: other threads may intern
+        ranks = rank_table()
+        if ranks is None:
             words = sorted(self.terms, reverse=True)
         else:
-            by_key = sorted(set("".join(self.terms)), key=lambda a: LETTERS[a].key)
-            rank = str.maketrans(dict(zip(by_key, map(chr, range(len(by_key))))))
-            words = sorted(self.terms, key=lambda w: w.translate(rank), reverse=True)
+            words = sorted(self.terms, key=lambda w: w.translate(ranks), reverse=True)
         words.sort(key=len, reverse=True)
         return words
 
     def __str__(self) -> str:
         return format_poly(self)
-
-
-def _rise_with_keys(letters: tuple[MonoidElement, ...]) -> bool:
-    """Whether letters listed by id rise in ``key`` order, so that raw words compare as keys do."""
-    return all(a.key < b.key for a, b in zip(letters, letters[1:]))
 
 
 def concat(p: HPoly, q: HPoly) -> HPoly:
@@ -315,24 +312,49 @@ def concat(p: HPoly, q: HPoly) -> HPoly:
     ))
 
 
-@term_bounded_cache()
-def _star_words_cached(u: Word, v: Word) -> dict[Word, int]:
-    ab = mul(u[0], v[0])
+def _merge(ab: Word, first: dict, second: dict, both: dict) -> dict[Word, int]:
+    """``e_ab (first + second - e_0 both)``, the step of the product recursion."""
     # The first part's words are distinct; the other two merge in, dropping sums that cancel.
-    t = star_terms(u[1:], v)
-    out = dict(zip(map(ab.__add__, t), t.values()))
-    for w, c in star_terms(u, v[1:]).items():
+    out = dict(zip(map(ab.__add__, first), first.values()))
+    for w, c in second.items():
         w = ab + w
         c = out[w] = out.get(w, 0) + c
         if not c:
             del out[w]
     ab += "\0"
-    for w, c in star_terms(u[1:], v[1:]).items():
+    for w, c in both.items():
         w = ab + w
         c = out[w] = out.get(w, 0) - c
         if not c:
             del out[w]
     return out
+
+
+@term_bounded_cache()
+def _star_words_cached(u: Word, v: Word) -> dict[Word, int]:
+    # row[j] is the product of v[j:] and the suffix of u reached so far, rewritten
+    # in place from the last suffix up; diag keeps the cell a write overwrote.  A
+    # cell the memo holds is read from it; only (u, v) itself is stored.
+    m, n = len(u), len(v)
+    suffixes = [v[j:] for j in range(n + 1)]
+    row = [{y: 1} for y in suffixes]
+    for i in range(m - 1, -1, -1):
+        x = u[i:]
+        diag, row[n] = row[n], {x: 1}
+        for j in range(n - 1, -1, -1):
+            y = suffixes[j]
+            below = row[j]  # x[1:] * y
+            # Each pair builds in its memo order, so a product's words keep one order.
+            if (m - i, x) <= (n - j, y):
+                cell = _star_words_cached.get(x, y)
+                if cell is None:
+                    cell = _merge(mul(x[0], y[0]), below, row[j + 1], diag)
+            else:
+                cell = _star_words_cached.get(y, x)
+                if cell is None:
+                    cell = _merge(mul(y[0], x[0]), row[j + 1], below, diag)
+            diag, row[j] = below, cell
+    return row[0]
 
 
 def _ordered(u: Word, v: Word) -> tuple[Word, Word]:
@@ -349,15 +371,7 @@ def star_terms(u: Word, v: Word) -> dict[Word, int]:
         return {v: 1}
     if not v:
         return {u: 1}
-    u, v = _ordered(u, v)
-    terms = _star_words_cached.get(u, v)
-    if terms is None:
-        # Fill the suffix pairs bottom-up: each product then finds the three it
-        # is built from memoized, so a miss recurses one level, whatever the length.
-        for i in range(len(u) - 1, -1, -1):
-            for j in range(len(v) - 1, -1, -1):
-                terms = _star_words_cached(*_ordered(u[i:], v[j:]))
-    return terms
+    return _star_words_cached(*_ordered(u, v))
 
 
 def star_words(u: Word, v: Word) -> HPoly:

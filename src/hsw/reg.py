@@ -283,8 +283,8 @@ _ULP = 1 << 1074  # every finite float is a whole multiple of 2**-1074
 
 def _exact(x: float) -> int:
     """The float ``x`` times ``2**1074``, an integer."""
-    n, d = x.as_integer_ratio()
-    return n * (_ULP // d)
+    n, d = x.as_integer_ratio()  # d is a power of two, at most 2**1074
+    return n << (1075 - d.bit_length())
 
 
 def exact_sum(terms: dict[Word, Rational], evaluator: Evaluator) -> tuple[Fraction, Fraction]:

@@ -95,8 +95,8 @@ class TestEval:
         )
 
     def test_long_word_product_in_fresh_process(self):
-        # no shorter product is memoized beforehand: the suffix pairs fill bottom-up,
-        # so the product of a 300-letter word recurses no deeper than a short one
+        # no shorter product is memoized beforehand: the suffix pairs fill one row
+        # in a loop, so the product of a 300-letter word does not recurse at all
         env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
         proc = subprocess.run(
             [sys.executable, "-m", "hsw", "eval", "e[z]" * 300 + "*e[z^2]"],

@@ -45,6 +45,12 @@ def test_results_unchanged_under_eviction(monkeypatch):
         for _ in range(6)
     ]
     polys = [random_poly(rng, 7, ALPHABET_01Z, max_terms=3) for _ in range(12)]
+    # Only whole products are stored: those of weight-6 words exceed the small
+    # budget below and are returned unstored, those of weight-3 words evict.
+    pairs += [
+        (random_word(rng, 3, ALPHABET_01ZZ2), random_word(rng, 3, ALPHABET_01ZZ2))
+        for _ in range(6)
+    ]
     caches = (halg._star_words_cached, reg._reg_word)
     for cache in caches:
         cache.cache_clear()

@@ -1,8 +1,9 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hsw import halg, reg
@@ -245,6 +246,21 @@ def test_exact_sum_is_the_fraction_sum(rows):
     value = sum((Fraction(c) * Fraction(v) for c, v, _ in rows), Fraction(0))
     bound = sum((abs(Fraction(c)) * Fraction(b) for c, _, b in rows), Fraction(0))
     assert reg.exact_sum(terms, table.__getitem__) == (value, bound)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_FLOATS | _FLOATS.map(lambda x: x * 2.0**-1060))  # the second draws subnormals often
+@example(0.0)
+@example(-0.0)
+@example(5e-324)
+@example(-5e-324)
+@example(sys.float_info.min)
+@example(sys.float_info.min - 5e-324)  # the largest subnormal
+@example(sys.float_info.max)
+@example(-sys.float_info.max)
+@example(1.0)
+def test_exact_is_the_float_over_the_smallest_subnormal(x):
+    assert reg._exact(x) == Fraction(x) * 2**1074
 
 
 class TestDriver:
