@@ -46,9 +46,9 @@ Word-pair products are memoized within a budget of stored terms
 (:mod:`hsw.memo`); concurrent recomputation only stores an equal value twice.
 A product missing from the memo is built in one row of its suffix pairs'
 products, local to the call and rewritten in place from the last suffix up;
-a cell takes the product the memo holds for its pair or builds it from three
-neighbours.  Nothing recurses, whatever the word lengths, and only the product
-asked for is stored: the suffix pairs' products die with the call.
+each cell is built from three neighbours.  Nothing recurses, whatever the word
+lengths, and only the product asked for is stored: the suffix pairs' products
+die with the call.
 
 Text grammar (shared with the command line)::
 
@@ -68,7 +68,7 @@ import re
 from fractions import Fraction
 from typing import Any, Hashable, Iterable
 
-from .monoid import LETTERS, MonoidElement, MonoidMismatchError, mul, parse_element, rank_table
+from .monoid import LETTERS, MonoidElement, MonoidMismatchError, mul, parse_element
 from .memo import clear_all, term_bounded_cache
 
 __all__ = [
@@ -287,21 +287,27 @@ class HPoly(LinComb):
     def sorted_words(self) -> list[Word]:
         """Words by descending weight, then descending letters in ``MonoidElement.key`` order.
 
-        Two stable passes, letters first and weight second.  While the ids of the
-        interned letters rise with their keys, which is the usual case, the letter
-        pass compares the words themselves; otherwise each word translates once to
-        letter ranks (:func:`~hsw.monoid.rank_table`).
+        Two stable passes, letters first and weight second.  When the ids of the
+        interned letters rise with their keys (:func:`_rise_with_keys`), which is
+        the usual case, the letter pass compares the words themselves; otherwise
+        each word translates once to the ranks of this polynomial's letters.
         """
-        ranks = rank_table()
-        if ranks is None:
+        if _rise_with_keys(tuple(LETTERS.values())):  # a snapshot: other threads may intern
             words = sorted(self.terms, reverse=True)
         else:
-            words = sorted(self.terms, key=lambda w: w.translate(ranks), reverse=True)
+            by_key = sorted(set("".join(self.terms)), key=lambda a: LETTERS[a].key)
+            rank = str.maketrans(dict(zip(by_key, map(chr, range(len(by_key))))))
+            words = sorted(self.terms, key=lambda w: w.translate(rank), reverse=True)
         words.sort(key=len, reverse=True)
         return words
 
     def __str__(self) -> str:
         return format_poly(self)
+
+
+def _rise_with_keys(letters: tuple[MonoidElement, ...]) -> bool:
+    """Whether letters listed by id rise in ``key`` order, so that raw words compare as keys do."""
+    return all(a.key < b.key for a, b in zip(letters, letters[1:]))
 
 
 def concat(p: HPoly, q: HPoly) -> HPoly:
@@ -333,8 +339,8 @@ def _merge(ab: Word, first: dict, second: dict, both: dict) -> dict[Word, int]:
 @term_bounded_cache()
 def _star_words_cached(u: Word, v: Word) -> dict[Word, int]:
     # row[j] is the product of v[j:] and the suffix of u reached so far, rewritten
-    # in place from the last suffix up; diag keeps the cell a write overwrote.  A
-    # cell the memo holds is read from it; only (u, v) itself is stored.
+    # in place from the last suffix up; diag keeps the cell a write overwrote.
+    # Only (u, v) itself is stored.
     m, n = len(u), len(v)
     suffixes = [v[j:] for j in range(n + 1)]
     row = [{y: 1} for y in suffixes]
@@ -346,13 +352,9 @@ def _star_words_cached(u: Word, v: Word) -> dict[Word, int]:
             below = row[j]  # x[1:] * y
             # Each pair builds in its memo order, so a product's words keep one order.
             if (m - i, x) <= (n - j, y):
-                cell = _star_words_cached.get(x, y)
-                if cell is None:
-                    cell = _merge(mul(x[0], y[0]), below, row[j + 1], diag)
+                cell = _merge(mul(x[0], y[0]), below, row[j + 1], diag)
             else:
-                cell = _star_words_cached.get(y, x)
-                if cell is None:
-                    cell = _merge(mul(y[0], x[0]), row[j + 1], below, diag)
+                cell = _merge(mul(y[0], x[0]), row[j + 1], below, diag)
             diag, row[j] = below, cell
     return row[0]
 

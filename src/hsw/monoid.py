@@ -14,8 +14,7 @@ element interned, which keys the append-only letter table :data:`LETTERS`
 of first use, up to the 1,114,112 code points); :func:`mul` multiplies
 letters by id through a memoized product table.  A word of the harmonic
 algebra is the ``str`` of its letters' ids, so the product kernel never
-touches an element object.  Ids say nothing about the order of elements; ``key`` does,
-and :func:`rank_table` maps ids to ranks in that order.  The rational
+touches an element object.  Ids say nothing about the order of elements; ``key`` does.  The rational
 instance is restricted to exact rationals (rather than arbitrary
 complex numbers of modulus >= 1) so that element equality, and hence word
 normalization, stays decidable.
@@ -25,7 +24,6 @@ Element literals: ``0``, ``1``, ``z``, ``z^3``, ``5/2``, ``-3``.
 
 from __future__ import annotations
 
-import bisect
 import re
 import threading
 from fractions import Fraction
@@ -40,7 +38,6 @@ __all__ = [
     "rational",
     "mul",
     "parse_element",
-    "rank_table",
 ]
 
 
@@ -57,53 +54,6 @@ _RANK = {_KIND_ZERO: 0, _KIND_UNIT: 1, _KIND_CYCLIC: 2, _KIND_RATIONAL: 3}
 
 LETTERS: dict[str, "MonoidElement"] = {}  # id -> element, append-only
 _letters_lock = threading.Lock()
-
-
-class _KeyOrder:
-    """The interned letters' ids in ``key`` order, extended under ``_letters_lock``.
-
-    :meth:`table` is the ``str.translate`` table from each id to its rank in that
-    order, or ``None`` while ids rise with keys, when raw words already compare
-    as ranks.  A letter interned out of order drops the table, to be rebuilt
-    once at its next use; one interned last extends it.
-    """
-
-    def __init__(self):
-        self.entries: list[tuple[tuple, str]] = []  # (key, id), sorted
-        self.in_order = True
-        self._table: dict[int, str] | None = None
-
-    def add(self, key: tuple, id_: str) -> None:
-        """Place a new letter; the caller holds ``_letters_lock``."""
-        entry = (key, id_)
-        if not self.entries or self.entries[-1] < entry:
-            self.entries.append(entry)
-            if self._table is not None:
-                self._table[ord(id_)] = chr(len(self.entries) - 1)
-        else:
-            bisect.insort(self.entries, entry)
-            self.in_order = False
-            self._table = None
-
-    def table(self) -> dict[int, str] | None:
-        if self.in_order:
-            return None
-        table = self._table
-        if table is None:
-            with _letters_lock:
-                if self._table is None:
-                    ids = [ord(id_) for _, id_ in self.entries]
-                    self._table = dict(zip(ids, map(chr, range(len(ids)))))
-                table = self._table
-        return table
-
-
-_KEY_ORDER = _KeyOrder()
-
-
-def rank_table() -> dict[int, str] | None:
-    """Letter id to rank in ``key`` order, as a ``str.translate`` table; ``None`` while ids rise with keys."""
-    return _KEY_ORDER.table()
 
 
 class MonoidElement:
@@ -129,7 +79,6 @@ class MonoidElement:
         with _letters_lock:
             object.__setattr__(self, "id", chr(len(LETTERS)))
             LETTERS[self.id] = self
-            _KEY_ORDER.add(self.key, self.id)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MonoidElement is immutable")

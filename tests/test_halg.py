@@ -1,20 +1,17 @@
 import gc
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hsw import halg, monoid
+from hsw import halg
 from hsw.halg import (
     HPoly,
     ParseError,
     Word,
+    _rise_with_keys,
     _SignedSum,
     concat,
     format_poly,
@@ -29,7 +26,7 @@ from hsw.halg import (
     to_letters,
     to_word,
 )
-from hsw.monoid import LETTERS, UNIT, ZERO, MonoidMismatchError, cyclic, rank_table, rational
+from hsw.monoid import LETTERS, UNIT, ZERO, MonoidMismatchError, cyclic, rational
 from hsw.reg import RegularizedValue, _st_text, substitute_st, z_st
 from hsw.wcalc import WPoly, eval_w, pythagoras_coeff
 
@@ -43,8 +40,6 @@ from _support import (
     reference_quasi_shuffle,
     reference_star_words,
 )
-
-ROOT = Path(__file__).resolve().parent.parent
 
 Z = cyclic(1)
 
@@ -471,56 +466,19 @@ class TestSortedTerms:
         )
 
 
-def key_order(*letters) -> monoid._KeyOrder:
-    """The key order of ``letters`` interned in the order given."""
-    order = monoid._KeyOrder()
-    for a in letters:
-        order.add(a.key, a.id)
-    return order
-
-
-# Interns z..z^12 in the order given, then prints a product, and the sum of that
-# and a product whose merge interns z^13 after the first print, so a rank table
-# built for the first print is extended.  Each print follows whether raw words sort.
-INTERN_AND_PRINT = """
-import sys
-from hsw.monoid import cyclic, rank_table
-from hsw.halg import parse_poly
-[cyclic(k) for k in (range(1, 13) if sys.argv[1] == "keys" else range(12, 0, -1))]
-p = parse_poly("(e[z]e[z^2]e[0]e[1] + 2*e[z^3]e[z]) * (e[z^4]e[1]e[z^2] - 1/2*e[z]e[z^8]e[0])")
-print(rank_table() is None, p)
-q = p + parse_poly("e[z^12]e[z^2] * e[z]")
-print(rank_table() is None, q)
-"""
-
-
 class TestLetterOrder:
-    """The letter ranks sorting reads: none while ids rise with keys, else a translate table."""
+    """The choice between comparing raw words and translating them to ranks."""
 
     def test_ids_following_keys_compare_raw_words(self):
-        assert key_order(ZERO, UNIT, *IN_ORDER).table() is None
-        assert key_order(ZERO, UNIT, Z, cyclic(2), rational(-3), rational(2)).table() is None
+        assert _rise_with_keys((ZERO, UNIT, *IN_ORDER))
+        assert _rise_with_keys((ZERO, UNIT, Z, cyclic(2), rational(-3), rational(2)))
 
     def test_ids_against_keys_translate_to_ranks(self):
         a, b = AGAINST_ORDER  # a.key < b.key, a.id > b.id
-        order = key_order(ZERO, UNIT, b, a)
-        table = order.table()
-        assert table == {0: "\0", 1: "\1", ord(a.id): "\2", ord(b.id): "\3"}
-        assert order.table() is table  # built once
-        c = rational(Fraction(10**9 + 5, 7))
-        order.add(c.key, c.id)  # last in key order: the table is extended in place
-        assert order.table() is table and table[ord(c.id)] == "\4"
-        d = IN_ORDER[0]
-        order.add(d.key, d.id)  # before a and b in key order: the table is rebuilt
-        assert order.table() == {
-            0: "\0", 1: "\1", ord(d.id): "\2", ord(a.id): "\3", ord(b.id): "\4", ord(c.id): "\5"
-        }
+        assert not _rise_with_keys((ZERO, UNIT, b, a))
+        assert not _rise_with_keys((ZERO, UNIT, rational(2), Z))
         # interned at import, AGAINST_ORDER leaves this session's table out of key order
-        ranks = rank_table()
-        assert ranks is not None
-        assert sorted(LETTERS.values(), key=lambda x: ranks[ord(x.id)]) == sorted(
-            LETTERS.values(), key=lambda x: x.key
-        )
+        assert not _rise_with_keys(tuple(LETTERS.values()))
 
     @pytest.mark.parametrize("letters", [IN_ORDER, AGAINST_ORDER], ids=["raw-words", "ranks"])
     def test_sorted_words_either_way(self, letters, monkeypatch):
@@ -528,24 +486,10 @@ class TestLetterOrder:
         p = parse_poly(
             f"e[{a}]e[{b}] - 2*e[{b}]e[{a}] + e[{a}]e[0]e[{b}] + 3*e[{b}] + e[{a}]e[1] - 1"
         )
-        order = key_order(*sorted((ZERO, UNIT, a, b), key=lambda x: x.id))
-        monkeypatch.setattr(monoid, "_KEY_ORDER", order)
-        assert (rank_table() is None) == (letters is IN_ORDER)
+        table = {x.id: x for x in sorted((ZERO, UNIT, a, b), key=lambda x: x.id)}
+        monkeypatch.setattr(halg, "LETTERS", table)
+        assert _rise_with_keys(tuple(table.values())) == (letters is IN_ORDER)
         assert [(w, p.terms[w]) for w in p.sorted_words()] == reference_sorted_terms(p)
-
-    def test_reversed_interning_prints_the_same(self):
-        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-        runs = [
-            subprocess.run(
-                [sys.executable, "-c", INTERN_AND_PRINT, order],
-                capture_output=True, text=True, env=env, timeout=120, check=True,
-            ).stdout.splitlines()
-            for order in ("keys", "reversed")
-        ]
-        keys, reversed_ = ([line.split(" ", 1) for line in run] for run in runs)
-        assert [flag for flag, _ in keys] == ["True", "True"]
-        assert [flag for flag, _ in reversed_] == ["False", "False"]
-        assert [text for _, text in keys] == [text for _, text in reversed_]
 
 
 def reference_signed_sum(pairs) -> str:
@@ -678,7 +622,7 @@ class TestProductMaps:
     @settings(max_examples=100, deadline=None)
     @given(words(ALPHABET_01ZZ2, 6), words(ALPHABET_01ZZ2, 6), st.data())
     def test_warm_memo_builds_the_same_map(self, u, v, data):
-        # sub-pairs asked for earlier, either way round, are read from the memo mid-fill
+        # sub-pairs asked for earlier, either way round, leave the product's build unchanged
         cache = halg._star_words_cached
         cache.cache_clear()
         cold = list(star_terms(u, v).items())

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hsw import monoid
 from hsw.monoid import (
     LETTERS,
     UNIT,
@@ -15,7 +14,6 @@ from hsw.monoid import (
     cyclic,
     mul,
     parse_element,
-    rank_table,
     rational,
 )
 
@@ -130,15 +128,10 @@ def test_concurrent_interning_gives_each_letter_its_own_id():
     # while switching often: no two letters may get one id
     shared = [Fraction(10**9 + n, 7) for n in range(300)]
     results = [[] for _ in range(8)]
-    unranked = []
 
     def intern(i, out):
         own = (Fraction(10**9 + n, 11 + 2 * i) for n in range(1500))
-        for pair in zip(shared * 5, own):
-            out.extend(map(rational, pair))
-            if len(out) % 500 == 0:  # the rank table, read while others intern
-                ranks = rank_table()
-                unranked.extend(a for a in out[-2:] if ord(a.id) not in ranks)
+        out.extend(rational(q) for pair in zip(shared * 5, own) for q in pair)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -154,9 +147,3 @@ def test_concurrent_interning_gives_each_letter_its_own_id():
     letters = {a for out in results for a in out}
     assert len(letters) == 300 + 8 * 1500
     assert all(LETTERS[a.id] is a for a in letters)
-    # the key order lost no letter, and ranks every interned letter by key
-    assert monoid._KEY_ORDER.entries == sorted((a.key, a.id) for a in LETTERS.values())
-    ranks = rank_table()
-    assert not unranked and sorted(LETTERS, key=lambda i: ranks[ord(i)]) == [
-        a.id for a in sorted(LETTERS.values(), key=lambda a: a.key)
-    ]
