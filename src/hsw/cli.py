@@ -19,7 +19,7 @@ checked like the flag it stands for, so a bad one exits 2 unless that flag is
 given.  Exit codes: 0 pass, 1 verification failure (a run with no items fails
 too, and so does a relation whose residual exceeds its bound), 2 usage or
 input error (also a word no oracle evaluates to the requested tolerance, and
-an expression nested too deeply or with too long a word to evaluate).
+an expression nested too deeply to evaluate).
 """
 
 from __future__ import annotations
@@ -369,8 +369,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        # The parser recurses per parenthesis and the word product per letter.
-        print("input error: too deeply nested or too long a word to evaluate", file=sys.stderr)
+        # The parser recurses per parenthesis; nothing else does.
+        print("input error: expression nested too deeply to evaluate", file=sys.stderr)
         return 2
     except BrokenPipeError:
         # Downstream consumer (e.g. head) closed the stream; not a failure.

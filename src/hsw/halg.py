@@ -48,7 +48,8 @@ A product missing from the memo is built in one row of its suffix pairs'
 products, local to the call and rewritten in place from the last suffix up;
 each cell is built from three neighbours.  Nothing recurses, whatever the word
 lengths, and only the product asked for is stored: the suffix pairs' products
-die with the call.
+die with the call.  The fill never reads the memo, so it alone fixes the order
+of a product's words, whatever the memo holds.
 
 Text grammar (shared with the command line)::
 
@@ -135,12 +136,14 @@ def to_rational(c) -> Rational:
     return c.numerator if c.denominator == 1 else c
 
 
-def combine(pairs: Iterable[tuple[Hashable, Any]]) -> dict:
+def combine(pairs: Iterable[tuple[Hashable, Any]], out: dict | None = None) -> dict:
     """Sum ``(key, coefficient)`` pairs into a map that never stores a zero coefficient.
 
+    The sum starts from ``out``, which it updates in place, or from an empty map.
     An integral ``Fraction`` is stored as its ``int`` (:func:`to_rational`).
     """
-    out: dict = {}
+    if out is None:
+        out = {}
     for key, c in pairs:
         prev = out.get(key)
         if prev is not None:
@@ -216,19 +219,7 @@ class LinComb:
             return other
         if not other.terms:
             return self
-        # combine() inlined: polynomial addition sits on every hot path.
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            if prev is not None:
-                c = prev + c
-                if not c:
-                    del out[k]
-                    continue
-                if c.__class__ is Fraction and c.denominator == 1:
-                    c = c.numerator
-            out[k] = c
-        return self._raw(out)
+        return self._raw(combine(other.terms.items(), dict(self.terms)))
 
     def __sub__(self, other):
         if other.__class__ is not self.__class__:
@@ -341,21 +332,14 @@ def _star_words_cached(u: Word, v: Word) -> dict[Word, int]:
     # row[j] is the product of v[j:] and the suffix of u reached so far, rewritten
     # in place from the last suffix up; diag keeps the cell a write overwrote.
     # Only (u, v) itself is stored.
-    m, n = len(u), len(v)
-    suffixes = [v[j:] for j in range(n + 1)]
-    row = [{y: 1} for y in suffixes]
-    for i in range(m - 1, -1, -1):
-        x = u[i:]
-        diag, row[n] = row[n], {x: 1}
+    n = len(v)
+    row = [{v[j:]: 1} for j in range(n + 1)]
+    for i in range(len(u) - 1, -1, -1):
+        a = u[i]
+        diag, row[n] = row[n], {u[i:]: 1}
         for j in range(n - 1, -1, -1):
-            y = suffixes[j]
-            below = row[j]  # x[1:] * y
-            # Each pair builds in its memo order, so a product's words keep one order.
-            if (m - i, x) <= (n - j, y):
-                cell = _merge(mul(x[0], y[0]), below, row[j + 1], diag)
-            else:
-                cell = _merge(mul(y[0], x[0]), row[j + 1], below, diag)
-            diag, row[j] = below, cell
+            below = row[j]  # u[i + 1:] * v[j:]
+            diag, row[j] = below, _merge(mul(a, v[j]), below, row[j + 1], diag)
     return row[0]
 
 

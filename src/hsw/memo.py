@@ -50,24 +50,12 @@ class TermBoundedCache:
         self._terms = self._hits = self._misses = self._evictions = 0
         _CACHES.add(self)
 
-    def _lookup(self, args):
-        # Under the lock: the stored ``(value, size)`` of ``args``, counted as a hit, or None.
-        entry = self._data.get(args)
-        if entry is not None:
-            self._data.move_to_end(args)
-            self._hits += 1
-        return entry
-
-    def get(self, *args):
-        """The stored result for ``args``, counted as a hit, or ``None``; never runs the function."""
-        with self._lock:
-            entry = self._lookup(args)
-        return None if entry is None else entry[0]
-
     def __call__(self, *args):
         with self._lock:
-            entry = self._lookup(args)
+            entry = self._data.get(args)
             if entry is not None:
+                self._data.move_to_end(args)
+                self._hits += 1
                 return entry[0]
             self._misses += 1
         value = self.fn(*args)

@@ -39,7 +39,6 @@ from itertools import accumulate, chain, product
 from typing import Iterable, Iterator
 
 from .halg import HPoly, Word, format_word, s_chain, s_word, star_terms, to_letters, to_word
-from .memo import term_bounded_cache
 from .monoid import LETTERS, UNIT, MonoidElement, rational
 from .reporting import CheckResult
 from . import reg
@@ -127,7 +126,6 @@ def _walk_prefixes(seqs: Iterable[Word], forms: dict, n_terms: int, bits: int) -
     return out
 
 
-@term_bounded_cache(size=lambda split: 1, max_terms=1024)
 def _split(m0: Fraction, m1: Fraction) -> tuple[int, int, tuple[int, int], tuple[int, int]]:
     """``R = m0 + m1`` as ``p/q``, and the head and tail scales ``R/m0`` and ``R/m1`` as ``(p, q)``."""
     big_r = Fraction(m0 + m1)

@@ -323,7 +323,10 @@ def _random_poly(rng: random.Random, alphabet, max_weight: int, max_terms: int =
 def verify_regularization(
     count: int = 100, max_weight: int = 5, seed: int = 0
 ) -> Iterator[CheckResult]:
-    """Roundtrip, admissibility, injectivity and multiplicativity on random input."""
+    """Roundtrip, admissibility, injectivity and multiplicativity on random input.
+
+    An inadmissible normal form is not an item: :func:`z_st` raises :class:`RegularizationError`.
+    """
     rng = random.Random(seed)
     alphabets = ["\0\1", "\0\1" + cyclic(1).id]
     for idx in range(count):
@@ -331,10 +334,6 @@ def verify_regularization(
         p = _random_poly(rng, alphabet, max_weight)
         rv = z_st(p)
         ok = substitute_st(rv) == p and (rv.is_zero == p.is_zero)
-        try:
-            rv.validate()
-        except RegularizationError:
-            ok = False
         yield CheckResult(
             item=f"roundtrip #{idx}",
             passed=ok,

@@ -85,7 +85,7 @@ class TestEval:
     def test_recursion_limit_exit_2(self, capsys, expr):
         code, out, err = run(capsys, "eval", expr)
         assert code == 2 and out == ""
-        assert err.startswith("input error: ") and err.count("\n") == 1
+        assert err == "input error: expression nested too deeply to evaluate\n"
         # the memoized products stay usable afterwards
         code, out, _ = run(capsys, "eval", "e[z^2]*e[z]e[z]")
         assert code == 0

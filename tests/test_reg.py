@@ -267,3 +267,12 @@ class TestDriver:
     def test_verify_regularization(self):
         items = list(verify_regularization(count=40, max_weight=4, seed=1))
         assert items and all(item.passed for item in items)
+
+    def test_inadmissible_rule_fails_the_driver(self, monkeypatch):
+        # a rule that leaves a leading-zero word: z_st's admissibility check raises
+        def bad_rule(w: Word):
+            return 1, (("\0" + w[:-1], 1, 1, (0, 0)),)
+
+        monkeypatch.setattr(reg, "_reg_word", bad_rule)
+        with pytest.raises(RegularizationError, match="inadmissible word"):
+            list(verify_regularization(count=40, max_weight=4, seed=1))
