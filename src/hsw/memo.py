@@ -26,9 +26,10 @@ __all__ = ["MAX_TERMS", "CacheInfo", "TermBoundedCache", "term_bounded_cache", "
 
 # The default budget of one cache.  Filled to it, the word-pair products of
 # 10-16 letter words take about 90 MB, and the regularization rules of 11-19
-# letter words about 235 MB (Python 3.11, x86_64).  The benchmark workloads
-# store at most about 46,000 terms in one cache (the algebra workload's
-# word-pair products: 199 entries at seed 1), so none of them evicts anything.
+# letter words 105 MB, a term being a word (Python 3.11, x86_64).  No
+# benchmark workload stores over about 46,000 terms in one cache (the
+# algebra workload's word-pair products: 199 entries at seed 1), so none of
+# them evicts anything.
 MAX_TERMS = 1_000_000
 
 CacheInfo = namedtuple("CacheInfo", "hits misses currsize terms max_terms evictions")

@@ -74,67 +74,53 @@ def _leading_zero_run(w: Word) -> int:
     return len(w) - len(w.lstrip("\0"))
 
 
-def _trailing_unit_run(w: Word) -> int:
-    return len(w) - len(w.rstrip("\1"))
-
-
 def strip_e0(p: HPoly) -> dict[int, HPoly]:
     """Peel maximal leading zero-letter powers: ``p = sum_s e_0^s (result[s])``."""
     runs = ((_leading_zero_run(w), w, c) for w, c in p.terms.items())
     return combine((s, HPoly.from_word(w[s:], c)) for s, w, c in runs)
 
 
-_E1_WORD = "\1"
-
-
 @term_bounded_cache()
 def _e1_star_power(t: int) -> HPoly:
     if t == 0:
         return HPoly.one()
-    return harmonic(_e1_star_power(t - 1), HPoly.from_word(_E1_WORD))
+    return harmonic(_e1_star_power(t - 1), HPoly.from_word("\1"))
 
 
 def _bucket(w: Word) -> tuple[int, int]:
     """The (nonzero-letter count, trailing unit run) key that orders the rewriting."""
-    return len(w) - w.count("\0"), _trailing_unit_run(w)
+    return len(w) - w.count("\0"), len(w) - len(w.rstrip("\1"))
 
 
-@term_bounded_cache(size=lambda rule: len(rule[1]))
-def _reg_word(w: Word) -> tuple[int, tuple[tuple[Word, int, int, tuple[int, int]], ...]]:
+@term_bounded_cache(size=lambda rule: 1 + len(rule[1]) + sum(map(len, rule[2])))
+def _reg_word(w: Word) -> tuple[Word, tuple[Word, ...], tuple[tuple[Word, ...], ...]]:
     """One-step rule of a word with no leading zero letters and ``m >= 1`` trailing units.
 
-    ``(m, ((x, dt, k, bucket), ...))`` stands for ``w = sum k * x * e_1^{*dt} / m``,
-    each ``x`` in a bucket (:func:`_bucket`) strictly below that of ``w``.  With
-    ``base = a_1...a_n`` the word ``w`` without its last letter, it solves
+    ``(base, doubled, zeros)`` stands for ``w = (base * e_1 - sum doubled +
+    sum zeros) / m``, solved from
 
         a_1...a_n * e_1 = a_1...a_n e_1
                           + sum_{a_i != 0} (a_1...a_i a_i a_{i+1}...a_n - a_1...a_i 0 a_{i+1}...a_n)
 
-    (one unfolding of the harmonic recursion) for ``w = base e_1``, which
-    appears ``m`` times: doubling a letter of the trailing unit run of ``base``
-    gives ``w`` again.  Every other word has fewer nonzero letters, or as many
-    and a shorter trailing run.
+    (one unfolding of the harmonic recursion) with ``base = a_1...a_n``, the
+    word ``w`` without its last letter.  ``w = base e_1`` appears ``m`` times,
+    as doubling a letter of base's unit run gives ``w``; any other doubled
+    word repeats once per letter that makes it.  From ``w``'s bucket
+    (:func:`_bucket`) ``(d, m)``, base goes to ``(d-1, m-1)``, doubled words to
+    ``(d, m-1)`` and ``zeros[r]``, the zero words with ``r`` trailing units, to ``(d-1, r)``.
     """
-    m = _trailing_unit_run(w)
+    stem = w.rstrip("\1")
     base = w[:-1]
-    n = len(base)
-    d = n - base.count("\0")  # nonzero letters of base
-    doubled: dict[Word, int] = {}
+    doubled = []
     zeros = []
-    for i, a in enumerate(base):
-        if a == "\0":
-            continue
-        head, tail = base[: i + 1], base[i + 1 :]
-        if i <= n - m:
-            x = head + a + tail
-            doubled[x] = doubled.get(x, 0) - 1
-        # the zero letter cuts the trailing unit run of base short
-        zeros.append((head + "\0" + tail, 0, 1, (d, min(m - 1, n - 1 - i))))
-    return m, (
-        (base, 1, 1, (d, m - 1)),
-        *((x, 0, k, (d + 1, m - 1)) for x, k in doubled.items()),
-        *zeros,
-    )
+    for i, a in enumerate(stem):
+        if a != "\0":
+            head, tail = base[: i + 1], base[i + 1 :]
+            doubled.append(head + a + tail)
+            zeros.append(head + "\0" + tail)
+    n = len(base)
+    tails = [(base[: n - r] + "\0" + base[n - r :],) for r in range(n - len(stem))]
+    return base, tuple(doubled), (*tails, tuple(zeros))
 
 
 def reg_t(p: HPoly) -> dict[int, HPoly]:
@@ -213,48 +199,49 @@ def z_st(p: HPoly) -> RegularizedValue:
     """Normal form of ``p`` as a polynomial in S, T with admissible coefficients.
 
     One worklist pass: a word with trailing unit letters waits in its bucket
-    (:func:`_bucket`) with its coefficients of every ``S^s T^t`` merged, and the
-    largest bucket goes first, so each reachable word is rewritten once by its
-    rule (:func:`_reg_word`).  Coefficients are ``int`` over one denominator;
-    the whole state is scaled only when a bucket's coefficients are not all
-    divisible by its run ``m``, and the pass divides only where an output
-    term is not integral.
+    (:func:`_bucket`) under its ``S^s T^t``, and the largest bucket goes
+    first, so each reachable word is rewritten once by its rule
+    (:func:`_reg_word`), into maps looked up once per ``S^s T^t``.
+    Coefficients are ``int`` over one denominator; the state is scaled only
+    when a bucket's coefficients are not all divisible by its run ``m``, and
+    the pass divides only where an output term is not integral.
     """
     den = math.lcm(*(c.denominator for c in p.terms.values()))
     done: dict[tuple[int, int], dict[Word, int]] = {}
-    pending: dict[tuple[int, int], dict[Word, dict[tuple[int, int], int]]] = {}
+    pending: dict[tuple[int, int], dict[tuple[int, int], dict[Word, int]]] = {}
 
-    def put(x: Word, bucket: tuple[int, int], st: tuple[int, int], n: int) -> None:
-        if bucket[1]:
-            slot = pending.setdefault(bucket, {}).setdefault(x, {})
-            slot[st] = slot.get(st, 0) + n
-        else:
-            slot = done.setdefault(st, {})
-            slot[x] = slot.get(x, 0) + n
+    def target(bucket: tuple[int, int], st: tuple[int, int]) -> dict[Word, int]:
+        return (pending.setdefault(bucket, {}) if bucket[1] else done).setdefault(st, {})
 
     for w, c in p.terms.items():
         s = _leading_zero_run(w)
         x = w[s:]
-        put(x, _bucket(x), (s, 0), c.numerator * (den // c.denominator))
+        slot = target(_bucket(x), (s, 0))
+        slot[x] = slot.get(x, 0) + c.numerator * (den // c.denominator)
     while pending:
-        key = max(pending)
-        m = key[1]
-        words = pending.pop(key)
-        scale = m // math.gcd(m, *(n for slot in words.values() for n in slot.values()))
+        d, m = key = max(pending)
+        groups = pending.pop(key)
+        scale = m // math.gcd(m, *(n for words in groups.values() for n in words.values()))
         if scale > 1:
             den *= scale
-            slots = [*done.values(), *words.values()]
-            slots += [slot for later in pending.values() for slot in later.values()]
-            for slot in slots:
-                for k in slot:
-                    slot[k] *= scale
-        for w, slot in words.items():
-            rule = _reg_word(w)[1]
-            for (s, t), n in slot.items():
+            for maps in (done, groups, *pending.values()):
+                for slot in maps.values():
+                    for x in slot:
+                        slot[x] *= scale
+        for (s, t), words in groups.items():
+            to_base = target((d - 1, m - 1), (s, t + 1))
+            to_doubled = target((d, m - 1), (s, t))
+            to_zeros = [target((d - 1, r), (s, t)) for r in range(m)]
+            for w, n in words.items():
+                base, doubled, zeros = _reg_word(w)
                 if n:
                     n //= m
-                    for x, dt, k, bucket in rule:
-                        put(x, bucket, (s, t + dt), k * n)
+                    to_base[base] = to_base.get(base, 0) + n
+                    for x in doubled:
+                        to_doubled[x] = to_doubled.get(x, 0) - n
+                    for slot, xs in zip(to_zeros, zeros):
+                        for x in xs:
+                            slot[x] = slot.get(x, 0) + n
     value = RegularizedValue._raw(
         {st: HPoly._raw(h) for st, slot in done.items() if (h := over(slot, den))}
     )

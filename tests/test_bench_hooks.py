@@ -2,8 +2,9 @@
 
 ``perfbench/child.py``'s ``instrument`` patches hsw functions and methods by
 name (``Series2.star``, ``H0Evaluator._iterint``, ``verify_pythagoras``, ...);
-a rename makes it fail.  It runs in a subprocess because the patches last for
-the life of the process.
+a rename makes it fail, as does a change to ``reg._reg_word.cache_info()``,
+which a traced pass reads.  It runs in a subprocess because the patches last
+for the life of the process.
 """
 
 from __future__ import annotations
@@ -21,18 +22,21 @@ sys.path[:0] = [sys.argv[1], sys.argv[2]]
 from child import instrument
 from spans import Tracer
 import hsw.cli
+from hsw import reg
 
 tracer = Tracer()
 instrument(tracer)
 with contextlib.redirect_stdout(io.StringIO()):
     code = hsw.cli.main(json.loads(sys.argv[3]))
 summary = tracer.summary()
-print(json.dumps({key: summary[key] for key in ("roots", "calls", "counters")} | {"code": code}))
+regw = reg._reg_word.cache_info()  # read as child.py reads it
+out = {key: summary[key] for key in ("roots", "calls", "counters")}
+print(json.dumps(out | {"code": code, "reg_word": [regw.hits, regw.misses, regw.currsize]}))
 """
 
 
 def traced_run(*argv: str) -> dict:
-    """Exit code, root span names, call counts and counters of one instrumented ``hsw`` run."""
+    """Exit code, root span names, call counts, counters and rule memo figures of one traced run."""
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "perfbench"), str(ROOT / "src"), json.dumps(argv)],
         capture_output=True, text=True, timeout=120,
@@ -66,3 +70,13 @@ def test_instrumented_relations_reach_zeta():
     assert result["roots"] == ["cli.main"]
     assert result["calls"]["mzveval.zeta"] > 0
     assert result["calls"]["mzveval.quad"] > 0
+
+
+def test_instrumented_regularization_reads_the_rule_memo():
+    # Traced passes read reg._reg_word.cache_info() for the reg.reg_word.* metrics.
+    result = traced_run("verify", "regularization", "--count", "2", "--max-weight", "4")
+    assert result["code"] == 0
+    assert result["roots"] == ["cli.main"]
+    assert result["calls"]["reg.z_st"] > 0
+    _, misses, _ = result["reg_word"]
+    assert misses > 0

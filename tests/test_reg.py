@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hsw import halg, reg
 from hsw.halg import HPoly, Word, concat, harmonic, parse_poly, s_word, star_terms, to_letters, to_word
-from hsw.monoid import UNIT, ZERO, cyclic
+from hsw.monoid import UNIT, ZERO, cyclic, rational
 from hsw.reg import (
     RegularizationError,
     RegularizedValue,
@@ -207,18 +207,23 @@ def tail_words(draw):
 @settings(max_examples=200, deadline=None)
 @given(tail_words())
 def test_rule_is_the_product_with_the_unit_letter(w):
-    # w = (base*e_1 + sum k*x) / m, so base*e_1 = m*w - sum k*x
-    w_unit = UNIT.id
-    m, rule = reg._reg_word(w)
-    base = w[:-1]
-    assert rule[0] == (base, 1, 1, reg._bucket(base))
+    # w = (base*e_1 - sum doubled + sum zeros) / m, so base*e_1 = m*w + sum doubled - sum zeros
+    base, doubled, zeros = reg._reg_word(w)
+    assert base == w[:-1]
+    d, m = reg._bucket(w)
     product = {w: m}
-    for x, dt, k, _ in rule[1:]:
-        assert dt == 0 and x not in product
-        product[x] = -k
-    assert product == star_terms(base, w_unit)
-    for x, _, _, bucket in rule:
-        assert bucket == reg._bucket(x) < reg._bucket(w)
+    for x in doubled:
+        product[x] = product.get(x, 0) + 1
+    for x in (x for xs in zeros for x in xs):
+        product[x] = product.get(x, 0) - 1
+    assert {x: k for x, k in product.items() if k} == star_terms(base, UNIT.id)
+    # the buckets z_st files the rule's words under, each strictly below w's
+    assert len(zeros) == m
+    filed = [((d - 1, m - 1), (base,)), ((d, m - 1), doubled)]
+    filed += [((d - 1, r), xs) for r, xs in enumerate(zeros)]
+    for bucket, xs in filed:
+        for x in xs:
+            assert reg._bucket(x) == bucket < (d, m)
 
 
 def test_one_rewrite_per_reachable_word():
@@ -231,6 +236,46 @@ def test_one_rewrite_per_reachable_word():
     info = reg._reg_word.cache_info()
     assert (info.hits, info.misses) == (0, 2048)
     assert halg._star_words_cached.cache_info().misses == star_misses
+
+
+@st.composite
+def unit_tail_polys(draw):
+    """Words ``e_0^s core e_1^k`` with ``s`` in 0..2 and ``k`` in 1..4, over a few shared cores.
+
+    A core is empty or starts with a nonzero letter and ends with one that is
+    not the unit, so that the runs are exactly ``s`` and ``k``; a shared core
+    puts several powers of S in one bucket.
+    """
+    alphabet = draw(st.sampled_from((ALPHABET_01, ALPHABET_01Z, ALPHABET_QQ)))
+    nonzero = st.sampled_from(alphabet[1:])
+    not_unit = st.sampled_from([a for a in alphabet if a != UNIT])
+    middle = st.lists(st.sampled_from(alphabet), max_size=3)
+    core = st.just(()) | st.tuples(nonzero, middle, not_unit).map(lambda c: (c[0], *c[1], c[2]))
+    cores = draw(st.lists(core, min_size=1, max_size=2))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        letters = [ZERO] * draw(st.integers(0, 2)) + [*draw(st.sampled_from(cores))]
+        letters += [UNIT] * draw(st.integers(1, 4))
+        coeff = draw(st.fractions(min_value=-4, max_value=4, max_denominator=12))
+        terms.append((to_word(letters), coeff))
+    return HPoly(terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(unit_tail_polys())
+@example(HPoly.from_word(w(UNIT, UNIT, UNIT, UNIT)))
+@example(  # S^0, S^1 and S^2 in one bucket
+    HPoly([(w(UNIT, UNIT), Fraction(1, 3)), (w(ZERO, UNIT, UNIT), -1), (w(ZERO, ZERO, UNIT, UNIT), 2)])
+)
+@example(HPoly([(w(Z, ZERO, UNIT, UNIT, UNIT), Fraction(5, 6)), (w(ZERO, Z, ZERO, UNIT, UNIT), 1)]))
+@example(HPoly.from_word(w(rational(2), UNIT, rational(-1), UNIT, UNIT, UNIT), Fraction(3, 7)))
+@example(HPoly([(w(UNIT, ZERO, UNIT, UNIT), 1), (w(ZERO, UNIT, ZERO, UNIT, UNIT), Fraction(1, 2))]))
+@example(HPoly([(w(ZERO, ZERO, Z, UNIT, UNIT, UNIT, UNIT), Fraction(-7, 12)), (w(Z, UNIT), 3)]))
+def test_unit_tails_match_the_per_word_recursion(p):
+    rv = z_st(p)
+    expected = reference_z_st(p)
+    assert rv == expected
+    assert str(rv) == str(expected)
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -271,7 +316,7 @@ class TestDriver:
     def test_inadmissible_rule_fails_the_driver(self, monkeypatch):
         # a rule that leaves a leading-zero word: z_st's admissibility check raises
         def bad_rule(w: Word):
-            return 1, (("\0" + w[:-1], 1, 1, (0, 0)),)
+            return "\0" + w[:-1], (), ((),)
 
         monkeypatch.setattr(reg, "_reg_word", bad_rule)
         with pytest.raises(RegularizationError, match="inadmissible word"):
