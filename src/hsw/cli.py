@@ -189,13 +189,14 @@ def relation_records(weight: int, evaluator: Evaluator) -> Iterator[dict]:
         poly = eval_w(wp, UNIT)
         if poly.is_zero:
             continue
-        scale, terms = _relation(poly)
+        factor, terms = _relation(poly)
         text = _relation_text(terms)
         if text in seen:
             continue
         seen.add(text)
-        # Both sums are exact and rounded once, after the scaling.
-        residual, bound = exact_sum(poly.terms, evaluator)
+        # Both sums are exact and rounded once, after the scaling, by int true division.
+        residual, bound, scale = exact_sum(poly.terms, evaluator)
+        n, d = factor.numerator, factor.denominator * scale
         yield {
             "type": "relation",
             "weight": weight,
@@ -203,8 +204,8 @@ def relation_records(weight: int, evaluator: Evaluator) -> Iterator[dict]:
             "degrees": degrees,
             "relation": text,
             "terms": [{"coeff": c, "index": list(ks)} for c, ks in terms],
-            "residual": float(residual * scale),
-            "bound": float(bound * abs(scale)),
+            "residual": residual * n / d,
+            "bound": bound * abs(n) / d,
         }
 
 

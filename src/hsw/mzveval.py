@@ -146,11 +146,12 @@ def _iterint_estimates(words: Iterable[Word], tol: float) -> dict[Word, tuple[fl
     rounding units, carried through the products exactly, plus two units in
     the last place of the result; ``N`` and the scale come from ``tol`` and
     ``k``, so that all but those two units add up to at most ``5/16 tol``.
-    Words of one ``(m0, m1, N, scale)`` share their series (:func:`_walk_prefixes`).
+    Words of one ``(m0, m1, N, scale)`` share their series (:func:`_walk_prefixes`),
+    and words of one zero/unit letter pattern their factors' error units.
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    words = list(dict.fromkeys(words))
+    words = dict.fromkeys(words)
     for w in words:
         if not reg.is_admissible(w):
             raise InadmissibleIndexError(f"word {format_word(w)} is not admissible")
@@ -163,51 +164,57 @@ def _iterint_estimates(words: Iterable[Word], tol: float) -> dict[Word, tuple[fl
     by_m1 = sorted({abs(1 - x) for x in nums.values() if x != 1})
     rank0 = {a: by_m0.index(abs(x)) if x else len(by_m0) for a, x in nums.items()}
     rank1 = {a: by_m1.index(abs(1 - x)) if x != 1 else len(by_m1) for a, x in nums.items()}
-    plans, groups = {}, {}
+    # a word's pattern, "0" for a zero letter, "1" for the unit letter and "2" for any
+    # other, fixes the error units of its head and tail factors within a group
+    classes = str.maketrans({a: "0" if not x else "1" if x == 1 else "2" for a, x in nums.items()})
+    groups: dict[tuple[int, int, int], list[Word]] = {}
     for w in words:
-        k = len(w)
-        key = min(map(rank0.__getitem__, w)), min(map(rank1.__getitem__, w)), k
-        plan = plans.get(key)
-        if plan is None:
-            p, q, *_ = split = _split(by_m0[key[0]], by_m1[key[1]])
-            # log2 of R - 1, of the bound on a factor and of each factor's error
-            # target: then the k + 1 products' errors add up to at most 5/16 tol.
-            gap = math.log2(p - q) - math.log2(q)
-            size = max(0.0, -gap)
-            target = min(size, math.log2(tol) - math.log2(16 * (k + 1)) - size)
-            need, log_r = 1 - target - gap, math.log2(p) - math.log2(q)
-            if need > MAX_TERMS * log_r:
-                raise QuadratureError(f"{format_word(w)} needs more than {MAX_TERMS} series terms to reach {tol}")
-            n_terms = max(1, math.ceil(need / log_r))
-            bits = (4 * k * n_terms).bit_length() + max(0, math.ceil(-target))
-            trunc = -(-(q ** (n_terms + 1) << bits) // (p**n_terms * (p - q)))
-            plan = plans[key] = split, n_terms, bits, trunc
-        groups.setdefault(plan, []).append(w)
+        groups.setdefault((min(map(rank0.__getitem__, w)), min(map(rank1.__getitem__, w)), len(w)), []).append(w)
+    # keys that get the same split, term count and scale share their series
+    plans: dict[tuple, list[Word]] = {}
+    for (r0, r1, k), group in groups.items():
+        p, q, *_ = split = _split(by_m0[r0], by_m1[r1])
+        # log2 of R - 1, of the bound on a factor and of each factor's error
+        # target: then the k + 1 products' errors add up to at most 5/16 tol.
+        gap = math.log2(p - q) - math.log2(q)
+        size = max(0.0, -gap)
+        target = min(size, math.log2(tol) - math.log2(16 * (k + 1)) - size)
+        need, log_r = 1 - target - gap, math.log2(p) - math.log2(q)
+        if need > MAX_TERMS * log_r:
+            raise QuadratureError(f"{format_word(group[0])} needs more than {MAX_TERMS} series terms to reach {tol}")
+        n_terms = max(1, math.ceil(need / log_r))
+        bits = (4 * k * n_terms).bit_length() + max(0, math.ceil(-target))
+        plans.setdefault((split, n_terms, bits), []).extend(group)
     out: dict[Word, tuple[float, float]] = {}
-    for ((_, _, (hp, hq), (tp, tq)), n_terms, bits, trunc), group in groups.items():
+    for ((p, q, (hp, hq), (tp, tq)), n_terms, bits), group in plans.items():
+        trunc = -(-(q ** (n_terms + 1) << bits) // (p**n_terms * (p - q)))
+        one = 1 << 2 * bits
         head_forms = {a: (x.numerator * hp, x.denominator * hq) for a, x in nums.items()}
         tail_forms = {a: ((x.denominator - x.numerator) * tp, x.denominator * tq) for a, x in nums.items()}
-
-        def errors(seq, forms):
-            # a factor's error in units, 0 if empty: truncation plus n_terms
-            # coefficient errors of 2 units per nonzero letter, 1 per zero one
-            units = accumulate((2 if forms[a][0] else 1 for a in seq), initial=0)
-            return [u and trunc + n_terms * u for u in units]
-
+        rev = [w[::-1] for w in group]
         heads = _walk_prefixes(group, head_forms, n_terms, bits)
-        tails = _walk_prefixes([w[::-1] for w in group], tail_forms, n_terms, bits)
-        for w in group:
-            k = len(w)
-            hs, ts = heads.pop(w), tails.pop(w[::-1])
-            err_head, err_tail = errors(w, head_forms), errors(w[::-1], tail_forms)
+        tails = _walk_prefixes(rev, tail_forms, n_terms, bits)
+        units_of: dict[str, tuple[list[int], list[int]]] = {}
+        for w, r in zip(group, rev):
+            hs, ts = heads.pop(w), tails.pop(r)
+            pattern = w.translate(classes)
+            units = units_of.get(pattern)
+            if units is None:
+                # a factor's error in units, 0 if empty: truncation plus n_terms coefficient
+                # errors of 2 units per letter, 1 per zero letter (head) or unit letter (tail)
+                head = [0, *(trunc + n_terms * u for u in accumulate(1 if c == "0" else 2 for c in pattern))]
+                tail = [0, *(trunc + n_terms * u for u in accumulate(1 if c == "1" else 2 for c in pattern[::-1]))]
+                units = units_of[pattern] = head, tail[::-1]
+            # G(a_1..a_j) times the tail of k - j letters, with the sign (-1)^(k-j)
             total = slack = 0
-            for j in range(k + 1):
-                h, t, eh, et = hs[j], ts[k - j], err_head[j], err_tail[k - j]
-                total += -h * t if (k - j) % 2 else h * t
+            odd = len(w) % 2
+            for h, t, eh, et in zip(hs, reversed(ts), *units):
+                total += -h * t if odd else h * t
                 slack += abs(h) * et + (abs(t) + et) * eh
-            value = total / (1 << 2 * bits)
+                odd ^= 1
+            value = total / one
             # one step up covers rounding the quotient and the sum
-            out[w] = value, math.nextafter(slack / (1 << 2 * bits) + 2 * math.ulp(value), math.inf)
+            out[w] = value, math.nextafter(slack / one + 2 * math.ulp(value), math.inf)
     return out
 
 
@@ -225,7 +232,8 @@ def zeta(index: Iterable[int]) -> tuple[float, float]:
     the bound adds also cover a float-rounded reference.
     """
     ks = tuple(index)
-    if any(not isinstance(k, int) or k < 1 for k in ks):
+    # a bool is an int to isinstance, but True is no index entry
+    if any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in ks):
         raise InadmissibleIndexError("index entries must be positive integers")
     if not ks:
         return 1.0, 0.0
@@ -339,10 +347,11 @@ def verify_harmonic_hom(
 
     For all pairs ``u, v`` of words of weight <= ``max_weight`` over the given
     letters, compares ``I(u) I(v)`` with the evaluation of ``u * v``.  Both
-    sides and the bound are exact (:func:`reg.exact_sum`) and rounded once;
-    rounding to float is monotone, so correct values meet ``difference <= bound``,
-    and an item passes only when it holds as well as ``difference < tol``.
-    Every word is evaluated, in one batch, before the first item is yielded.
+    sides and the bound are exact integers over one scale (:func:`reg.exact_sum`)
+    and each is rounded once, by int true division; rounding to float is
+    monotone, so correct values meet ``difference <= bound``, and an item passes
+    only when it holds as well as ``difference < tol``.  Every word is
+    evaluated, in one batch, before the first item is yielded.
     """
     ids = [rational(q).id for q in letters]
     words = ["".join(p) for n in range(1, max_weight + 1) for p in product(ids, repeat=n)]
@@ -351,13 +360,18 @@ def verify_harmonic_hom(
     # in the order the items evaluate them: u, v, then the terms of u * v
     evaluator.prefetch(chain.from_iterable((u, v, *star_terms(u, v)) for u, v in pairs))
     for u, v in pairs:
-        (lhs_u, bu), (lhs_v, bv) = (map(Fraction, evaluator(to_letters(x))) for x in (u, v))
-        lhs = lhs_u * lhs_v
-        rhs, bound = reg.exact_sum(star_terms(u, v), evaluator)
-        bound += abs(lhs_u) * bv + abs(lhs_v) * bu + bu * bv
-        diff, bound = float(abs(lhs - rhs)), float(bound)
+        (lhs_u, bu), (lhs_v, bv) = evaluator(to_letters(u)), evaluator(to_letters(v))
+        value, bound, scale = reg.exact_sum(star_terms(u, v), evaluator)
+        # I(u) I(v) and its error are integers over 2**2148, and the sum and its bound
+        # over scale = den * 2**1074: all four go over scale * 2**1074.  Shifts, not
+        # products, move an integer between the scales.
+        xu, xbu, xv, xbv = map(reg._exact, (lhs_u, bu, lhs_v, bv))
+        den, common = scale >> reg._ULP_BITS, scale << reg._ULP_BITS
+        lhs = xu * xv * den
+        diff = abs(lhs - (value << reg._ULP_BITS)) / common
+        bound = ((bound << reg._ULP_BITS) + (abs(xu) * xbv + abs(xv) * xbu + xbu * xbv) * den) / common
         yield CheckResult(
             item=f"product {format_word(u)} x {format_word(v)}",
             passed=diff < tol and diff <= bound,
-            data={"difference": diff, "lhs": float(lhs), "rhs": float(rhs), "bound": bound},
+            data={"difference": diff, "lhs": lhs / common, "rhs": value / scale, "bound": bound},
         )

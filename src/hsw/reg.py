@@ -265,21 +265,23 @@ def substitute_st(rv: RegularizedValue) -> HPoly:
 Evaluator = Callable[[tuple[MonoidElement, ...]], tuple[float, float]]
 
 
-_ULP = 1 << 1074  # every finite float is a whole multiple of 2**-1074
+_ULP_BITS = 1074  # every finite float is a whole multiple of 2**-1074
 
 
 def _exact(x: float) -> int:
     """The float ``x`` times ``2**1074``, an integer."""
     n, d = x.as_integer_ratio()  # d is a power of two, at most 2**1074
-    return n << (1075 - d.bit_length())
+    return n << (_ULP_BITS + 1 - d.bit_length())
 
 
-def exact_sum(terms: dict[Word, Rational], evaluator: Evaluator) -> tuple[Fraction, Fraction]:
+def exact_sum(terms: dict[Word, Rational], evaluator: Evaluator) -> tuple[int, int, int]:
     """``sum c * v`` and ``sum |c| * b`` exactly, over ``terms`` ``{w: c}`` with ``(v, b)`` the value of ``w``.
 
-    Both sums are integers at the one scale ``lcm(denominators) * 2**1074``.
-    Rounding to float is monotone: where the true sum is 0, as for a relation,
-    rounding each sum once keeps ``|value| <= bound``.
+    Returns the integers ``(value, bound, scale)``: both sums are ``value / scale``
+    and ``bound / scale``, with ``scale = lcm(denominators) * 2**1074``.  Int
+    true division rounds correctly, so ``value / scale`` is the exact sum rounded
+    once; rounding is monotone, so where the true sum is 0, as for a relation,
+    ``|value / scale| <= bound / scale``.
     """
     den = math.lcm(*(c.denominator for c in terms.values()))
     value = bound = 0
@@ -288,13 +290,16 @@ def exact_sum(terms: dict[Word, Rational], evaluator: Evaluator) -> tuple[Fracti
         n = c.numerator * (den // c.denominator)
         value += n * _exact(v)
         bound += abs(n) * _exact(b)
-    return Fraction(value, den * _ULP), Fraction(bound, den * _ULP)
+    return value, bound, den << _ULP_BITS
 
 
 def z_num_with_bound(p: HPoly, evaluator: Evaluator) -> tuple[float, float]:
-    """Evaluate at ``S = T = 0``: the admissible constant coefficient, numerically, with a bound."""
-    value, bound = exact_sum(z_st(p).coeff(0, 0).terms, evaluator)
-    return float(value), float(bound)
+    """Evaluate at ``S = T = 0``: the admissible constant coefficient, numerically, with a bound.
+
+    Both floats are exact sums (:func:`exact_sum`) rounded once.
+    """
+    value, bound, scale = exact_sum(z_st(p).coeff(0, 0).terms, evaluator)
+    return value / scale, bound / scale
 
 
 def _random_poly(rng: random.Random, alphabet, max_weight: int, max_terms: int = 2) -> HPoly:

@@ -5,7 +5,10 @@ the ``wall_time`` of a JSON summary.  ``eval`` outputs run to megabytes, so
 ``golden/eval.sha256`` keeps the SHA-256 of each output instead of the text;
 its expressions are the ones ``perfbench/reference.json`` records.  So does
 ``golden/harmonic_hom_bench.sha256`` for the 465 items of the benchmark's
-``verify harmonic-hom`` command, wall time masked.
+``verify harmonic-hom`` command, wall time masked, and
+``golden/harmonic_hom_w3.sha256`` for a weight-3 run whose words of up to
+6 letters mix zero and unit letters with real ones, so that the kernel's
+error units for each zero/unit letter pattern show in its bounds.
 
 Re-record (only when an output change is intended) with
 
@@ -80,6 +83,9 @@ def eval_cases(golden_text: str) -> list[tuple[str, str]]:
 HARMONIC_HOM = ("verify", "harmonic-hom", "--letters=2,-2", "--max-weight", "2", "--format", "json")
 # The quadrature benchmark workload's command: 465 items, kept as a SHA-256.
 HARMONIC_HOM_BENCH = ("verify", "harmonic-hom", "--letters=2,3,5/2,-2,7/3", "--max-weight", "2", "--format", "json")
+# 780 items up to weight 3: zero letters come from the -e_0 term of a product,
+# unit letters from (-1)(-1), so the words mix both with real letters.
+HARMONIC_HOM_W3 = ("verify", "harmonic-hom", "--letters=2,-1,7/3", "--max-weight", "3", "--format", "json")
 
 
 def digest_line(*argv: str) -> str:
@@ -94,6 +100,7 @@ CASES = {
     "pythagoras.jsonl": lambda: cli("verify", "pythagoras", "--max-N", "6", "--format", "json"),
     "harmonic_hom.jsonl": lambda: cli(*HARMONIC_HOM),
     "harmonic_hom_bench.sha256": lambda: digest_line(*HARMONIC_HOM_BENCH),
+    "harmonic_hom_w3.sha256": lambda: digest_line(*HARMONIC_HOM_W3),
 }
 
 

@@ -2,13 +2,14 @@ import functools
 import math
 import time
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hsw.halg import HPoly, Word, harmonic, s_chain, s_word, to_letters, to_word
+from hsw.halg import HPoly, Word, format_word, harmonic, s_chain, s_word, star_terms, to_letters, to_word
 from hsw.monoid import UNIT, ZERO, cyclic, rational
 from hsw.mzveval import (
     H0Evaluator,
@@ -106,6 +107,12 @@ class TestZeta:
             zeta((2, 1))
         with pytest.raises(InadmissibleIndexError):
             zeta((0, 2))
+
+    @pytest.mark.parametrize("index", [(True, 2), (3, True), (False, 2), (2.0,), (Fraction(2),)])
+    def test_entries_must_be_ints(self, index):
+        # True == 1 and isinstance(True, int), but zeta((True, 2)) is no zeta(1, 2)
+        with pytest.raises(InadmissibleIndexError, match="positive integers"):
+            zeta(index)
 
     def test_matches_brute_force_partial_sums(self):
         # the fixed-point prefix series equals the nested sum up to its rounding units:
@@ -526,3 +533,41 @@ class TestHarmonicHomDriver:
         items = list(verify_harmonic_hom(letters=(2, -1, -2), max_weight=3))
         assert len(items) == 39 * 40 // 2
         assert all(item.passed and item.data["difference"] <= item.data["bound"] for item in items)
+
+
+def fraction_item(u: Word, v: Word, evaluator: H0Evaluator) -> dict[str, float]:
+    """An item's four floats by the ``Fraction`` formula: each side and the bound exact, then rounded."""
+    (lhs_u, bu), (lhs_v, bv) = (map(Fraction, evaluator(to_letters(x))) for x in (u, v))
+    rhs = bound = Fraction(0)
+    for word, c in star_terms(u, v).items():
+        value, b = map(Fraction, evaluator(to_letters(word)))
+        rhs += c * value
+        bound += abs(c) * b
+    bound += abs(lhs_u) * bv + abs(lhs_v) * bu + bu * bv
+    lhs = lhs_u * lhs_v
+    return {"difference": float(abs(lhs - rhs)), "lhs": float(lhs), "rhs": float(rhs), "bound": float(bound)}
+
+
+HOM_LETTERS = (2, -2, 3, Fraction(5, 2), Fraction(7, 3), -1, Fraction(-3, 2))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.sampled_from(HOM_LETTERS), min_size=1, max_size=3, unique=True),
+    st.integers(1, 2),
+    st.lists(st.integers(0, 10**6), min_size=1, max_size=8),
+)
+@example([2, -1, Fraction(7, 3)], 3, [0, 1, 77, 389, 779])  # zero and unit letters, up to 6 letters
+def test_items_match_the_fraction_formula(letters, max_weight, picks):
+    # the integer sums round to the same doubles as exact Fraction arithmetic
+    items = list(verify_harmonic_hom(letters, max_weight))
+    ids = [rational(q).id for q in letters]
+    words = ["".join(p) for n in range(1, max_weight + 1) for p in product(ids, repeat=n)]
+    pairs = [(u, v) for i, u in enumerate(words) for v in words[i:]]
+    assert len(items) == len(pairs)
+    evaluator = H0Evaluator(tol=1e-7)
+    for i in sorted({pick % len(pairs) for pick in picks}):
+        u, v = pairs[i]
+        assert items[i].item == f"product {format_word(u)} x {format_word(v)}"
+        want = fraction_item(u, v, evaluator)
+        assert {key: items[i].data[key].hex() for key in want} == {key: x.hex() for key, x in want.items()}

@@ -290,7 +290,19 @@ def test_exact_sum_is_the_fraction_sum(rows):
     table = {to_letters(w): (v, b) for w, (_, v, b) in zip(terms, rows)}
     value = sum((Fraction(c) * Fraction(v) for c, v, _ in rows), Fraction(0))
     bound = sum((abs(Fraction(c)) * Fraction(b) for c, _, b in rows), Fraction(0))
-    assert reg.exact_sum(terms, table.__getitem__) == (value, bound)
+    total, total_bound, scale = reg.exact_sum(terms, table.__getitem__)
+    assert isinstance(scale, int) and scale > 0
+    assert (Fraction(total, scale), Fraction(total_bound, scale)) == (value, bound)
+    # one rounding, by int true division: the double of the Fraction sum, or the same overflow
+    assert _rounded(lambda: total / scale) == _rounded(lambda: float(value))
+    assert _rounded(lambda: total_bound / scale) == _rounded(lambda: float(bound))
+
+
+def _rounded(divide) -> str:
+    try:
+        return divide().hex()
+    except OverflowError:
+        return "overflow"
 
 
 @settings(max_examples=500, deadline=None)
