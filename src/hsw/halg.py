@@ -33,7 +33,8 @@ notation; in terms of them the recursion reads
 
 :class:`LinComb` is the sparse linear combination shared by ``HPoly``, the
 W-polynomials of :mod:`hsw.wcalc` and the S/T normal forms of :mod:`hsw.reg`;
-:func:`format_terms` is their one signed-sum printer.
+:meth:`LinComb.sum` is their one n-ary sum, which copies no partial sum, and
+:func:`format_terms` their one signed-sum printer.
 
 Coefficients are arbitrary-precision rationals; nothing here rounds.  A
 coefficient is an ``int`` exactly when it is integral and a ``Fraction``
@@ -81,11 +82,13 @@ __all__ = [
     "harmonic",
     "integer_sum",
     "over",
+    "power_text",
     "to_rational",
     "star_terms",
     "star_words",
     "s_word",
     "s_chain",
+    "sum_by_key",
     "to_word",
     "to_letters",
     "parse_poly",
@@ -201,6 +204,15 @@ class LinComb:
         c = cls._coefficient(c)
         return cls._raw({cls._ONE_KEY: c} if c else {})
 
+    @classmethod
+    def sum(cls, parts: Iterable[LinComb]):
+        """The sum of ``parts``: one :func:`combine` pass into a copy of the first's terms."""
+        parts = iter(parts)
+        out = dict(next(parts, cls.zero()).terms)
+        for p in parts:
+            combine(p.terms.items(), out)
+        return cls._raw(out)
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
@@ -215,11 +227,7 @@ class LinComb:
     def __add__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        return self._raw(combine(other.terms.items(), dict(self.terms)))
+        return self.sum((self, other))
 
     def __sub__(self, other):
         if other.__class__ is not self.__class__:
@@ -398,6 +406,14 @@ def over(nums: dict[Word, int], den: int) -> dict[Word, Rational]:
     return {w: n // den if n % den == 0 else Fraction(n, den) for w, n in nums.items() if n}
 
 
+def sum_by_key(pairs: Iterable[tuple[Hashable, HPoly]]) -> dict:
+    """``{key: HPoly.sum(polynomials paired with key)}``, zero sums left out."""
+    groups = {}
+    for key, p in pairs:
+        groups.setdefault(key, []).append(p)
+    return {key: h for key, ps in groups.items() if (h := HPoly.sum(ps))}
+
+
 def s_word(z: MonoidElement, k: int) -> Word:
     """The depth-one block ``s[z,k] = e_z e_0^{k-1}`` of weight ``k``."""
     if not isinstance(k, int) or k < 1:
@@ -524,6 +540,11 @@ def format_terms(terms: Iterable[tuple[Rational, str]]) -> str:
     return str(out)
 
 
+def power_text(pairs: Iterable[tuple[str, int]]) -> str:
+    """``S^2*T`` for ``[("S", 2), ("T", 1)]``; zero powers left out, ``""`` for none."""
+    return "*".join(base if e == 1 else f"{base}^{e}" for base, e in pairs if e)
+
+
 def format_poly(p: HPoly) -> str:
     """Canonical text; terms in descending word order, parseable back."""
     out = _SignedSum()
@@ -575,18 +596,18 @@ class _Parser:
         return value
 
     def parse_expr(self) -> HPoly:
-        value = self.parse_term()
+        terms = dict(self.parse_term().terms)
         while True:
             tok = self.peek()
             if tok is None or tok[1] not in "+-":
-                return value
+                return HPoly._raw(terms)
             self.next()
             rhs = self.parse_term()
             try:
-                _check_single_instance(set().union(*value.terms, *rhs.terms))
+                _check_single_instance(set().union(*terms, *rhs.terms))
             except MonoidMismatchError as exc:
                 raise ParseError(str(exc), self.text, tok[2]) from exc
-            value = value + rhs if tok[1] == "+" else value - rhs
+            combine((rhs if tok[1] == "+" else -rhs).terms.items(), terms)
 
     def parse_term(self) -> HPoly:
         sign = 1

@@ -8,15 +8,17 @@ full algebra can be written uniquely as a polynomial in two central symbols
     S  (standing for e_0)   and   T  (standing for e_1)
 
 with admissible coefficients; :func:`z_st` computes that normal form
-constructively:
+constructively, in one pass:
 
-* leading zero letters peel off by concatenation (``strip_e0``), because
-  ``e_0^m * w = e_0^m w`` for the harmonic product;
-* trailing unit letters are removed (``reg_t``) in one worklist pass: for
-  ``w = w' e_1^m`` the product ``w' e_1^{m-1} * e_1`` equals ``m w`` plus
-  words that are strictly smaller in the (nonzero-letter count, trailing-run)
-  order, so solving for ``w`` and rewriting the largest words first reaches
-  each word once and terminates.
+* a word's leading zero letters (:func:`_leading_zero_run`) become its power
+  of ``S``, because ``e_0^m * w = e_0^m w`` for the harmonic product;
+* a worklist removes trailing unit letters: for ``w = w' e_1^m`` the product
+  ``w' e_1^{m-1} * e_1`` equals ``m w`` plus words that are strictly smaller
+  in the (nonzero-letter count, trailing-run) order, so solving for ``w`` and
+  rewriting the largest words first reaches each word once and terminates.
+
+:func:`strip_e0` (the ``S`` split) and :func:`reg_t` (the ``T`` form) are
+public views of the single steps.
 
 Substituting ``S -> e_0`` and ``T -> e_1`` back (:func:`substitute_st`) and
 expanding harmonically reproduces the input exactly; the drivers and the test
@@ -38,10 +40,11 @@ from .halg import (
     Rational,
     Word,
     _SignedSum,
-    combine,
     format_word,
     harmonic,
     over,
+    power_text,
+    sum_by_key,
     to_letters,
 )
 from .memo import term_bounded_cache
@@ -77,7 +80,7 @@ def _leading_zero_run(w: Word) -> int:
 def strip_e0(p: HPoly) -> dict[int, HPoly]:
     """Peel maximal leading zero-letter powers: ``p = sum_s e_0^s (result[s])``."""
     runs = ((_leading_zero_run(w), w, c) for w, c in p.terms.items())
-    return combine((s, HPoly.from_word(w[s:], c)) for s, w, c in runs)
+    return sum_by_key((s, HPoly.from_word(w[s:], c)) for s, w, c in runs)
 
 
 @term_bounded_cache()
@@ -135,16 +138,6 @@ def reg_t(p: HPoly) -> dict[int, HPoly]:
     return {t: h for (_, t), h in z_st(p).terms.items()}
 
 
-def _st_text(s: int, t: int) -> str:
-    """``S^2*T`` for the exponents ``(2, 1)``; empty for ``(0, 0)``."""
-    parts = []
-    if s:
-        parts.append("S" if s == 1 else f"S^{s}")
-    if t:
-        parts.append("T" if t == 1 else f"T^{t}")
-    return "*".join(parts)
-
-
 class RegularizedValue(LinComb):
     """Polynomial in the central symbols S, T with admissible coefficients.
 
@@ -182,7 +175,7 @@ class RegularizedValue(LinComb):
         """Product: exponents add, coefficients multiply harmonically; a rational scales."""
         if not isinstance(other, RegularizedValue):
             return LinComb.__mul__(self, other)
-        return self._raw(combine(
+        return self._raw(sum_by_key(
             ((s1 + s2, t1 + t2), harmonic(h1, h2))
             for (s1, t1), h1 in self.terms.items()
             for (s2, t2), h2 in other.terms.items()
@@ -191,7 +184,7 @@ class RegularizedValue(LinComb):
     def __str__(self) -> str:
         out = _SignedSum()
         for k in sorted(self.terms, key=lambda k: (k[0] + k[1], k[0], k[1]), reverse=True):
-            out.add_poly(self.terms[k], _st_text(*k))
+            out.add_poly(self.terms[k], power_text(zip("ST", k)))
         return str(out)
 
 
@@ -251,14 +244,11 @@ def z_st(p: HPoly) -> RegularizedValue:
 
 def substitute_st(rv: RegularizedValue) -> HPoly:
     """Substitute ``S -> e_0`` and ``T -> e_1`` and expand harmonically."""
-    out = HPoly.zero()
-    for (s, t), h in rv.terms.items():
-        expanded = harmonic(h, _e1_star_power(t))
-        if s:
-            prefix = "\0" * s
-            expanded = HPoly._raw({prefix + w: c for w, c in expanded.terms.items()})
-        out = out + expanded
-    return out
+    expanded = (("\0" * s, harmonic(h, _e1_star_power(t))) for (s, t), h in rv.terms.items())
+    return HPoly.sum(
+        HPoly._raw({prefix + w: c for w, c in p.terms.items()}) if prefix else p
+        for prefix, p in expanded
+    )
 
 
 # Values a word from its letters (:func:`~hsw.halg.to_letters`), which carry the numbers.

@@ -7,8 +7,8 @@ the smaller order.  Multiplication is the Cauchy product with the harmonic
 product on coefficients, so all arithmetic stays exact.
 
 ``exp_star`` is computed degree by degree through the differential
-recurrence g' = f' * g, which needs one harmonic product per degree instead
-of nested powers.
+recurrence g' = f' * g: one :meth:`~hsw.halg.LinComb.sum` of harmonic
+products per degree instead of nested powers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .halg import HPoly, combine, harmonic
+from .halg import HPoly, harmonic, sum_by_key
 
 __all__ = ["DEFAULT_ORDER", "OrderError", "Series1", "Series2"]
 
@@ -25,10 +25,6 @@ DEFAULT_ORDER = 12
 
 class OrderError(ValueError):
     """Access past the truncation order of a series."""
-
-
-def _clean(coeffs: dict) -> dict:
-    return {key: poly for key, poly in coeffs.items() if not poly.is_zero}
 
 
 class _Series:
@@ -47,7 +43,7 @@ class _Series:
         coeffs = coeffs or {}
         if not all(self._in_range(key, order) for key in coeffs):
             raise OrderError("coefficient degree outside truncation range")
-        self.coeffs = _clean(coeffs)
+        self.coeffs = {key: p for key, p in coeffs.items() if p}
         self.order = order
 
     def _new(self, coeffs: dict, order: int):
@@ -67,7 +63,7 @@ class _Series:
 
     def add(self, other):
         order = self._match(other)
-        return self._new(combine(self._upto(order) + other._upto(order)), order)
+        return self._new(sum_by_key(self._upto(order) + other._upto(order)), order)
 
     __add__ = add
 
@@ -81,13 +77,13 @@ class _Series:
         """Cauchy product with harmonic multiplication of coefficients."""
         order = self._match(other)
         others = other._upto(order)
-        products = []
-        for i, p in self._upto(order):
-            for j, q in others:
-                key = self._add_keys(i, j)
-                if self._degree(key) <= order:
-                    products.append((key, harmonic(p, q)))
-        return self._new(combine(products), order)
+        products = (
+            (key, harmonic(p, q))
+            for i, p in self._upto(order)
+            for j, q in others
+            if self._degree(key := self._add_keys(i, j)) <= order
+        )
+        return self._new(sum_by_key(products), order)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -97,9 +93,7 @@ class _Series:
     __hash__ = None
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{self._prefix(k)}({p})" for k, p in sorted(self.coeffs.items()))
+        return " + ".join(f"{self._prefix(k)}({p})" for k, p in sorted(self.coeffs.items())) or "0"
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(order={self.order}, {self})"
@@ -150,15 +144,11 @@ class Series1(_Series):
         """Exponential with respect to the harmonic product (zero constant term)."""
         if 0 in self.coeffs:
             raise ValueError("exp_star needs a zero constant term")
+        f = self.coeffs
         out: dict[int, HPoly] = {0: HPoly.one()}
         for n in range(1, self.order + 1):
-            acc = HPoly.zero()
-            for k in range(1, n + 1):
-                fk = self.coeffs.get(k)
-                if fk is None:
-                    continue
-                acc = acc + harmonic(fk * k, out.get(n - k, HPoly.zero()))
-            out[n] = acc / n
+            terms = (harmonic(f[k] * k, out[n - k]) for k in range(1, n + 1) if k in f)
+            out[n] = HPoly.sum(terms) / n
         return Series1(out, self.order)
 
     def derivative(self) -> "Series1":
@@ -180,10 +170,7 @@ class Series1(_Series):
 
     def shift_sum(self) -> "Series2":
         """Substitute ``x + y`` for ``x``: binomially spread coefficients."""
-        out: dict[tuple[int, int], HPoly] = {}
-        for n, p in self.coeffs.items():
-            for i in range(n + 1):
-                out[(i, n - i)] = p * comb(n, i)
+        out = {(i, n - i): p * comb(n, i) for n, p in self.coeffs.items() for i in range(n + 1)}
         return Series2(out, self.order)
 
 class Series2(_Series):

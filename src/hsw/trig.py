@@ -91,12 +91,10 @@ def verify_coincidence(
     )
     for n in range(1, max_n + 1):
         lhs = HPoly.from_word(s_chain(z, k, n)) * n
-        rhs = HPoly.zero()
-        for i in range(1, n + 1):
-            rhs = rhs + harmonic(
-                HPoly.from_word(s_word(z**i, i * k)),
-                HPoly.from_word(s_chain(z, k, n - i)),
-            )
+        rhs = HPoly.sum(
+            harmonic(HPoly.from_word(s_word(z**i, i * k)), HPoly.from_word(s_chain(z, k, n - i)))
+            for i in range(1, n + 1)
+        )
         ok = lhs == rhs
         yield CheckResult(
             item=f"coefficient-identity k={k} n={n}",

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator
 
-from .halg import HPoly, LinComb, Rational, combine, format_terms, harmonic, s_chain
+from .halg import HPoly, LinComb, Rational, combine, format_terms, harmonic, power_text, s_chain
 from .memo import term_bounded_cache
 from .monoid import MonoidElement
 from .reporting import CheckResult
@@ -94,17 +94,10 @@ class WPoly(LinComb):
         )
 
     def __str__(self) -> str:
-        ordered = sorted(self.terms, key=lambda k: (2 * sum(k), k), reverse=True)
-        return format_terms((self.terms[k], _monomial_text(k)) for k in ordered)
-
-
-def _monomial_text(key: tuple[int, ...]) -> str:
-    """``W3*W1^2`` for the multiset ``(1, 1, 3)``; empty for the constant monomial."""
-    parts = []
-    for n in sorted(set(key), reverse=True):
-        e = key.count(n)
-        parts.append(f"W{n}" if e == 1 else f"W{n}^{e}")
-    return "*".join(parts)
+        return format_terms(
+            (self.terms[k], power_text((f"W{n}", k.count(n)) for n in sorted(set(k), reverse=True)))
+            for k in sorted(self.terms, key=lambda k: (2 * sum(k), k), reverse=True)
+        )
 
 
 def g_gen(m: int, n: int) -> WPoly:
@@ -132,10 +125,7 @@ def _eval_monomial(key: tuple[int, ...], z: MonoidElement) -> HPoly:
 
 def eval_w(p: WPoly, z: MonoidElement) -> HPoly:
     """Ring homomorphism into the harmonic algebra: ``W_n -> w_value(z, n)``."""
-    out = HPoly.zero()
-    for key, c in p.terms.items():
-        out = out + _eval_monomial(key, z) * c
-    return out
+    return HPoly.sum(_eval_monomial(key, z) * c for key, c in p.terms.items())
 
 
 def reduce_ap(p: WPoly) -> dict[int, Rational]:
@@ -151,7 +141,7 @@ def reduce_ap(p: WPoly) -> dict[int, Rational]:
 def format_reduced(reduced: dict[int, Rational]) -> str:
     """Text form of a ``reduce_ap`` result, e.g. ``2*W1^2 + 1``."""
     degrees = sorted(reduced, reverse=True)
-    return format_terms((reduced[d], _monomial_text((1,) * d)) for d in degrees)
+    return format_terms((reduced[d], power_text([("W1", d)])) for d in degrees)
 
 
 def _sine_wcoeff(n: int) -> WPoly:
@@ -184,17 +174,15 @@ def pythagoras_coeff(n: int) -> WPoly:
     """Coefficient of ``x^{2n}`` in ``-W_1 * S(x)^2 + C(x)^2`` (odd degrees vanish)."""
     if n < 0:
         raise ValueError("degree must be non-negative")
-    cos_sq = WPoly.zero()
-    for i in range(n + 1):
-        cos_sq = cos_sq + WPoly.gen(i) * WPoly.gen(n - i) / (
-            factorial(2 * i) * factorial(2 * n - 2 * i)
-        )
-    sin_sq = WPoly.zero()
-    for i in range(n):
-        sin_sq = sin_sq + WPoly.gen(1) * WPoly.gen(i) * WPoly.gen(n - i - 1) / (
-            factorial(2 * i + 1) * factorial(2 * n - 2 * i - 1)
-        )
-    return cos_sq - sin_sq
+    cos_sq = WPoly.sum(
+        WPoly.gen(i) * WPoly.gen(n - i) / (factorial(2 * i) * factorial(2 * n - 2 * i))
+        for i in range(n + 1)
+    )
+    sin_sq = WPoly.sum(
+        WPoly.gen(i) * WPoly.gen(n - i - 1) / (factorial(2 * i + 1) * factorial(2 * n - 2 * i - 1))
+        for i in range(n)
+    )
+    return cos_sq - WPoly.gen(1) * sin_sq
 
 
 def ap_witness_addition(i: int, j: int) -> tuple[Fraction, int, int]:

@@ -1,6 +1,8 @@
 import gc
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ from hsw.halg import (
     format_word,
     harmonic,
     parse_poly,
+    power_text,
     s_chain,
     s_word,
     star_terms,
@@ -27,7 +30,7 @@ from hsw.halg import (
     to_word,
 )
 from hsw.monoid import LETTERS, UNIT, ZERO, MonoidMismatchError, cyclic, rational
-from hsw.reg import RegularizedValue, _st_text, substitute_st, z_st
+from hsw.reg import RegularizedValue, substitute_st, z_st
 from hsw.wcalc import WPoly, eval_w, pythagoras_coeff
 
 from _support import (
@@ -550,8 +553,14 @@ class TestSignedSum:
     def test_regularized_value(self, parts):
         rv = RegularizedValue(parts)
         keys = sorted(rv.terms, key=lambda k: (k[0] + k[1], k[0], k[1]), reverse=True)
-        expected = [term for k in keys for term in reference_text(rv.terms[k], _st_text(*k))]
+        expected = [term for k in keys for term in reference_text(rv.terms[k], power_text(zip("ST", k)))]
         assert str(rv) == reference_signed_sum(expected)
+
+    def test_power_text(self):
+        assert power_text([("S", 2), ("T", 1)]) == "S^2*T"
+        assert power_text([("S", 0), ("T", 3)]) == "T^3"
+        assert power_text([("W3", 1), ("W1", 2)]) == "W3*W1^2"
+        assert power_text([("S", 0), ("T", 0)]) == power_text([]) == ""
 
     def test_cases(self):
         p = parse_poly("-2*s[z,1]s[1,2] + 1/2*s[z,2] - 3*s[1,1]s[z,1] - e[0]e[z] + e[z^2] - 7/3")
@@ -632,3 +641,91 @@ class TestProductMaps:
         ):
             star_terms(v[j:], u[i:]) if swap else star_terms(u[i:], v[j:])
         assert list(star_terms(u, v).items()) == cold
+
+
+@st.composite
+def hpoly_parts(draw):
+    """Up to five polynomials over one alphabet, {0, 1, z} or rational letters, int and Fraction coefficients."""
+    alphabet = draw(st.sampled_from([ALPHABET_01Z, ALPHABET_QQ]))
+    part = st.lists(st.tuples(words(alphabet, max_weight=3), COEFFICIENTS), max_size=4).map(HPoly)
+    return draw(st.lists(part, max_size=5))
+
+
+W_KEYS = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+wpoly_parts = st.lists(st.dictionaries(W_KEYS, COEFFICIENTS, max_size=4).map(WPoly), max_size=5)
+
+
+class TestLinCombSum:
+    """``LinComb.sum``, the one n-ary sum, against the left fold of ``+``."""
+
+    def check(self, cls, parts):
+        before = [dict(p.terms) for p in parts]
+        total = cls.sum(parts)
+        fold = reduce(operator.add, parts, cls.zero())
+        plain: dict = {}  # a reference that shares no code with LinComb
+        for p in parts:
+            for k, c in p.terms.items():
+                plain[k] = plain.get(k, 0) + c
+        assert total.terms == {k: c for k, c in plain.items() if c}
+        assert type(total) is cls
+        assert total == fold
+        assert list(total.terms.items()) == list(fold.terms.items())  # same insertion order
+        assert all(total.terms.values())
+        assert_int_iff_integral(total)
+        assert [p.terms for p in parts] == before
+        assert all(total.terms is not p.terms for p in parts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hpoly_parts())
+    def test_hpoly(self, parts):
+        self.check(HPoly, parts)
+
+    @settings(max_examples=100, deadline=None)
+    @given(wpoly_parts)
+    def test_wpoly(self, parts):
+        self.check(WPoly, parts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(hpoly_parts(), hpoly_parts())
+    def test_cancellation_leaves_no_zero(self, parts, others):
+        others = [q for q in others if not q.terms.keys() & set().union(*(p.terms for p in parts))]
+        total = HPoly.sum([*parts, *others, *(-p for p in parts)])
+        assert total == HPoly.sum(others)
+        assert all(total.terms.values())
+        assert HPoly.sum([*parts, *(-p for p in reversed(parts))]).terms == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(hpoly_parts())
+    def test_integral_fraction_is_int(self, parts):
+        thirds = [p * Fraction(k, 3) for p in parts for k in (1, 2)]
+        total = HPoly.sum(thirds)
+        assert_int_iff_integral(total)
+        assert total == HPoly.sum(parts)
+
+    def test_no_parts(self):
+        for cls in (HPoly, WPoly, RegularizedValue):
+            assert cls.sum([]) == cls.zero() and cls.sum(iter(())).terms == {}
+
+    def test_cases(self):
+        a, b = HPoly.from_word(word(Z), Fraction(1, 2)), HPoly.from_word(word(Z, ZERO), -1)
+        total = HPoly.sum([a, b, a, -b])
+        assert total.terms == {word(Z): 1} and type(total.coeff(word(Z))) is int
+        w1, w2 = WPoly.gen(1), WPoly.gen(2)
+        assert WPoly.sum([w2, w1 * w1, -w2]).terms == {(1, 1): 1}
+
+
+class TestRegularizedProduct:
+    def test_pairs_on_one_key_cancel(self):
+        # (1,0)*(0,1) and (0,1)*(1,0) both land on S*T, with opposite signs
+        h, g = ez, HPoly.from_word(word(Z, UNIT, Z))
+        a = RegularizedValue({(1, 0): h, (0, 1): h})
+        b = RegularizedValue({(0, 1): g, (1, 0): -g})
+        product = a * b
+        assert (1, 1) not in product.terms
+        assert product.terms == {(2, 0): -harmonic(h, g), (0, 2): harmonic(h, g)}
+        fold = reduce(operator.add, (
+            RegularizedValue({(s1 + s2, t1 + t2): harmonic(h1, h2)})
+            for (s1, t1), h1 in a.terms.items()
+            for (s2, t2), h2 in b.terms.items()
+        ))
+        assert product == fold
