@@ -54,19 +54,22 @@ of a product's words, whatever the memo holds.
 
 Text grammar (shared with the command line)::
 
-    poly   := ['-'] term (('+'|'-') term)*
+    poly   := term (('+'|'-') term)*
     term   := factor ('*' factor)*
-    factor := rational | word | '(' poly ')'
+    factor := '-' factor | rational | word | '(' poly ')'
     word   := ('e[' elem ']' | 's[' elem ',' nat ']')+
 
 ``*`` denotes the harmonic product; applied to a rational factor it is plain
 scaling, so coefficient syntax like ``120*s[z^2,2]s[z,2]`` reads as usual.
+Juxtaposition only spells one word from ``e[...]``/``s[...]`` atoms; it does
+not concatenate polynomials (``e[1](e[0])`` is an error).
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Any, Hashable, Iterable
 
@@ -125,8 +128,14 @@ def to_letters(w: Word) -> tuple[MonoidElement, ...]:
     return tuple(map(LETTERS.__getitem__, w))
 
 
-def _check_single_instance(w: Iterable[str]) -> None:
-    if len({LETTERS[a].kind for a in set(w) if a > "\1"}) > 1:
+def _instances(w: Iterable[str]) -> set[str]:
+    """The monoid instances of the letters ``w``; 0 and 1, which all instances share, add none."""
+    return {LETTERS[a].kind for a in set(w) if a > "\1"}
+
+
+def _check_single_instance(w: Iterable[str], *instances: Iterable[str]) -> None:
+    """Raise unless the letters ``w`` and the named ``instances`` are of one monoid instance."""
+    if len(_instances(w).union(*instances)) > 1:
         raise MonoidMismatchError("letters from different monoid instances in one polynomial")
 
 
@@ -555,124 +564,105 @@ def format_poly(p: HPoly) -> str:
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:/\d+)?)"
     r"|(?P<atom>[es]\[[^\]]*\])"
-    r"|(?P<op>[-+*()]))"
+    r"|(?P<op>[-+*()])"
+    r"|(?P<end>\Z))"
 )
 
 
+def _atom(text: str) -> Word:
+    """The letters of an atom ``e[elem]`` or ``s[elem,k]``."""
+    inner = text[2:-1]
+    if text[0] == "e":
+        return parse_element(inner).id
+    left, _, right = inner.partition(",")
+    if not right.strip().isdigit():
+        raise ValueError("s-block needs a positive length")
+    try:
+        return s_word(parse_element(left), int(right))
+    except OverflowError:
+        raise ValueError("s-block length too large") from None
+
+
 class _Parser:
+    """Recursive descent over ``(kind, text, position)`` tokens, the last of kind ``end``."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
+        self.text, self.tokens, self.i = text, [], 0
         pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise ParseError("unexpected character", text, pos)
-                break
-            for kind in ("num", "atom", "op"):
-                val = m.group(kind)
-                if val is not None:
-                    self.tokens.append((kind, val, m.start(kind)))
-                    break
+        while not self.tokens or self.tokens[-1][0] != "end":
+            if (m := _TOKEN_RE.match(text, pos)) is None:
+                raise ParseError("unexpected character", text, pos)
+            self.tokens.append((m.lastgroup, m[m.lastgroup], m.start(m.lastgroup)))
             pos = m.end()
-        self.i = 0
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.text, len(self.text))
-        self.i += 1
-        return tok
+    def at(self, pos: int, read, *args):
+        """``read(*args)``, with what it raises turned into a parse error at ``pos``."""
+        try:
+            return read(*args)
+        except (ValueError, ZeroDivisionError) as exc:
+            message = str(exc) if isinstance(exc, ValueError) else "division by zero"
+            raise ParseError(message, self.text, pos) from exc
 
     def parse(self) -> HPoly:
         value = self.parse_expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected token {tok[1]!r}", self.text, tok[2])
+        kind, val, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected token {val!r}", self.text, pos)
         return value
 
     def parse_expr(self) -> HPoly:
         terms = dict(self.parse_term().terms)
-        while True:
-            tok = self.peek()
-            if tok is None or tok[1] not in "+-":
-                return HPoly._raw(terms)
-            self.next()
+        # Per monoid instance, the words of the running sum with letters from it, counted
+        # at the first + or -: a term is checked against the sum by reading the term alone.
+        held = None
+        while (tok := self.peek())[1] in ("+", "-"):
+            self.i += 1
             rhs = self.parse_term()
-            try:
-                _check_single_instance(set().union(*terms, *rhs.terms))
-            except MonoidMismatchError as exc:
-                raise ParseError(str(exc), self.text, tok[2]) from exc
-            combine((rhs if tok[1] == "+" else -rhs).terms.items(), terms)
+            if held is None:
+                held = Counter(k for w in terms for k in _instances(w))
+            self.at(tok[2], _check_single_instance, set().union(*rhs.terms), +held)
+            for w, c in rhs.terms.items():
+                had = w in terms
+                combine([(w, c if tok[1] == "+" else -c)], terms)
+                if had != (w in terms):
+                    (held.subtract if had else held.update)(_instances(w))
+        return HPoly._raw(terms)
 
     def parse_term(self) -> HPoly:
-        sign = 1
-        while self.peek() is not None and self.peek()[1] == "-":
-            self.next()
-            sign = -sign
         value = self.parse_factor()
-        while self.peek() is not None and self.peek()[1] == "*":
-            pos = self.next()[2]
-            while self.peek() is not None and self.peek()[1] == "-":
-                self.next()
-                sign = -sign
-            factor = self.parse_factor()
-            try:
-                value = harmonic(value, factor)
-            except MonoidMismatchError as exc:
-                raise ParseError(str(exc), self.text, pos) from exc
-        return value if sign > 0 else -value
+        while (tok := self.peek())[1] == "*":
+            self.i += 1
+            value = self.at(tok[2], harmonic, value, self.parse_factor())
+        return value
 
     def parse_factor(self) -> HPoly:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected a factor", self.text, len(self.text))
+        negate = False
+        while (tok := self.peek())[1] == "-":  # a loop, so any number of signs parse
+            self.i += 1
+            negate = not negate
         kind, val, pos = tok
-        if kind == "num":
-            self.next()
-            try:
-                return HPoly.rational(Fraction(val))
-            except ZeroDivisionError as exc:
-                raise ParseError("division by zero", self.text, pos) from exc
-        if kind == "atom":
-            return self.parse_word()
-        if val == "(":
-            self.next()
-            inner = self.parse_expr()
-            closing = self.peek()
-            if closing is None or closing[1] != ")":
+        self.i += 1
+        if kind == "atom":  # juxtaposed atoms spell one word
+            letters = [self.at(pos, _atom, val)]
+            while (tok := self.peek())[0] == "atom":
+                self.i += 1
+                pos = tok[2]
+                letters.append(self.at(pos, _atom, tok[1]))
+            value = self.at(pos, HPoly.from_word, "".join(letters))
+        elif kind == "num":
+            value = HPoly.rational(self.at(pos, Fraction, val))
+        elif val == "(":
+            value = self.parse_expr()
+            if self.peek()[1] != ")":
                 raise ParseError("expected ')'", self.text, pos)
-            self.next()
-            return inner
-        raise ParseError(f"unexpected token {val!r}", self.text, pos)
-
-    def parse_word(self) -> HPoly:
-        w: list[str] = []
-        while self.peek() is not None and self.peek()[0] == "atom":
-            kind, val, pos = self.next()
-            inner = val[2:-1]
-            try:
-                if val[0] == "e":
-                    w.append(parse_element(inner).id)
-                else:
-                    left, _, right = inner.partition(",")
-                    if not right.strip().isdigit():
-                        raise ValueError("s-block needs a positive length")
-                    w.append(s_word(parse_element(left), int(right)))
-            except ValueError as exc:
-                raise ParseError(str(exc), self.text, pos) from exc
-            except ZeroDivisionError as exc:
-                raise ParseError("division by zero", self.text, pos) from exc
-            except OverflowError as exc:
-                raise ParseError("s-block length too large", self.text, pos) from exc
-        try:
-            return HPoly.from_word("".join(w))
-        except MonoidMismatchError as exc:
-            raise ParseError(str(exc), self.text, self.tokens[self.i - 1][2]) from exc
+            self.i += 1
+        else:
+            message = "expected a factor" if kind == "end" else f"unexpected token {val!r}"
+            raise ParseError(message, self.text, pos)
+        return -value if negate else value
 
 
 def parse_poly(text: str) -> HPoly:

@@ -144,16 +144,9 @@ def format_reduced(reduced: dict[int, Rational]) -> str:
     return format_terms((reduced[d], power_text([("W1", d)])) for d in degrees)
 
 
-def _sine_wcoeff(n: int) -> WPoly:
-    """W-form coefficient of the formal sine at degree ``n``."""
-    if n % 2 == 0 or n < 0:
-        return WPoly.zero()
-    return WPoly.gen((n - 1) // 2) / factorial(n)
-
-
-def _cosine_wcoeff(n: int) -> WPoly:
-    """W-form coefficient of the formal cosine at degree ``n``."""
-    if n % 2 == 1 or n < 0:
+def _wcoeff(n: int, parity: int) -> WPoly:
+    """W-form coefficient at degree ``n`` of the formal sine (``parity`` 1) or cosine (0)."""
+    if n % 2 != parity or n < 0:
         return WPoly.zero()
     return WPoly.gen(n // 2) / factorial(n)
 
@@ -166,8 +159,8 @@ def addition_defect_coeff(i: int, j: int) -> WPoly:
     """
     if i < 0 or j < 0:
         raise ValueError("degrees must be non-negative")
-    shifted = _sine_wcoeff(i + j) * comb(i + j, i)
-    return shifted - _sine_wcoeff(i) * _cosine_wcoeff(j) - _cosine_wcoeff(i) * _sine_wcoeff(j)
+    shifted = _wcoeff(i + j, 1) * comb(i + j, i)
+    return shifted - _wcoeff(i, 1) * _wcoeff(j, 0) - _wcoeff(i, 0) * _wcoeff(j, 1)
 
 
 def pythagoras_coeff(n: int) -> WPoly:

@@ -94,6 +94,16 @@ class TestEval:
             " + s[z^3,1]s[z,1]s[z,1] - s[z^3,2]s[z,1]\n"
         )
 
+    def test_nested_parentheses_in_fresh_process(self):
+        # the parser recurses three frames per parenthesis: 325 levels fit under the
+        # default recursion limit when the stack starts at the command line
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hsw", "eval", "(" * 325 + "-e[z]" + ")" * 325],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "-s[z,1]\n", "")
+
     def test_long_word_product_in_fresh_process(self):
         # no shorter product is memoized beforehand: the suffix pairs fill one row
         # in a loop, so the product of a 300-letter word does not recurse at all

@@ -1,6 +1,9 @@
 import gc
+import itertools
 import operator
 import random
+import sys
+import time
 from fractions import Fraction
 from functools import reduce
 
@@ -391,6 +394,107 @@ class TestGrammar:
         assert format_poly(HPoly.zero()) == "0"
         assert parse_poly("0") == HPoly.zero()
         assert parse_poly("e[1] - e[1]") == HPoly.zero()
+
+    # The reader's contract: each input's printed value, or its exact ParseError text.
+    CONTRACT = {
+        "0": "0",
+        "e[1] - e[1]": "0",
+        "3*e[1]": "3*s[1,1]",
+        "1/2*e[1] - e[0]": "1/2*s[1,1] - e[0]",
+        "e[0]e[1]": "e[0]e[1]",
+        "120*s[z^2,2]s[z,2] - 36*s[z,2]": "120*s[z^2,2]s[z,2] - 36*s[z,2]",
+        "s[1,2]*s[1,2]": "2*s[1,2]s[1,2] - s[1,4]",
+        "2*-3*e[1]": "-6*s[1,1]",
+        "-(e[1]-e[0])*-e[z]": "s[z,1]s[z,1] + s[z,1]s[1,1] - s[z,2] - e[0]e[z]",
+        "--e[1]": "s[1,1]",
+        "1 - -1": "2",
+        "- - -2/4": "-1/2",
+        "6/4": "3/2",
+        "(1)": "1",
+        "((e[z]))*(e[z^2])": "s[z^3,1]s[z^2,1] + s[z^3,1]s[z,1] - s[z^3,2]",
+        "  e[ z ] +e[z^2]  ": "s[z^2,1] + s[z,1]",
+        "e[z] - e[z] + e[2]": "s[2,1]",
+        "e[2]*e[3]": "s[6,1]s[3,1] + s[6,1]s[2,1] - s[6,2]",
+        "e[5/2]-e[-3]": "s[5/2,1] - s[-3,1]",
+        "e[0]*e[0]": "e[0]e[0]",
+        "e[1] @": "unexpected character at position 4 in 'e[1] @'",
+        "s[1,2": "unexpected character at position 0 in 's[1,2'",
+        "e[z]^2": "unexpected character at position 4 in 'e[z]^2'",
+        "1.5": "unexpected character at position 1 in '1.5'",
+        "s[1]": "s-block needs a positive length at position 0 in 's[1]'",
+        "s[1,0]": "block length k must be a positive integer at position 0 in 's[1,0]'",
+        "s[z,99999999999999999999]":
+            "s-block length too large at position 0 in 's[z,99999999999999999999]'",
+        "e[]": "not an element literal: '' at position 0 in 'e[]'",
+        "e[w]": "not an element literal: 'w' at position 0 in 'e[w]'",
+        "1/0": "division by zero at position 0 in '1/0'",
+        "e[1/0]": "division by zero at position 0 in 'e[1/0]'",
+        "1 2": "unexpected token '2' at position 2 in '1 2'",
+        "(1": "expected ')' at position 0 in '(1'",
+        "(1))": "unexpected token ')' at position 3 in '(1))'",
+        "()": "unexpected token ')' at position 1 in '()'",
+        "+1": "unexpected token '+' at position 0 in '+1'",
+        "1 * * 2": "unexpected token '*' at position 4 in '1 * * 2'",
+        "e[1](e[0])": "unexpected token '(' at position 4 in 'e[1](e[0])'",
+        "-": "expected a factor at position 1 in '-'",
+        "1*": "expected a factor at position 2 in '1*'",
+        "e[z]-": "expected a factor at position 5 in 'e[z]-'",
+        "2 +": "expected a factor at position 3 in '2 +'",
+        "": "expected a factor at position 0 in ''",
+        "   ": "expected a factor at position 3 in '   '",
+        "e[z]+e[3]":
+            "letters from different monoid instances in one polynomial at position 4 in 'e[z]+e[3]'",
+        "e[z] + e[2] - e[2]": "letters from different monoid instances in one polynomial"
+            " at position 5 in 'e[z] + e[2] - e[2]'",
+        "e[2]*e[3]e[z]": "letters from different monoid instances in one polynomial"
+            " at position 9 in 'e[2]*e[3]e[z]'",
+        "e[z^2]*e[1]e[3]":
+            "cannot multiply z^2 (cyclic) with 3 (rational) at position 6 in 'e[z^2]*e[1]e[3]'",
+    }
+
+    @pytest.mark.parametrize("text", CONTRACT)
+    def test_contract(self, text):
+        try:
+            got = format_poly(parse_poly(text))
+        except ParseError as exc:
+            got = str(exc)
+        assert got == self.CONTRACT[text]
+
+    def test_sum_reads_in_linear_time(self):
+        # 4,000 distinct weight-6 words against their first 500: a reader linear in the
+        # number of terms takes about 8 times as long, a quadratic one up to 64 times
+        words = [
+            "".join(f"e[{a}]" for a in letters)
+            for letters in itertools.islice(itertools.product(["0", "1", "z", "z^2"], repeat=6), 4000)
+        ]
+
+        def best(text):
+            times = []
+            gc.disable()  # a collection inside one timed read would skew the ratio
+            try:
+                for _ in range(3):
+                    start = time.perf_counter()
+                    parse_poly(text)
+                    times.append(time.perf_counter() - start)
+            finally:
+                gc.enable()
+            return min(times)
+
+        assert best(" + ".join(words)) < 24 * best(" + ".join(words[:500]))
+
+    def test_number_past_the_digit_limit(self):
+        # int() refuses a number longer than the interpreter's digit limit; the reader
+        # reports that where the number starts instead of letting the ValueError escape
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter reads integers of any length")
+        with pytest.raises(ParseError, match=r"at position 4 in '1 \+ 111"):
+            parse_poly("1 + " + "1" * (limit + 1))
+
+    def test_many_signs(self):
+        # signs are read in a loop, so they are not bounded by the recursion limit
+        assert format_poly(parse_poly("-" * 1000 + "e[z]")) == "s[z,1]"
+        assert format_poly(parse_poly("-" * 1001 + "e[z]")) == "-s[z,1]"
 
 
 def expected_texts(ws: list[Word]) -> list[str]:
