@@ -7,10 +7,11 @@ character per letter, the letter's id (:data:`hsw.monoid.LETTERS`;
 hash, concatenates by copying and is never tracked by the garbage collector,
 so the hundreds of thousands of product terms cost dict operations
 and collections little.  Nothing assumes one byte per letter.  Printing
-reads per-letter text tables and makes each distinct half word and signed
-coefficient once per call (:class:`_SignedSum`); ordering ranks letters by
-``MonoidElement.key``, never by id, and compares raw words when the letter
-table's ids already follow keys, so no output depends on intern order.
+reads per-letter text tables, builds no string per term, and makes each
+distinct half word and signed coefficient once per call (:class:`_SignedSum`);
+ordering ranks letters by ``MonoidElement.key``, never by id, and compares raw
+words when the letter table's ids already follow keys, so no output depends on
+intern order.
 
 Polynomials are exact-rational linear combinations of words.  Two products
 live side by side:
@@ -69,8 +70,11 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 from typing import Any, Hashable, Iterable
 
 from .monoid import LETTERS, MonoidElement, MonoidMismatchError, mul, parse_element
@@ -462,6 +466,7 @@ class _Texts(dict):
 _E_TEXT = _Texts(lambda a: f"e[{LETTERS[a].text}]")
 _S_TEXT = _Texts(lambda a: f"s[{LETTERS[a].text}")
 _RUN_TEXT = _Texts(lambda k: f",{k}]")
+_SLICE = 4096  # words per printing pass, to bound its lists
 
 
 def format_word(w: Word) -> str:
@@ -496,25 +501,31 @@ def _prefix(c: Rational, first: bool = False) -> str:
 
 
 class _SignedSum:
-    """The text ``a - 2*b + 1/3`` of a sum, built term by term in order.
+    """The text ``a - 2*b + 1/3`` of a sum, built in order.
 
     Each distinct later-term :func:`_prefix`, and each distinct half of a word, is made once
-    per sum.  A word is cut before its first nonzero letter at or after the middle: no s-block
-    spans that cut, and halves repeat across a polynomial's words far more than whole words do.
+    per sum.  A word is cut before its first nonzero letter at or after the middle, which no
+    s-block spans, or at the middle if it starts with zero and so prints in e-letters.
     """
 
     def __init__(self):
         self.chunks: list[str] = []
         self.prefixes = _Texts(_prefix)
-        self.halves = _Texts(format_word)
+        self.s_halves = _Texts(format_word)
+        self.e_halves = _Texts(lambda h: "".join(map(_E_TEXT.__getitem__, h)))
+        self.s_halves[""] = self.e_halves[""] = ""
 
-    def word(self, w: Word) -> str:
-        """:func:`format_word`, with ``""`` for the empty word."""
-        if not w or w[0] == "\0":
-            return format_word(w) if w else ""
-        right = w[(len(w) + 1) // 2:].lstrip("\0")
-        halves = self.halves
-        return halves[w[:-len(right)]] + halves[right] if right else halves[w]
+    def halves(self, ws: list[Word], n: int) -> tuple[Iterable[str], Iterable[str]]:
+        """Left and right half texts of the words ``ws`` of weight ``n``, zero-leading ones last."""
+        cut = bisect_left(ws, True, key="\1".__gt__)  # "\1" > w from the first zero-leading word on
+        mid = (n + 1) // 2
+        right = itemgetter(slice(mid, None))
+        s_rights = list(map(str.lstrip, map(right, ws[:cut]), repeat("\0")))
+        e_words = ws[cut:]
+        s, e = self.s_halves.__getitem__, self.e_halves.__getitem__
+        s_lefts = map(str.removesuffix, ws, s_rights)  # stops with s_rights, after ``cut`` words
+        return (chain(map(s, s_lefts), map(e, map(itemgetter(slice(mid)), e_words))),
+                chain(map(s, s_rights), map(e, map(right, e_words))))
 
     def add(self, c: Rational, mono: str) -> None:
         """One term; an empty ``mono`` is the constant monomial, printed as the magnitude."""
@@ -525,14 +536,27 @@ class _SignedSum:
             self.chunks.append(text if mono else text.removesuffix("*1"))
 
     def add_poly(self, p: HPoly, st: str = "") -> None:
-        """The terms of ``p`` in :meth:`HPoly.sorted_words` order, each monomial times ``st``."""
-        chunks, terms, prefixes, word = self.chunks, p.terms, self.prefixes, self.word
+        """The terms of ``p`` in :meth:`HPoly.sorted_words` order, each monomial times ``st``.
+
+        After the first term, words of one weight go in a slice at a time, in C-level passes.
+        """
+        terms, chunks = p.terms, self.chunks
         tail = "*" + st if st else ""
-        for w in p.sorted_words():
-            if w and chunks:
-                chunks.append(prefixes[terms[w]] + word(w) + tail)
-            else:
-                self.add(terms[w], word(w) + tail if w else st)
+        words = p.sorted_words()
+        if "" in terms:  # the constant term sorts last
+            words.pop()
+        if words and not chunks:
+            self.add(terms[words[0]], format_word(words[0]) + tail)
+            del words[0]
+        for i in range(0, len(words), _SLICE):
+            for n, run in groupby(words[i:i + _SLICE], len):
+                ws = list(run)
+                parts = [map(self.prefixes.__getitem__, map(terms.__getitem__, ws)), *self.halves(ws, n)]
+                if tail:
+                    parts.append(repeat(tail))
+                chunks.extend(chain.from_iterable(zip(*parts)))
+        if "" in terms:
+            self.add(terms[""], st)
 
     def __str__(self) -> str:
         return "".join(self.chunks) or "0"
@@ -614,7 +638,10 @@ class _Parser:
         return value
 
     def parse_expr(self) -> HPoly:
-        terms = dict(self.parse_term().terms)
+        value = self.parse_term()
+        if self.peek()[1] not in ("+", "-"):
+            return value  # a lone term: no copy
+        terms = dict(value.terms)
         # Per monoid instance, the words of the running sum with letters from it, counted
         # at the first + or -: a term is checked against the sum by reading the term alone.
         held = None

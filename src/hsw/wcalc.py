@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator
 
-from .halg import HPoly, LinComb, Rational, combine, format_terms, harmonic, power_text, s_chain
+from .halg import HPoly, LinComb, Rational, combine, format_terms, harmonic, integer_sum, power_text, s_chain
 from .memo import term_bounded_cache
 from .monoid import MonoidElement
 from .reporting import CheckResult
@@ -125,7 +125,7 @@ def _eval_monomial(key: tuple[int, ...], z: MonoidElement) -> HPoly:
 
 def eval_w(p: WPoly, z: MonoidElement) -> HPoly:
     """Ring homomorphism into the harmonic algebra: ``W_n -> w_value(z, n)``."""
-    return HPoly.sum(_eval_monomial(key, z) * c for key, c in p.terms.items())
+    return integer_sum((c, _eval_monomial(key, z).terms) for key, c in p.terms.items())
 
 
 def reduce_ap(p: WPoly) -> dict[int, Rational]:

@@ -367,6 +367,18 @@ class TestGrammar:
         assert parse_poly("3*e[1]") == e1 * 3
         assert parse_poly("1/2*e[1] - e[0]") == e1 * Fraction(1, 2) - e0
 
+    def test_sum_leaves_memoized_product(self):
+        u, v = word(Z, ZERO, UNIT), word(UNIT, Z, Z)
+        product = f"{format_word(u)}*{format_word(v)}"
+        memo = star_terms(u, v)
+        before = dict(memo)
+        shared = max(memo)  # a word of the product, so the sum changes its coefficient
+        for _ in range(2):
+            p = parse_poly(f"{product} - {format_word(shared)} + e[1]")
+            assert star_terms(u, v) is memo and memo == before
+        assert p == star_words(u, v) - HPoly.from_word(shared) + e1
+        assert parse_poly(product).terms is not memo  # a lone product is a copy, not the memo
+
     def test_e_form_for_leading_zeros(self):
         p = HPoly.from_word(word(ZERO, UNIT))
         assert format_poly(p) == "e[0]e[1]"
@@ -504,7 +516,7 @@ def expected_texts(ws: list[Word]) -> list[str]:
 def word_texts(ws: list[Word]) -> list[str]:
     """The texts of ``ws`` from one printer, which shares their halves."""
     printer = _SignedSum()
-    return [printer.word(w) for w in ws]
+    return ["".join(itertools.chain(*printer.halves([w], len(w)))) for w in ws]
 
 
 # The cyclic letters and two rationals in one alphabet: printing does not
@@ -681,6 +693,64 @@ class TestSignedSum:
         w1 = WPoly.gen(1)
         w = WPoly.gen(3) * Fraction(-1, 2) + w1 * w1 * 2 - WPoly.gen(2) + WPoly.rational(5)
         assert str(w) == "-1/2*W3 - W2 + 2*W1^2 + 5"
+
+
+# Zero, the unit, and letters whose ids rise with their keys; -1 squares to the unit,
+# so products over {0, 1, -1} intern no new letter.
+RUN_ALPHABET = (ZERO, UNIT, rational(-1), *IN_ORDER)
+# 6,722 terms, all of weight 13 and 2,162 of them zero-leading: one run past a slice.
+LONG_RUN = (
+    "(e[0]e[1]e[-1]e[1]e[-1]e[1] + 1/2*e[-1]e[-1]e[1]e[1]e[-1]e[1])*e[-1]e[1]e[1]e[-1]e[-1]e[1]e[-1]"
+)
+
+
+def letter_table(raw: bool) -> dict:
+    """The letters of ``RUN_ALPHABET`` by id, which allows raw-word sorts, or in reverse."""
+    ids = sorted(x.id for x in RUN_ALPHABET)
+    table = {a: LETTERS[a] for a in (ids if raw else ids[::-1])}
+    assert _rise_with_keys(tuple(table.values())) == raw
+    return table
+
+
+def assert_prints_term_by_term(rv: RegularizedValue, raw: bool) -> None:
+    """``format_poly`` of each coefficient and ``str(rv)`` against the plain per-term printer."""
+    keys = sorted(rv.terms, key=lambda k: (k[0] + k[1], k[0], k[1]), reverse=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(halg, "LETTERS", letter_table(raw))
+        for h in rv.terms.values():
+            assert format_poly(h) == reference_signed_sum(reference_text(h))
+        assert str(rv) == reference_signed_sum(
+            [term for k in keys for term in reference_text(rv.terms[k], power_text(zip("ST", k)))]
+        )
+
+
+@st.composite
+def run_polys(draw):
+    """Up to 40 terms in at most three weights, so that zero-leading and s-block words share runs."""
+    weights = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3))
+    word_of_weight = st.sampled_from(weights).flatmap(
+        lambda n: st.lists(st.sampled_from(RUN_ALPHABET), min_size=n, max_size=n).map(to_word)
+    )
+    return HPoly(draw(st.lists(st.tuples(word_of_weight, COEFFICIENTS), max_size=40)))
+
+
+class TestRunPrinter:
+    """The printer, a run of one weight at a time, against each term printed alone."""
+
+    @pytest.mark.parametrize("raw", [True, False], ids=["raw-words", "ranks"])
+    @settings(max_examples=100, deadline=None)
+    @given(parts=st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)), run_polys(), max_size=3))
+    def test_against_terms(self, raw, parts):
+        assert_prints_term_by_term(RegularizedValue(parts), raw)
+
+    @pytest.mark.parametrize("raw", [True, False], ids=["raw-words", "ranks"])
+    def test_long_run(self, raw):
+        p = parse_poly(LONG_RUN)
+        assert len(p) == 6722 > halg._SLICE and {len(w) for w in p.terms} == {13}
+        assert 0 < sum(w[0] == "\0" for w in p.terms) < len(p)
+        five = HPoly.rational(5)
+        parts = {(2, 1): p, (0, 1): -p, (1, 0): p * Fraction(-2, 3) + five, (0, 0): five - p}
+        assert_prints_term_by_term(RegularizedValue(parts), raw)
 
 
 def plain_star(u: Word, v: Word) -> dict[Word, int]:

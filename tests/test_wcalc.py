@@ -3,12 +3,15 @@ from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hsw.halg import HPoly, harmonic, s_chain, s_word
-from hsw.monoid import UNIT, cyclic
+from hsw.monoid import UNIT, cyclic, rational
 from hsw.wcalc import (
     NoWitnessError,
     WPoly,
+    _eval_monomial,
     addition_defect_coeff,
     addition_series2,
     ap_witness_addition,
@@ -90,6 +93,33 @@ class TestEvalW:
         p = WPoly.gen(1) * WPoly.gen(2)
         image = eval_w(p, Z)
         assert {len(w) for w in image.terms} == {6}
+
+
+W_POLYS = st.lists(
+    st.tuples(
+        st.lists(st.integers(1, 3), max_size=2),
+        st.one_of(st.integers(-50, 50), st.fractions(max_denominator=12)),
+    ),
+    max_size=5,
+).map(WPoly)
+
+
+class TestEvalWInIntegers:
+    """``eval_w`` sums the monomials' integer images over one denominator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(W_POLYS, st.sampled_from([Z, rational(Fraction(5, 2))]))
+    @example(WPoly.zero(), Z)
+    @example(WPoly.gen(1) * WPoly.gen(1) - WPoly.gen(2) * Fraction(3, 5), Z)  # s[z^2,2]s[z,2] cancels
+    def test_matches_scaled_sum(self, p, z):
+        got = eval_w(p, z)
+        assert got == HPoly.sum(_eval_monomial(key, z) * c for key, c in p.terms.items())
+        assert all(type(c) is int for key in p.terms for c in _eval_monomial(key, z).terms.values())
+        assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in got.terms.values())
+
+    def test_cancellation(self):
+        image = eval_w(WPoly.gen(1) * WPoly.gen(1) - WPoly.gen(2) * Fraction(3, 5), Z)
+        assert image == HPoly.from_word(s_word(cyclic(2), 4)) * -36
 
 
 class TestReduceAp:
