@@ -78,6 +78,7 @@ from .mzveval import (
     verify_harmonic_hom,
     word_to_mzv,
     zeta,
+    zeta_batch,
 )
 from .reporting import CheckResult
 

@@ -37,12 +37,20 @@ from typing import Any, Callable, Iterable, Iterator
 
 from .halg import HPoly, ParseError, format_poly, format_terms, parse_poly
 from .monoid import UNIT, parse_element
-from .mzveval import H0Evaluator, QuadratureError, UnsupportedWordError, verify_harmonic_hom, word_to_mzv
+from .mzveval import (
+    H0Evaluator,
+    QuadratureError,
+    UnsupportedWordError,
+    verify_harmonic_hom,
+    word_to_mzv,
+    zeta_batch,
+)
 from .reg import Evaluator, exact_sum, verify_regularization, z_num_with_bound, z_st
 from .reporting import CheckResult
 from .trig import verify_coincidence, verify_reflection_product
 from .series import DEFAULT_ORDER
 from .wcalc import (
+    WPoly,
     addition_defect_coeff,
     eval_w,
     pythagoras_coeff,
@@ -53,7 +61,7 @@ from .wcalc import (
 __all__ = ["main", "relation_records"]
 
 MAX_ORDER = 16
-MAX_RELATION_WEIGHT = 16
+MAX_RELATION_WEIGHT = 28
 
 
 def _checked(convert: Callable[[str], Any], ok: Callable[[Any], Any], requirement: str):
@@ -171,21 +179,36 @@ def _relation_text(terms: list[tuple[int, tuple[int, ...]]]) -> str:
     return format_terms(zetas) + " = 0"
 
 
+def _ray(wp: WPoly) -> frozenset:
+    """``wp`` up to a nonzero rational factor: its terms over the coefficient of its largest key."""
+    lead = Fraction(wp.terms[max(wp.terms)])
+    return frozenset((k, c / lead) for k, c in wp.terms.items())
+
+
 def relation_records(weight: int, evaluator: Evaluator) -> Iterator[dict]:
     """Distinct zeta-value relations induced by the coefficients of the given even weight.
 
-    The first coefficient that induces a relation names its source."""
+    The first coefficient that induces a relation names its source.  Every
+    record is built, in one :func:`~hsw.mzveval.zeta_batch` over the weight's
+    indices, before the first is yielded."""
     if weight % 2 or weight < 2:
         raise ValueError("weight must be a positive even integer")
-    sources: list[tuple[str, list[int], object]] = []
+    sources: list[tuple[str, list[int], WPoly]] = []
     for i in range(weight + 2):
         j = weight + 1 - i
         sources.append(("addition", [i, j], addition_defect_coeff(i, j)))
     sources.append(("pythagoras", [weight], pythagoras_coeff(weight // 2)))
+    rays: set[frozenset] = set()
     seen: set[str] = set()
+    relations = []
     for kind, degrees, wp in sources:
         if wp.is_zero:
             continue
+        # a multiple of an earlier coefficient induces that one's relation
+        ray = _ray(wp)
+        if ray in rays:
+            continue
+        rays.add(ray)
         poly = eval_w(wp, UNIT)
         if poly.is_zero:
             continue
@@ -194,19 +217,24 @@ def relation_records(weight: int, evaluator: Evaluator) -> Iterator[dict]:
         if text in seen:
             continue
         seen.add(text)
-        # Both sums are exact and rounded once, after the scaling, by int true division.
-        residual, bound, scale = exact_sum(poly.terms, evaluator)
-        n, d = factor.numerator, factor.denominator * scale
-        yield {
-            "type": "relation",
-            "weight": weight,
-            "source": kind,
-            "degrees": degrees,
-            "relation": text,
-            "terms": [{"coeff": c, "index": list(ks)} for c, ks in terms],
-            "residual": residual * n / d,
-            "bound": bound * abs(n) / d,
-        }
+        relations.append((kind, degrees, poly, factor, terms, text))
+    records = []
+    with zeta_batch(ks for *_, terms, _ in relations for _, ks in terms):
+        for kind, degrees, poly, factor, terms, text in relations:
+            # Both sums are exact and rounded once, after the scaling, by int true division.
+            residual, bound, scale = exact_sum(poly.terms, evaluator)
+            n, d = factor.numerator, factor.denominator * scale
+            records.append({
+                "type": "relation",
+                "weight": weight,
+                "source": kind,
+                "degrees": degrees,
+                "relation": text,
+                "terms": [{"coeff": c, "index": list(ks)} for c, ks in terms],
+                "residual": residual * n / d,
+                "bound": bound * abs(n) / d,
+            })
+    yield from records
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +390,31 @@ def _parser(order: str | None, tol: str | None) -> argparse.ArgumentParser:
     return parser
 
 
+def _eval_argv(argv: list[str]) -> list[str]:
+    """``argv``, with a lone ``eval`` expression that starts with ``-`` moved behind ``--``.
+
+    argparse reads an argument such as ``-e[1]`` or ``-1/2`` as an unknown
+    option, so a printed negative term would not read back.  The expression
+    is the one argument after ``eval`` that starts with a single ``-``, is not
+    ``-h`` and is not the value of ``--mode`` or ``--tol`` (or a prefix of
+    them, as argparse allows).  With none, two such arguments or a ``--``
+    already given, ``argv`` is left as it is.
+    """
+    if argv[:1] != ["eval"] or "--" in argv:
+        return argv
+    dashed = [
+        i for i in range(1, len(argv))
+        if argv[i][:1] == "-" and argv[i][:2] != "--" and argv[i] != "-h"
+        and not (argv[i - 1][:2] == "--" and any(o.startswith(argv[i - 1]) for o in ("--mode", "--tol")))
+    ]
+    if len(dashed) != 1:
+        return argv
+    i = dashed[0]
+    return [*argv[:i], *argv[i + 1 :], "--", argv[i]]
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_eval_argv(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.run(args)
     except (UnsupportedWordError, QuadratureError) as exc:

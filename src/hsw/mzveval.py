@@ -21,22 +21,28 @@ head side and a unit letter on the tail side; ``{0,1}`` words split at
 floor rounding, with as many terms as the requested absolute tolerance
 needs, and the reported bound is the truncation term plus the counted
 rounding units plus the final rounding to float; nothing in it is fitted.
-The kernel takes a batch of words; those of one ``(m0, m1)``, term count and
-scale share their series, and each keeps its own precision, bit for bit.
+The kernel takes a map from words to their tolerances; words of one
+``(m0, m1)``, term count and scale share their series, whatever their
+tolerances, and each keeps its own precision, bit for bit.
 :class:`H0Evaluator` is the one numeric entry point for words, returning
 ``(value, bound)``: a ``{0,1}`` word goes through :func:`zeta`, at ``2^-60``
 of the value's first term and with the sign ``(-1)^depth`` applied once; any
 other word runs at the evaluator's tolerance.  It caches each result once,
-under the word.  :func:`zeta` and :func:`word_to_mzv` serve the zeta index
-where a user types or reads it.
+under the word.  Inside a :func:`zeta_batch` block, :func:`zeta` of a listed
+index reads one kernel pass over every listed index, run at the first such
+call; ``relations`` evaluates each weight in one such block.  :func:`zeta`
+and :func:`word_to_mzv` serve the zeta index where a user types or reads it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from itertools import accumulate, chain, product
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .halg import HPoly, Word, format_word, s_chain, s_word, star_terms, to_letters, to_word
 from .monoid import LETTERS, UNIT, MonoidElement, rational
@@ -49,6 +55,7 @@ __all__ = [
     "QuadratureError",
     "word_to_mzv",
     "zeta",
+    "zeta_batch",
     "H0Evaluator",
     "check_assumptions",
     "verify_harmonic_hom",
@@ -132,8 +139,8 @@ def _split(m0: Fraction, m1: Fraction) -> tuple[int, int, tuple[int, int], tuple
     return big_r.numerator, big_r.denominator, (big_r / m0).as_integer_ratio(), (big_r / m1).as_integer_ratio()
 
 
-def _iterint_estimates(words: Iterable[Word], tol: float) -> dict[Word, tuple[float, float]]:
-    """``I(w)`` with a bound for every nonempty word ``w``, split at ``y = m0/R``.
+def _iterint_estimates(tols: dict[Word, float]) -> dict[Word, tuple[float, float]]:
+    """``I(w)`` with a bound for every nonempty word ``w`` of ``tols``, to its tolerance, split at ``y = m0/R``.
 
     ``m0 = min |a|`` over a word's nonzero letters and ``m1 = min |1 - a|``
     over its letters other than 1 (the unit letter counts as the number 1),
@@ -144,19 +151,19 @@ def _iterint_estimates(words: Iterable[Word], tol: float) -> dict[Word, tuple[fl
     ``N`` terms leave at most ``R^-N/(R-1)`` of a factor of modulus at most
     ``max(1, 1/(R-1))``.  The bound is the truncation plus the counted
     rounding units, carried through the products exactly, plus two units in
-    the last place of the result; ``N`` and the scale come from ``tol`` and
-    ``k``, so that all but those two units add up to at most ``5/16 tol``.
-    Words of one ``(m0, m1, N, scale)`` share their series (:func:`_walk_prefixes`),
-    and words of one zero/unit letter pattern their factors' error units.
+    the last place of the result; ``N`` and the scale come from the word's
+    ``tol`` and ``k``, so that all but those two units add up to at most
+    ``5/16 tol``.  Words of one ``(m0, m1, N, scale)`` share their series
+    (:func:`_walk_prefixes`), whatever their tolerances, and words of one
+    zero/unit letter pattern their factors' error units.
     """
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    words = dict.fromkeys(words)
-    for w in words:
+    for w, tol in tols.items():
+        if not tol > 0:
+            raise ValueError(f"tolerance must be positive, got {tol}")
         if not reg.is_admissible(w):
             raise InadmissibleIndexError(f"word {format_word(w)} is not admissible")
     nums = {}
-    for a in sorted(set().union(*words)):
+    for a in sorted(set().union(*tols)):
         if not (a <= "\1" or LETTERS[a].kind == "rational"):
             raise UnsupportedWordError(f"letter {LETTERS[a]} has no numeric value")
         nums[a] = 1 if a == "\1" else LETTERS[a].value
@@ -167,12 +174,12 @@ def _iterint_estimates(words: Iterable[Word], tol: float) -> dict[Word, tuple[fl
     # a word's pattern, "0" for a zero letter, "1" for the unit letter and "2" for any
     # other, fixes the error units of its head and tail factors within a group
     classes = str.maketrans({a: "0" if not x else "1" if x == 1 else "2" for a, x in nums.items()})
-    groups: dict[tuple[int, int, int], list[Word]] = {}
-    for w in words:
-        groups.setdefault((min(map(rank0.__getitem__, w)), min(map(rank1.__getitem__, w)), len(w)), []).append(w)
+    groups: dict[tuple[int, int, int, float], list[Word]] = {}
+    for w, tol in tols.items():
+        groups.setdefault((min(map(rank0.__getitem__, w)), min(map(rank1.__getitem__, w)), len(w), tol), []).append(w)
     # keys that get the same split, term count and scale share their series
     plans: dict[tuple, list[Word]] = {}
-    for (r0, r1, k), group in groups.items():
+    for (r0, r1, k, tol), group in groups.items():
         p, q, *_ = split = _split(by_m0[r0], by_m1[r1])
         # log2 of R - 1, of the bound on a factor and of each factor's error
         # target: then the k + 1 products' errors add up to at most 5/16 tol.
@@ -223,6 +230,39 @@ def _index_word(ks: tuple[int, ...]) -> Word:
     return "".join([s_word(UNIT, k) for k in ks])
 
 
+def _zeta_plan(index: Iterable[int]) -> tuple[tuple[int, ...], Word, float]:
+    """A checked index, its word, and the kernel's tolerance: ``2^-60`` of the first term ``prod_i i^-k_i``."""
+    ks = tuple(index)
+    # a bool is an int to isinstance, but True is no index entry
+    if any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in ks):
+        raise InadmissibleIndexError("index entries must be positive integers")
+    if ks and ks[-1] < 2:
+        raise InadmissibleIndexError(f"trailing entry must be >= 2, got {ks}")
+    floor_bits = sum(k * (i - 1).bit_length() for i, k in enumerate(ks, 1))  # 2^-floor_bits <= prod_i i^-k_i
+    return ks, _index_word(ks), 2.0 ** -(60 + floor_bits)
+
+
+# The innermost open zeta_batch: its words' tolerances and its kernel pass, run on first use.
+_BATCH: ContextVar[tuple[dict[Word, float], Callable[[], dict]] | None] = ContextVar("zeta_batch", default=None)
+
+
+@contextmanager
+def zeta_batch(indices: Iterable[Iterable[int]]) -> Iterator[None]:
+    """Inside the block, :func:`zeta` of a listed index reads one kernel pass over every listed index.
+
+    The pass runs at the first such call, so its time falls in that call;
+    values and bounds are bit for bit those of a call outside the block.  An
+    unlisted index is evaluated alone, as every index is after the block.  A
+    nested block stands in for the outer one until it closes.
+    """
+    tols = dict(plan[1:] for plan in map(_zeta_plan, indices) if plan[0])
+    token = _BATCH.set((tols, functools.cache(lambda: _iterint_estimates(tols))))
+    try:
+        yield
+    finally:
+        _BATCH.reset(token)
+
+
 def zeta(index: Iterable[int]) -> tuple[float, float]:
     """Multiple zeta value of an admissible index, with a rigorous error bound.
 
@@ -231,17 +271,14 @@ def zeta(index: Iterable[int]) -> tuple[float, float]:
     bound on the value; the two units in the last place of ``value`` that
     the bound adds also cover a float-rounded reference.
     """
-    ks = tuple(index)
-    # a bool is an int to isinstance, but True is no index entry
-    if any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in ks):
-        raise InadmissibleIndexError("index entries must be positive integers")
+    ks, word, tol = _zeta_plan(index)
     if not ks:
         return 1.0, 0.0
-    if ks[-1] < 2:
-        raise InadmissibleIndexError(f"trailing entry must be >= 2, got {ks}")
-    floor_bits = sum(k * (i - 1).bit_length() for i, k in enumerate(ks, 1))  # 2^-floor_bits <= prod_i i^-k_i
-    word = _index_word(ks)
-    value, bound = _iterint_estimates([word], 2.0 ** -(60 + floor_bits))[word]
+    batch = _BATCH.get()
+    if batch is not None and word in batch[0]:
+        value, bound = batch[1]()[word]
+    else:
+        value, bound = _iterint_estimates({word: tol})[word]
     return (-value if len(ks) % 2 else value), bound
 
 
@@ -293,7 +330,7 @@ class H0Evaluator:
         self._cache.update(values)
 
     def _iterint(self, words: list[Word]) -> dict[Word, tuple[float, float]]:
-        values = _iterint_estimates(words, self.tol)
+        values = _iterint_estimates(dict.fromkeys(words, self.tol))
         for w in words:
             if values[w][1] > self.tol:
                 raise QuadratureError(

@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from hsw.cli import _emit_items, _parser, build_parser, main, relation_records
+from hsw.cli import _emit_items, _parser, _ray, build_parser, main, relation_records
 from hsw import mzveval
 from hsw.monoid import ZERO, rational
 from hsw.mzveval import H0Evaluator
+from hsw.wcalc import WPoly
 
 ROOT = Path(__file__).resolve().parent.parent
 NEAR_ONE = "s[1000001/1000000,1]"
@@ -18,6 +20,16 @@ BELOW_DOUBLE = "tolerance 1e-30 is below the double-precision resolution of"
 
 def run(capsys, *argv):
     code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_exit(capsys, *argv):
+    """Exit code, stdout and stderr of a command that may exit through argparse."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -115,6 +127,37 @@ class TestEval:
         assert (proc.returncode, proc.stderr) == (0, "")
         out = proc.stdout
         assert out.count("\n") == 1 and out.count(" + ") + out.count(" - ") + 1 == 601
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (["-1/2"], "-1/2\n"),
+            (["-1"], "-1\n"),
+            (["-e[1]"], "-s[1,1]\n"),
+            (["-s[1,1]"], "-s[1,1]\n"),  # a single negative term reads back to itself
+            (["-e[1]e[1]", "--mode", "zst"], "-1/2*T^2 - 1/2*s[1,2]\n"),
+            (["--mode", "zst", "-e[1]e[1]"], "-1/2*T^2 - 1/2*s[1,2]\n"),
+            (["--mo", "symbolic", "-e[1]"], "-s[1,1]\n"),
+        ],
+    )
+    def test_leading_minus(self, capsys, argv, out):
+        # argparse takes "-e[1]" for an unknown option; a lone such argument is the expression
+        assert run(capsys, "eval", *argv) == (0, out, "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["-x"], "parse error: unexpected character at position 1 in '-x'"),
+            (["-x", "-y"], "error: the following arguments are required: expr"),
+            (["e[1]", "-y"], "error: unrecognized arguments: -y"),
+            (["--mode", "-e[1]"], "error: argument --mode: expected one argument"),
+            (["s[1,2]", "--tol", "-1"], "error: argument --tol: must be a finite positive number, got '-1'"),
+        ],
+    )
+    def test_leading_minus_errors_exit_2(self, capsys, argv, message):
+        code, out, err = run_exit(capsys, "eval", *argv)
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
 
     def test_s_block_length_overflow_exit_2(self, capsys):
         code, out, err = run(capsys, "eval", "s[z,99999999999999999999]")
@@ -296,7 +339,7 @@ class TestRelations:
             if weight == 4:
                 assert [(rec["source"], rec["degrees"]) for rec in records] == [("addition", [2, 3])]
 
-    @pytest.mark.parametrize("weight", ["14", "16"])
+    @pytest.mark.parametrize("weight", [str(w) for w in range(14, 29, 2)])
     def test_weights_above_12_within_bound(self, capsys, weight):
         code, out, _ = run(capsys, "relations", "--weight", weight, "--format", "json")
         assert code == 0
@@ -304,6 +347,13 @@ class TestRelations:
         assert records
         for rec in records:
             assert abs(rec["residual"]) <= rec["bound"]
+
+    def test_multiples_share_a_ray(self):
+        # a source that is a rational multiple of an earlier one is skipped before eval_w
+        wp = WPoly.gen(3) - WPoly.gen(1) * WPoly.gen(2)
+        assert _ray(wp) == _ray(wp * Fraction(-3, 2))
+        assert _ray(wp) != _ray(WPoly.gen(3) - WPoly.gen(1) * WPoly.gen(2) * 2)
+        assert _ray(wp) != _ray(WPoly.gen(3))
 
     def test_weight_18_in_process(self):
         # past the CLI's weight cap the W generators go beyond W_8; nothing caps them
@@ -361,7 +411,7 @@ class TestInputErrors:
             ({}, ["verify", "addition", "--z", "q"]),
             ({}, ["verify", "addition", "--z", "1/0"]),
             ({}, ["relations", "--weight", "3"]),
-            ({}, ["relations", "--weight", "18"]),
+            ({}, ["relations", "--weight", "30"]),
             ({}, ["relations", "--weight", "0"]),
             ({}, ["eval", "s[1,2]", "--mode", "bogus"]),
             ({"HSW_TOL": "inf"}, ["eval", "s[1,2]", "--mode", "znum"]),
@@ -460,7 +510,7 @@ class TestEmitRelations:
         assert proc.returncode == 0
         assert proc.stdout == "".join(line for line in golden if json.loads(line)["weight"] <= 8)
 
-    @pytest.mark.parametrize("arg", ["18", "x"])
+    @pytest.mark.parametrize("arg", ["30", "x"])
     def test_bad_weight_exit_2(self, arg):
         proc = emit_relations(arg)
         assert proc.returncode == 2

@@ -9,6 +9,9 @@ its expressions are the ones ``perfbench/reference.json`` records.  So does
 ``golden/harmonic_hom_w3.sha256`` for a weight-3 run whose words of up to
 6 letters mix zero and unit letters with real ones, so that the kernel's
 error units for each zero/unit letter pattern show in its bounds.
+``golden/relations_w14_28.sha256`` keeps one SHA-256 per even weight 14..28
+of the JSON lines of :func:`hsw.cli.relation_records`, the records that
+``relations --weight W --format json`` prints.
 
 Re-record (only when an output change is intended) with
 
@@ -88,6 +91,17 @@ HARMONIC_HOM_BENCH = ("verify", "harmonic-hom", "--letters=2,3,5/2,-2,7/3", "--m
 HARMONIC_HOM_W3 = ("verify", "harmonic-hom", "--letters=2,-1,7/3", "--max-weight", "3", "--format", "json")
 
 
+def relation_digests(weights: range) -> str:
+    from hsw.cli import relation_records
+    from hsw.mzveval import H0Evaluator
+
+    lines = []
+    for weight in weights:
+        text = "".join(json.dumps(record) + "\n" for record in relation_records(weight, H0Evaluator()))
+        lines.append(f"{hashlib.sha256(text.encode()).hexdigest()} {weight}\n")
+    return "".join(lines)
+
+
 def digest_line(*argv: str) -> str:
     return f"{hashlib.sha256(mask(cli(*argv)).encode()).hexdigest()} {' '.join(argv)}\n"
 
@@ -101,6 +115,7 @@ CASES = {
     "harmonic_hom.jsonl": lambda: cli(*HARMONIC_HOM),
     "harmonic_hom_bench.sha256": lambda: digest_line(*HARMONIC_HOM_BENCH),
     "harmonic_hom_w3.sha256": lambda: digest_line(*HARMONIC_HOM_W3),
+    "relations_w14_28.sha256": lambda: relation_digests(range(14, 29, 2)),
 }
 
 

@@ -22,9 +22,12 @@ from hsw.mzveval import (
     _iterint_estimates,
     _split,
     _walk_prefixes,
+    _zeta_plan,
     word_to_mzv,
     zeta,
+    zeta_batch,
 )
+from hsw import mzveval
 from hsw.cli import relation_records
 from hsw.reg import RegularizationError, RegularizedValue, is_admissible, reg_t, z_num_with_bound
 from hsw.wcalc import addition_defect_coeff, eval_w, pythagoras_coeff
@@ -166,8 +169,8 @@ class TestZeta:
         # a coarse and a fine truncation differ by at most their stated shortfalls
         for ks in [(2,), (2, 2), (1, 2), (1, 1, 3)]:
             word = _index_word(ks)
-            v1, b1 = _iterint_estimates([word], 2.0**-30)[word]
-            v2, b2 = _iterint_estimates([word], 2.0**-60)[word]
+            v1, b1 = _iterint_estimates({word: 2.0**-30})[word]
+            v2, b2 = _iterint_estimates({word: 2.0**-60})[word]
             assert abs(v2 - v1) <= b1 + b2
             assert b2 < b1 <= 2.0**-30
 
@@ -177,7 +180,7 @@ class TestZeta:
         with mpmath.workdps(40):
             exact = mpmath.pi**4 / 120
             for tol in (2.0**-20, 2.0**-40, 2.0**-50):
-                v, b = _iterint_estimates([word], tol)[word]
+                v, b = _iterint_estimates({word: tol})[word]
                 assert abs(exact - mpmath.mpf(v)) <= b
                 bounds.append(b)
         assert bounds[0] > bounds[1] > bounds[2]
@@ -380,10 +383,10 @@ BATCH_LETTERS = [ZERO.id, UNIT.id] + [rational(q).id for q in (2, 3, Fraction(5,
 )
 def test_batch_equals_its_parts(words, tol):
     # a word's value and bound do not depend on the rest of its batch, bit for bit
-    batch = _iterint_estimates(words, tol)
+    batch = _iterint_estimates(dict.fromkeys(words, tol))
     assert batch.keys() == set(words)
     for word in words:
-        value, bound = _iterint_estimates([word], tol)[word]
+        value, bound = _iterint_estimates({word: tol})[word]
         assert (batch[word][0].hex(), batch[word][1].hex()) == (value.hex(), bound.hex())
 
 
@@ -452,7 +455,7 @@ class TestPrefetch:
         ev.prefetch(words)
         assert batches == [list(dict.fromkeys(words))]
         for word in words:
-            assert ev(to_letters(word)) == _iterint_estimates([word], 1e-9)[word]
+            assert ev(to_letters(word)) == _iterint_estimates({word: 1e-9})[word]
         assert len(batches) == 1
 
     def test_zeta_words_left_to_zeta(self, batches):
@@ -476,6 +479,92 @@ class TestPrefetch:
         ev = H0Evaluator(tol=1e-30)
         with pytest.raises(QuadratureError, match=message):
             ev.prefetch([w(rational(q)) for q in letters])
+
+
+ZETA_INDICES = [ks for weight in range(2, 13) for depth in range(1, weight) for ks in compositions(weight, depth)]
+
+
+@functools.lru_cache(maxsize=None)
+def zeta_alone(ks):
+    return zeta(ks)
+
+
+def bits(pair):
+    return tuple(x.hex() for x in pair)
+
+
+class TestZetaBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.sampled_from(ZETA_INDICES), min_size=1, max_size=16),
+        st.lists(st.sampled_from(ZETA_INDICES), max_size=6),
+    )
+    def test_values_as_outside(self, listed, unlisted):
+        # listed, repeated and unlisted indices read the same values and bounds, bit for bit
+        with zeta_batch(listed):
+            got = [zeta(ks) for ks in [*listed, *listed[:3], *unlisted, ()]]
+        want = [zeta_alone(ks) for ks in [*listed, *listed[:3], *unlisted]] + [(1.0, 0.0)]
+        assert list(map(bits, got)) == list(map(bits, want))
+
+    def test_one_kernel_pass_on_first_use(self, monkeypatch):
+        calls = []
+        kernel = mzveval._iterint_estimates
+        monkeypatch.setattr(mzveval, "_iterint_estimates", lambda tols: calls.append(tols) or kernel(tols))
+        listed = [(2,), (1, 3), (2, 2), (4,)]
+        with zeta_batch(listed):
+            assert calls == []
+            zeta((2, 2))
+            zeta((4,))
+            zeta((2,))
+        assert calls == [{_zeta_plan(ks)[1]: _zeta_plan(ks)[2] for ks in listed}]
+
+    def test_scoped_and_nested(self, monkeypatch):
+        calls = []
+        kernel = mzveval._iterint_estimates
+        monkeypatch.setattr(mzveval, "_iterint_estimates", lambda tols: calls.append(set(tols)) or kernel(tols))
+        outer, inner = [(2,), (3,)], [(4,), (5,)]
+        words = [{_zeta_plan(ks)[1] for ks in group} for group in (outer, inner)]
+        with zeta_batch(outer):
+            zeta((2,))
+            with zeta_batch(inner):
+                zeta((4,))
+                zeta((3,))  # the outer batch is out of reach: evaluated alone
+            zeta((3,))  # the outer batch again, already run
+        zeta((2,))  # no batch after the block
+        assert calls == [words[0], words[1], {_zeta_plan((3,))[1]}, {_zeta_plan((2,))[1]}]
+        assert mzveval._BATCH.get() is None
+
+    def test_closed_after_an_error(self):
+        with pytest.raises(RuntimeError):
+            with zeta_batch([(2,)]):
+                raise RuntimeError
+        assert mzveval._BATCH.get() is None
+
+    def test_inadmissible_index_refused(self):
+        with pytest.raises(InadmissibleIndexError):
+            with zeta_batch([(2,), (2, 1)]):
+                pass
+        assert mzveval._BATCH.get() is None
+
+    def test_relation_records_one_kernel_call(self, monkeypatch):
+        # one pass per weight; zeta is still called once per index, as the benchmark traces it
+        calls, indices = [], []
+        kernel, exact = mzveval._iterint_estimates, mzveval.zeta
+        monkeypatch.setattr(mzveval, "_iterint_estimates", lambda tols: calls.append(tols) or kernel(tols))
+        monkeypatch.setattr(mzveval, "zeta", lambda ks: indices.append(tuple(ks)) or exact(ks))
+        records = list(relation_records(12, H0Evaluator()))
+        assert len(calls) == 1
+        assert sorted(indices) == sorted({tuple(t["index"]) for rec in records for t in rec["terms"]})
+
+
+def test_mixed_tolerances_equal_their_parts():
+    # zeta words at their own tolerances and real-letter words at 1e-9, in one map
+    tols = dict(_zeta_plan(ks)[1:] for ks in [(2,), (3,), (1, 2), (2, 2), (1, 1, 4), (3, 2, 2)])
+    tols.update(dict.fromkeys([w(rational(2)), w(rational(3), ZERO), w(UNIT, rational(-1)), w(UNIT, ZERO)], 1e-9))
+    batch = _iterint_estimates(tols)
+    assert batch.keys() == tols.keys()
+    for word, tol in tols.items():
+        assert bits(batch[word]) == bits(_iterint_estimates({word: tol})[word])
 
 
 def test_error_messages_show_word_text():
