@@ -76,9 +76,8 @@ class MonoidElement:
         # Sorting and printing words look at every letter: both are stored.
         object.__setattr__(self, "key", (_RANK[kind], value))
         object.__setattr__(self, "text", text)
-        with _letters_lock:
-            object.__setattr__(self, "id", chr(len(LETTERS)))
-            LETTERS[self.id] = self
+        object.__setattr__(self, "id", chr(len(LETTERS)))  # under the letter lock, or at import
+        LETTERS[self.id] = self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("MonoidElement is immutable")
@@ -134,8 +133,7 @@ class MonoidElement:
 ZERO = MonoidElement(_KIND_ZERO, 0, "0")
 UNIT = MonoidElement(_KIND_UNIT, 0, "1")
 
-_cyclic_cache: dict[int, MonoidElement] = {}
-_rational_cache: dict[Fraction, MonoidElement] = {}
+_elements: dict[tuple[str, object], MonoidElement] = {}
 _products: dict[tuple[str, str], str] = {}
 
 
@@ -147,17 +145,23 @@ def mul(a: str, b: str) -> str:
     return ab
 
 
+def _intern(kind: str, value, text: str) -> MonoidElement:
+    """The one element of ``(kind, value)``, made on first use."""
+    key = kind, value
+    elem = _elements.get(key)
+    if elem is None:
+        with _letters_lock:  # a second look under the lock, so racing threads make one element
+            elem = _elements.get(key) or _elements.setdefault(key, MonoidElement(kind, value, text))
+    return elem
+
+
 def cyclic(exponent: int) -> MonoidElement:
     """The element ``z^exponent`` of the free cyclic monoid (``z^0`` is ``1``)."""
     if not isinstance(exponent, int) or exponent < 0:
         raise ValueError("cyclic exponent must be a non-negative integer")
     if exponent == 0:
         return UNIT
-    elem = _cyclic_cache.get(exponent)
-    if elem is None:
-        text = "z" if exponent == 1 else f"z^{exponent}"
-        elem = _cyclic_cache.setdefault(exponent, MonoidElement(_KIND_CYCLIC, exponent, text))
-    return elem
+    return _intern(_KIND_CYCLIC, exponent, "z" if exponent == 1 else f"z^{exponent}")
 
 
 def rational(value) -> MonoidElement:
@@ -169,10 +173,7 @@ def rational(value) -> MonoidElement:
         return UNIT
     if abs(q) < 1:
         raise ValueError(f"rational element must have modulus >= 1, got {q}")
-    elem = _rational_cache.get(q)
-    if elem is None:
-        elem = _rational_cache.setdefault(q, MonoidElement(_KIND_RATIONAL, q, str(q)))
-    return elem
+    return _intern(_KIND_RATIONAL, q, str(q))
 
 
 _CYCLIC_RE = re.compile(r"^z(?:\^(\d+))?$")

@@ -13,38 +13,34 @@ On the ``{0, 1}`` alphabet these are multiple zeta values,
 One kernel evaluates every such word by the Hoelder convolution (Borwein,
 Bradley, Broadhurst and Lisonek, "Special values of multiple polylogarithms",
 2001): the integral splits at ``y = m0/R`` into products of power series in
-the letters, where ``m0`` is the least modulus of a nonzero letter, ``m1``
-the least distance of a letter other than 1 from 1, and ``R = m0 + m1``, so
-both sides' coefficients fall like ``R^-n``.  A zero letter is zero on the
-head side and a unit letter on the tail side; ``{0,1}`` words split at
-``y = 1/2`` with ``R = 2``.  The series run in fixed-point integers with
-floor rounding, with as many terms as the requested absolute tolerance
-needs, and the reported bound is the truncation term plus the counted
-rounding units plus the final rounding to float; nothing in it is fitted.
-The kernel takes a map from words to their tolerances; words of one
-``(m0, m1)``, term count and scale share their series, whatever their
-tolerances, and each keeps its own precision, bit for bit.
+the letters, run in fixed-point integers to each word's tolerance
+(:func:`_iterint_estimates`); the bound counts the truncation and every
+rounding, with nothing fitted.  Words that share a split, term count and
+scale share their series, each bit for bit as alone.
 :class:`H0Evaluator` is the one numeric entry point for words, returning
 ``(value, bound)``: a ``{0,1}`` word goes through :func:`zeta`, at ``2^-60``
 of the value's first term and with the sign ``(-1)^depth`` applied once; any
 other word runs at the evaluator's tolerance.  It caches each result once,
-under the word.  Inside a :func:`zeta_batch` block, :func:`zeta` of a listed
-index reads one kernel pass over every listed index, run at the first such
-call; ``relations`` evaluates each weight in one such block.  :func:`zeta`
-and :func:`word_to_mzv` serve the zeta index where a user types or reads it.
+under the word; :meth:`H0Evaluator.prefetch` fills that cache for many words
+and returns it, the map :func:`verify_harmonic_hom` reads.  Inside a
+:func:`zeta_batch` block, :func:`zeta` of a listed index reads one kernel
+pass over every listed index, run at the first such call; ``relations``
+evaluates each weight in one such block.  :func:`zeta` and
+:func:`word_to_mzv` serve the zeta index where a user types or reads it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from fractions import Fraction
 from itertools import accumulate, chain, product
 from typing import Callable, Iterable, Iterator
 
-from .halg import HPoly, Word, format_word, s_chain, s_word, star_terms, to_letters, to_word
+from .halg import HPoly, Word, format_word, s_chain, s_word, star_terms, to_word
 from .monoid import LETTERS, UNIT, MonoidElement, rational
 from .reporting import CheckResult
 from . import reg
@@ -83,10 +79,6 @@ def word_to_mzv(w: Word) -> tuple[int, ...]:
     # an admissible {0,1} word is a unit letter, then zero letters, per entry
     return tuple(len(run) + 1 for run in w.split("\1")[1:])
 
-
-# ---------------------------------------------------------------------------
-# the kernel: one Hoelder split for every admissible word
-# ---------------------------------------------------------------------------
 
 # A word whose split series need more terms than this is refused: a letter
 # lies too close to 1 for the requested tolerance.
@@ -169,14 +161,15 @@ def _iterint_estimates(tols: dict[Word, float]) -> dict[Word, tuple[float, float
         nums[a] = 1 if a == "\1" else LETTERS[a].value
     by_m0 = sorted({abs(x) for x in nums.values() if x})
     by_m1 = sorted({abs(1 - x) for x in nums.values() if x != 1})
-    rank0 = {a: by_m0.index(abs(x)) if x else len(by_m0) for a, x in nums.items()}
-    rank1 = {a: by_m1.index(abs(1 - x)) if x != 1 else len(by_m1) for a, x in nums.items()}
+    # ranks as characters: a word's least rank is a C-level min
+    rank0 = str.maketrans({a: chr(by_m0.index(abs(x)) if x else len(by_m0)) for a, x in nums.items()})
+    rank1 = str.maketrans({a: chr(by_m1.index(abs(1 - x)) if x != 1 else len(by_m1)) for a, x in nums.items()})
     # a word's pattern, "0" for a zero letter, "1" for the unit letter and "2" for any
     # other, fixes the error units of its head and tail factors within a group
     classes = str.maketrans({a: "0" if not x else "1" if x == 1 else "2" for a, x in nums.items()})
     groups: dict[tuple[int, int, int, float], list[Word]] = {}
     for w, tol in tols.items():
-        groups.setdefault((min(map(rank0.__getitem__, w)), min(map(rank1.__getitem__, w)), len(w), tol), []).append(w)
+        groups.setdefault((ord(min(w.translate(rank0))), ord(min(w.translate(rank1))), len(w), tol), []).append(w)
     # keys that get the same split, term count and scale share their series
     plans: dict[tuple, list[Word]] = {}
     for (r0, r1, k, tol), group in groups.items():
@@ -201,7 +194,7 @@ def _iterint_estimates(tols: dict[Word, float]) -> dict[Word, tuple[float, float
         rev = [w[::-1] for w in group]
         heads = _walk_prefixes(group, head_forms, n_terms, bits)
         tails = _walk_prefixes(rev, tail_forms, n_terms, bits)
-        units_of: dict[str, tuple[list[int], list[int]]] = {}
+        units_of: dict[str, tuple[list[int], list[int], int]] = {}
         for w, r in zip(group, rev):
             hs, ts = heads.pop(w), tails.pop(r)
             pattern = w.translate(classes)
@@ -211,13 +204,15 @@ def _iterint_estimates(tols: dict[Word, float]) -> dict[Word, tuple[float, float
                 # errors of 2 units per letter, 1 per zero letter (head) or unit letter (tail)
                 head = [0, *(trunc + n_terms * u for u in accumulate(1 if c == "0" else 2 for c in pattern))]
                 tail = [0, *(trunc + n_terms * u for u in accumulate(1 if c == "1" else 2 for c in pattern[::-1]))]
-                units = units_of[pattern] = head, tail[::-1]
+                # sum eh * et is the same for every word of the pattern
+                units = units_of[pattern] = head, tail[::-1], sum(map(operator.mul, head, tail[::-1]))
+            head, tail, slack = units
             # G(a_1..a_j) times the tail of k - j letters, with the sign (-1)^(k-j)
-            total = slack = 0
+            total = 0
             odd = len(w) % 2
-            for h, t, eh, et in zip(hs, reversed(ts), *units):
+            for h, t, eh, et in zip(hs, reversed(ts), head, tail):
                 total += -h * t if odd else h * t
-                slack += abs(h) * et + (abs(t) + et) * eh
+                slack += abs(h) * et + abs(t) * eh
                 odd ^= 1
             value = total / one
             # one step up covers rounding the quotient and the sum
@@ -282,11 +277,6 @@ def zeta(index: Iterable[int]) -> tuple[float, float]:
     return (-value if len(ks) % 2 else value), bound
 
 
-# ---------------------------------------------------------------------------
-# the combined evaluator and the assumption checks
-# ---------------------------------------------------------------------------
-
-
 class H0Evaluator:
     """Evaluate admissible words numerically, with one cache keyed by the word.
 
@@ -294,8 +284,8 @@ class H0Evaluator:
     returns ``(value, bound)``.  ``{0,1}``-alphabet words go through
     :func:`zeta`; words with real rational letters through the same kernel
     at the evaluator's absolute tolerance, refusing a word whose bound
-    exceeds it.  :meth:`prefetch` evaluates many real-letter words in one
-    kernel batch, with the same values and bounds as one at a time.
+    exceeds it.  :meth:`prefetch` fills the cache for many words, with
+    real-letter ones in one kernel batch, and returns it.
     """
 
     def __init__(self, tol: float = 1e-7):
@@ -317,17 +307,18 @@ class H0Evaluator:
             self._cache[w] = hit
         return hit
 
-    def prefetch(self, words: Iterable[Word]) -> None:
-        """Cache the uncached real-letter words in one batch; an error names the first failing word in order."""
-        words = dict.fromkeys(words)
-        batch = [w for w in words if w.strip("\0\1") and w not in self._cache]
+    def prefetch(self, words: Iterable[Word]) -> dict[Word, tuple[float, float]]:
+        """The word-keyed cache, filled as calls would for every listed word; an error names the first failing one."""
+        words = dict.fromkeys(w for w in words if w not in self._cache)
         try:
-            values = self._iterint(batch)
+            self._cache.update(self._iterint([w for w in words if w.strip("\0\1")]))
+            for w in [w for w in words if w not in self._cache]:  # {0,1} words
+                self._value(w)
         except (ValueError, QuadratureError):
             for w in words:
                 self._value(w)
             raise
-        self._cache.update(values)
+        return self._cache
 
     def _iterint(self, words: list[Word]) -> dict[Word, tuple[float, float]]:
         values = _iterint_estimates(dict.fromkeys(words, self.tol))
@@ -383,32 +374,33 @@ def verify_harmonic_hom(
     """Check multiplicativity of the iterated integral on real-letter words.
 
     For all pairs ``u, v`` of words of weight <= ``max_weight`` over the given
-    letters, compares ``I(u) I(v)`` with the evaluation of ``u * v``.  Both
-    sides and the bound are exact integers over one scale (:func:`reg.exact_sum`)
-    and each is rounded once, by int true division; rounding to float is
-    monotone, so correct values meet ``difference <= bound``, and an item passes
-    only when it holds as well as ``difference < tol``.  Every word is
-    evaluated, in one batch, before the first item is yielded.
+    letters, compares ``I(u) I(v)`` with the evaluation of ``u * v``.  Every
+    word is evaluated before the first item, into the map of
+    :meth:`H0Evaluator.prefetch` that the items read.  Both sides and the
+    bound are exact integers over one scale from the floats' own powers of
+    two (:func:`reg.exact_floats`, :func:`reg.exact_rows`), and each is
+    rounded once, by int true division; rounding to float is
+    monotone, so correct values meet ``difference <= bound``, and an item
+    passes only when it holds as well as ``difference < tol``.
     """
     ids = [rational(q).id for q in letters]
     words = ["".join(p) for n in range(1, max_weight + 1) for p in product(ids, repeat=n)]
-    pairs = [(u, v) for i, u in enumerate(words) for v in words[i:]]
-    evaluator = H0Evaluator(tol=quad_tol)
-    # in the order the items evaluate them: u, v, then the terms of u * v
-    evaluator.prefetch(chain.from_iterable((u, v, *star_terms(u, v)) for u, v in pairs))
-    for u, v in pairs:
-        (lhs_u, bu), (lhs_v, bv) = evaluator(to_letters(u)), evaluator(to_letters(v))
-        value, bound, scale = reg.exact_sum(star_terms(u, v), evaluator)
-        # I(u) I(v) and its error are integers over 2**2148, and the sum and its bound
-        # over scale = den * 2**1074: all four go over scale * 2**1074.  Shifts, not
-        # products, move an integer between the scales.
-        xu, xbu, xv, xbv = map(reg._exact, (lhs_u, bu, lhs_v, bv))
-        den, common = scale >> reg._ULP_BITS, scale << reg._ULP_BITS
-        lhs = xu * xv * den
-        diff = abs(lhs - (value << reg._ULP_BITS)) / common
-        bound = ((bound << reg._ULP_BITS) + (abs(xu) * xbv + abs(xv) * xbu + xbu * xbv) * den) / common
+    named = list(zip(words, map(format_word, words)))
+    pairs = [(u, v) for i, u in enumerate(named) for v in named[i:]]
+    # in the order the items read them: u, v, then the terms of u * v
+    values = H0Evaluator(tol=quad_tol).prefetch(
+        chain.from_iterable((u, v, *star_terms(u, v)) for (u, _), (v, _) in pairs)
+    )
+    for (u, u_text), (v, v_text) in pairs:
+        (xu, xbu, xv, xbv), e = reg.exact_floats((*values[u], *values[v]))
+        value, bound, scale = reg.exact_rows((c, *values[w]) for w, c in star_terms(u, v).items())
+        # I(u) I(v) and its error are over 2**2e, the sum and its bound over scale
+        common = scale << 2 * e
+        lhs = xu * xv * scale
+        diff = abs(lhs - (value << 2 * e)) / common
+        bound = ((bound << 2 * e) + (abs(xu) * xbv + abs(xv) * xbu + xbu * xbv) * scale) / common
         yield CheckResult(
-            item=f"product {format_word(u)} x {format_word(v)}",
+            item=f"product {u_text} x {v_text}",
             passed=diff < tol and diff <= bound,
             data={"difference": diff, "lhs": lhs / common, "rhs": value / scale, "bound": bound},
         )

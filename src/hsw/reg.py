@@ -32,7 +32,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Callable, Iterator
+from operator import mul
+from typing import Callable, Iterable, Iterator
 
 from .halg import (
     HPoly,
@@ -59,6 +60,8 @@ __all__ = [
     "RegularizedValue",
     "z_st",
     "substitute_st",
+    "exact_floats",
+    "exact_rows",
     "exact_sum",
     "z_num_with_bound",
     "verify_regularization",
@@ -255,32 +258,31 @@ def substitute_st(rv: RegularizedValue) -> HPoly:
 Evaluator = Callable[[tuple[MonoidElement, ...]], tuple[float, float]]
 
 
-_ULP_BITS = 1074  # every finite float is a whole multiple of 2**-1074
+def exact_floats(xs: Iterable[float]) -> tuple[list[int], int]:
+    """Floats as integers over ``2**e``, the largest of their denominators (each a power of two)."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    e = max([d.bit_length() for _, d in ratios], default=1) - 1
+    return [n << e + 1 - d.bit_length() for n, d in ratios], e
 
 
-def _exact(x: float) -> int:
-    """The float ``x`` times ``2**1074``, an integer."""
-    n, d = x.as_integer_ratio()  # d is a power of two, at most 2**1074
-    return n << (_ULP_BITS + 1 - d.bit_length())
+def exact_rows(rows: Iterable[tuple[Rational, float, float]]) -> tuple[int, int, int]:
+    """``sum c * v`` and ``sum |c| * b`` over rows ``(c, v, b)``, exactly: integers ``(value, bound, scale)``.
+
+    The sums are ``value / scale`` and ``bound / scale``, with ``scale = lcm(denominators of c) * 2**e``
+    (:func:`exact_floats`), the smallest exact scale of that form.  Int true division rounds correctly,
+    so ``value / scale`` is the exact sum rounded once; rounding is monotone, so where the true sum is 0,
+    as for a relation, ``|value / scale| <= bound / scale``.
+    """
+    rows = list(rows)
+    nums, e = exact_floats(x for _, v, b in rows for x in (v, b))
+    den = math.lcm(*[c.denominator for c, _, _ in rows])
+    ns = [c.numerator * (den // c.denominator) for c, _, _ in rows]
+    return sum(map(mul, ns, nums[::2])), sum(map(mul, map(abs, ns), nums[1::2])), den << e
 
 
 def exact_sum(terms: dict[Word, Rational], evaluator: Evaluator) -> tuple[int, int, int]:
-    """``sum c * v`` and ``sum |c| * b`` exactly, over ``terms`` ``{w: c}`` with ``(v, b)`` the value of ``w``.
-
-    Returns the integers ``(value, bound, scale)``: both sums are ``value / scale``
-    and ``bound / scale``, with ``scale = lcm(denominators) * 2**1074``.  Int
-    true division rounds correctly, so ``value / scale`` is the exact sum rounded
-    once; rounding is monotone, so where the true sum is 0, as for a relation,
-    ``|value / scale| <= bound / scale``.
-    """
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    value = bound = 0
-    for w, c in terms.items():
-        v, b = evaluator(to_letters(w))
-        n = c.numerator * (den // c.denominator)
-        value += n * _exact(v)
-        bound += abs(n) * _exact(b)
-    return value, bound, den << _ULP_BITS
+    """:func:`exact_rows` over ``terms`` ``{w: c}``, with ``(v, b)`` the value of ``w``."""
+    return exact_rows((c, *evaluator(to_letters(w))) for w, c in terms.items())
 
 
 def z_num_with_bound(p: HPoly, evaluator: Evaluator) -> tuple[float, float]:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hsw import monoid
 from hsw.monoid import (
     LETTERS,
     UNIT,
@@ -147,3 +148,44 @@ def test_concurrent_interning_gives_each_letter_its_own_id():
     letters = {a for out in results for a in out}
     assert len(letters) == 300 + 8 * 1500
     assert all(LETTERS[a.id] is a for a in letters)
+
+
+class _RacyCache(dict):
+    """A value cache whose first lookup of each key, in every thread, waits for all threads to look."""
+
+    def __init__(self, items, parties: int):
+        super().__init__(items)
+        self.barrier = threading.Barrier(parties, timeout=30)
+        self.seen = threading.local()
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        seen = self.seen.__dict__.setdefault("keys", set())
+        if key not in seen:
+            seen.add(key)
+            self.barrier.wait()
+        return found
+
+
+@pytest.mark.parametrize(
+    "make, values",
+    [(cyclic, [7 * 10**6 + n for n in range(40)]), (rational, [Fraction(7 * 10**12 + n, 1009) for n in range(40)])],
+)
+def test_racing_threads_intern_one_letter_per_value(monkeypatch, make, values):
+    # every thread misses each new value before any thread makes it, so only a
+    # second look under the letter lock keeps twins out of the letter table
+    original = monoid._elements
+    cache = _RacyCache(original, parties=8)
+    monkeypatch.setattr(monoid, "_elements", cache)
+    before = len(LETTERS)
+    results = [[] for _ in range(8)]
+    threads = [threading.Thread(target=lambda out=out: out.extend(map(make, values))) for out in results]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    original.update(cache)  # the rest of the session reads the original cache
+    assert not any(t.is_alive() for t in threads)
+    assert len(LETTERS) - before == len(values)
+    assert all(out == results[0] and len(out) == len(values) for out in results)
+    assert all(LETTERS[a.id] is a for a in results[0])

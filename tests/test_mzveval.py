@@ -466,6 +466,17 @@ class TestPrefetch:
         assert ev(to_letters(zeta_word)) == (-zeta((2,))[0], zeta((2,))[1])
         assert len(batches) == 1
 
+    def test_map_holds_what_a_call_returns(self, batches):
+        # letters 2 and -1 put zero and unit letters into the product words
+        ids = [rational(2).id, rational(-1).id]
+        words = ["".join(p) for n in (1, 2) for p in product(ids, repeat=n)]
+        listed = [x for u in words for v in words for x in (u, v, *star_terms(u, v))]
+        values = H0Evaluator(tol=1e-9).prefetch(listed)
+        assert len(batches) == 1
+        assert any(not x.strip("\0\1") for x in listed)
+        for x in listed:
+            assert bits(values[x]) == bits(H0Evaluator(tol=1e-9)(to_letters(x)))
+
     @pytest.mark.parametrize(
         "letters, message",
         [

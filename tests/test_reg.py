@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -316,8 +317,25 @@ def _rounded(divide) -> str:
 @example(sys.float_info.max)
 @example(-sys.float_info.max)
 @example(1.0)
-def test_exact_is_the_float_over_the_smallest_subnormal(x):
-    assert reg._exact(x) == Fraction(x) * 2**1074
+def test_a_float_is_exact_over_its_own_power_of_two(x):
+    (n,), e = reg.exact_floats([x])
+    assert Fraction(n, 2**e) == Fraction(x)
+    assert 2**e == Fraction(x).denominator
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_COEFFS, _FLOATS | _FLOATS.map(lambda x: x * 2.0**-1060), _FLOATS.map(abs)), max_size=6))
+def test_exact_sum_scale_is_the_smallest_exact_one(rows):
+    # the coefficients' common denominator times the largest float denominator, a power of two
+    terms = {to_word((cyclic(i + 2),)): c for i, (c, _, _) in enumerate(rows)}
+    table = {to_letters(w): (v, b) for w, (_, v, b) in zip(terms, rows)}
+    _, _, scale = reg.exact_sum(terms, table.__getitem__)
+    den = math.lcm(*(Fraction(c).denominator for c, _, _ in rows))
+    top = max((Fraction(x).denominator for _, v, b in rows for x in (v, b)), default=1)
+    assert scale == den * top
+    # every term is whole at that scale; over half the power of two, some float is not
+    assert all((Fraction(c) * Fraction(x) * scale).denominator == 1 for c, v, b in rows for x in (v, b))
+    assert top == 1 or any((Fraction(x) * top / 2).denominator > 1 for _, v, b in rows for x in (v, b))
 
 
 class TestDriver:
