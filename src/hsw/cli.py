@@ -61,7 +61,7 @@ from .wcalc import (
 __all__ = ["main", "relation_records"]
 
 MAX_ORDER = 16
-MAX_RELATION_WEIGHT = 28
+MAX_RELATION_WEIGHT = 30
 
 
 def _checked(convert: Callable[[str], Any], ok: Callable[[Any], Any], requirement: str):
@@ -149,11 +149,6 @@ def _emit_items(
     return passed
 
 
-# ---------------------------------------------------------------------------
-# relations
-# ---------------------------------------------------------------------------
-
-
 def _relation(poly: HPoly) -> tuple[Fraction, list[tuple[int, tuple[int, ...]]]]:
     """The zeta relation of a nonzero ``poly``: a factor, and the terms ``(c, index)`` of ``factor * poly``.
 
@@ -237,11 +232,6 @@ def relation_records(weight: int, evaluator: Evaluator) -> Iterator[dict]:
     yield from records
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-
 def _coincidence(args: argparse.Namespace) -> tuple[dict, Iterator[CheckResult]]:
     z = parse_element(args.z)
     items = chain(
@@ -301,14 +291,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    if args.mode == "symbolic":
-        print(format_poly(poly))
-        return 0
-    if args.mode == "zst":
-        print(z_st(poly))
-        return 0
-    value, bound = z_num_with_bound(poly, H0Evaluator(tol=args.tol))
-    print(f"{value:.9f} ± {bound:.2e}")
+    if args.mode == "znum":
+        value, bound = z_num_with_bound(poly, H0Evaluator(tol=args.tol))
+        print(f"{value:.9f} ± {bound:.2e}")
+    else:
+        print(format_poly(poly) if args.mode == "symbolic" else z_st(poly))
     return 0
 
 

@@ -446,11 +446,6 @@ def clear_caches() -> None:
     clear_all()
 
 
-# ---------------------------------------------------------------------------
-# text form
-# ---------------------------------------------------------------------------
-
-
 class _Texts(dict):
     """``key -> make(key)``, each made on its first lookup."""
 

@@ -19,14 +19,15 @@ rounding, with nothing fitted.  Words that share a split, term count and
 scale share their series, each bit for bit as alone.
 :class:`H0Evaluator` is the one numeric entry point for words, returning
 ``(value, bound)``: a ``{0,1}`` word goes through :func:`zeta`, at ``2^-60``
-of the value's first term and with the sign ``(-1)^depth`` applied once; any
-other word runs at the evaluator's tolerance.  It caches each result once,
-under the word; :meth:`H0Evaluator.prefetch` fills that cache for many words
-and returns it, the map :func:`verify_harmonic_hom` reads.  Inside a
-:func:`zeta_batch` block, :func:`zeta` of a listed index reads one kernel
-pass over every listed index, run at the first such call; ``relations``
-evaluates each weight in one such block.  :func:`zeta` and
-:func:`word_to_mzv` serve the zeta index where a user types or reads it.
+of the least first term of its weight and with the sign ``(-1)^depth``
+applied once; any other word runs at the evaluator's tolerance.  It caches
+each result once, under the word; :meth:`H0Evaluator.prefetch` fills that
+cache for many words and returns it, the map :func:`verify_harmonic_hom`
+reads.  Inside a :func:`zeta_batch` block, :func:`zeta` of a listed index
+reads one kernel pass over every listed index, run at the first such call;
+``relations`` evaluates each weight in one such block, one plan of two
+prefix walks.  :func:`zeta` and :func:`word_to_mzv` serve the zeta index
+where a user types or reads it.
 """
 
 from __future__ import annotations
@@ -110,7 +111,7 @@ def _walk_prefixes(seqs: Iterable[Word], forms: dict, n_terms: int, bits: int) -
             p, q = forms[a]
             d, nxt = 0, [0]
             if not p:
-                nxt += [x // n for x, n in zip(c[1:], ns)]
+                nxt += map(operator.floordiv, c[1:], ns)
             elif q == 1:  # every nonzero letter of a {0,1} word: skip the product
                 for x, n in zip(c, ns):
                     d = (d - x) // p
@@ -226,15 +227,22 @@ def _index_word(ks: tuple[int, ...]) -> Word:
 
 
 def _zeta_plan(index: Iterable[int]) -> tuple[tuple[int, ...], Word, float]:
-    """A checked index, its word, and the kernel's tolerance: ``2^-60`` of the first term ``prod_i i^-k_i``."""
+    """A checked index, its word, and the kernel's tolerance: ``2^-60`` of the least first term of its weight.
+
+    A first term ``prod_i i^-k_i`` is at least ``2^-F``, ``F = sum_i k_i
+    bitlen(i - 1)``.  At weight w and depth r, F is largest with the extra
+    weight on the last entry, and that F grows with r by ``(w - r)(bitlen(r)
+    - bitlen(r - 1)) >= 0``, so it is largest at ``(1, ..., 1, 2)``.  No index
+    runs looser than at its own ``2^-(60 + F)``; a weight's indices share one plan.
+    """
     ks = tuple(index)
     # a bool is an int to isinstance, but True is no index entry
     if any(not isinstance(k, int) or isinstance(k, bool) or k < 1 for k in ks):
         raise InadmissibleIndexError("index entries must be positive integers")
     if ks and ks[-1] < 2:
         raise InadmissibleIndexError(f"trailing entry must be >= 2, got {ks}")
-    floor_bits = sum(k * (i - 1).bit_length() for i, k in enumerate(ks, 1))  # 2^-floor_bits <= prod_i i^-k_i
-    return ks, _index_word(ks), 2.0 ** -(60 + floor_bits)
+    w = sum(ks)
+    return ks, _index_word(ks), 2.0 ** -(60 + sum(map(int.bit_length, [*range(w - 1), w - 2])))
 
 
 # The innermost open zeta_batch: its words' tolerances and its kernel pass, run on first use.
@@ -262,9 +270,9 @@ def zeta(index: Iterable[int]) -> tuple[float, float]:
     """Multiple zeta value of an admissible index, with a rigorous error bound.
 
     Returns ``(value, bound)`` where ``|value - zeta(index)| <= bound``.  The
-    kernel runs to ``2^-60`` of the first term ``prod_i i^-k_i``, a lower
-    bound on the value; the two units in the last place of ``value`` that
-    the bound adds also cover a float-rounded reference.
+    kernel runs to ``2^-60`` of the least first term ``prod_i i^-k_i`` of the
+    index's weight, a lower bound on the value; the two units in the last
+    place of ``value`` that the bound adds also cover a float-rounded reference.
     """
     ks, word, tol = _zeta_plan(index)
     if not ks:

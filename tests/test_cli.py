@@ -339,7 +339,7 @@ class TestRelations:
             if weight == 4:
                 assert [(rec["source"], rec["degrees"]) for rec in records] == [("addition", [2, 3])]
 
-    @pytest.mark.parametrize("weight", [str(w) for w in range(14, 29, 2)])
+    @pytest.mark.parametrize("weight", [str(w) for w in range(14, 31, 2)])
     def test_weights_above_12_within_bound(self, capsys, weight):
         code, out, _ = run(capsys, "relations", "--weight", weight, "--format", "json")
         assert code == 0
@@ -356,7 +356,7 @@ class TestRelations:
         assert _ray(wp) != _ray(WPoly.gen(3))
 
     def test_weight_18_in_process(self):
-        # past the CLI's weight cap the W generators go beyond W_8; nothing caps them
+        # at weight 18 the W generators go beyond W_8; nothing caps them
         records = list(relation_records(18, H0Evaluator()))
         assert len(records) == 5
         for rec in records:
@@ -411,7 +411,7 @@ class TestInputErrors:
             ({}, ["verify", "addition", "--z", "q"]),
             ({}, ["verify", "addition", "--z", "1/0"]),
             ({}, ["relations", "--weight", "3"]),
-            ({}, ["relations", "--weight", "30"]),
+            ({}, ["relations", "--weight", "32"]),
             ({}, ["relations", "--weight", "0"]),
             ({}, ["eval", "s[1,2]", "--mode", "bogus"]),
             ({"HSW_TOL": "inf"}, ["eval", "s[1,2]", "--mode", "znum"]),
@@ -510,7 +510,7 @@ class TestEmitRelations:
         assert proc.returncode == 0
         assert proc.stdout == "".join(line for line in golden if json.loads(line)["weight"] <= 8)
 
-    @pytest.mark.parametrize("arg", ["30", "x"])
+    @pytest.mark.parametrize("arg", ["32", "x"])
     def test_bad_weight_exit_2(self, arg):
         proc = emit_relations(arg)
         assert proc.returncode == 2

@@ -9,7 +9,7 @@ its expressions are the ones ``perfbench/reference.json`` records.  So does
 ``golden/harmonic_hom_w3.sha256`` for a weight-3 run whose words of up to
 6 letters mix zero and unit letters with real ones, so that the kernel's
 error units for each zero/unit letter pattern show in its bounds.
-``golden/relations_w14_28.sha256`` keeps one SHA-256 per even weight 14..28
+``golden/relations_w14_30.sha256`` keeps one SHA-256 per even weight 14..30
 of the JSON lines of :func:`hsw.cli.relation_records`, the records that
 ``relations --weight W --format json`` prints.
 
@@ -115,7 +115,7 @@ CASES = {
     "harmonic_hom.jsonl": lambda: cli(*HARMONIC_HOM),
     "harmonic_hom_bench.sha256": lambda: digest_line(*HARMONIC_HOM_BENCH),
     "harmonic_hom_w3.sha256": lambda: digest_line(*HARMONIC_HOM_W3),
-    "relations_w14_28.sha256": lambda: relation_digests(range(14, 29, 2)),
+    "relations_w14_30.sha256": lambda: relation_digests(range(14, 31, 2)),
 }
 
 

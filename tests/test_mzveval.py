@@ -186,7 +186,7 @@ class TestZeta:
         assert bounds[0] > bounds[1] > bounds[2]
 
     def test_relations_within_bound(self):
-        # weight 2..16, past the CLI cap: |residual| <= bound holds by construction
+        # weight 2..16: |residual| <= bound holds by construction
         evaluator = H0Evaluator()
         for weight in range(2, 17, 2):
             records = list(relation_records(weight, evaluator))
@@ -566,6 +566,30 @@ class TestZetaBatch:
         records = list(relation_records(12, H0Evaluator()))
         assert len(calls) == 1
         assert sorted(indices) == sorted({tuple(t["index"]) for rec in records for t in rec["terms"]})
+
+    def test_relation_records_two_walks(self, monkeypatch):
+        # every zeta word of a weight falls in one plan: one head walk and one tail walk
+        walks = []
+        walk = mzveval._walk_prefixes
+        monkeypatch.setattr(mzveval, "_walk_prefixes", lambda *args: walks.append(args[2:]) or walk(*args))
+        for weight in range(4, 31, 2):
+            walks.clear()
+            assert list(relation_records(weight, H0Evaluator()))
+            assert len(walks) == 2 and walks[0] == walks[1], weight
+
+
+def test_zeta_tolerance_per_weight():
+    # one tolerance per weight: no index's own 2^-60 of 2^-sum_i k_i bitlen(i - 1) is
+    # tighter, and (1, ..., 1, 2)'s is the same
+    def own(ks):
+        return 2.0 ** -(60 + sum(k * (i - 1).bit_length() for i, k in enumerate(ks, 1)))
+
+    for weight in range(2, 15):
+        indices = [ks for depth in range(1, weight) for ks in compositions(weight, depth)]
+        assert len(indices) == 2 ** (weight - 2)
+        (tol,) = {_zeta_plan(ks)[2] for ks in indices}
+        assert all(tol <= own(ks) for ks in indices)
+        assert tol == own((1,) * (weight - 2) + (2,))
 
 
 def test_mixed_tolerances_equal_their_parts():
