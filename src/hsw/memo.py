@@ -24,12 +24,15 @@ from typing import Any, Callable
 
 __all__ = ["MAX_TERMS", "CacheInfo", "TermBoundedCache", "term_bounded_cache", "clear_all"]
 
-# The default budget of one cache.  Filled to it, the word-pair products of
-# 10-16 letter words take about 90 MB, and the regularization rules of 11-19
-# letter words 105 MB, a term being a word (Python 3.11, x86_64).  No
-# benchmark workload stores over about 46,000 terms in one cache (the
-# algebra workload's word-pair products: 199 entries at seed 1), so none of
-# them evicts anything.
+# The default budget of one cache.  Filled to it in a fresh process, the
+# word-pair products of the 8-30 letter words the drivers produce take 90-127
+# MB by VmRSS, 94-133 bytes a term (Python 3.11, x86_64); the most goes to many
+# small products, each with its own dict.  So a full cache stays under 150 MB,
+# which tests/test_memo.py checks on a smaller budget.  A letter is a worse
+# unit: 4-17 bytes over those words.  A product being built is not counted
+# until it returns.  No benchmark workload stores over about 46,000 terms in
+# one cache (the algebra workload's word-pair products: 199 entries at seed
+# 1), so none of them evicts anything.
 MAX_TERMS = 1_000_000
 
 CacheInfo = namedtuple("CacheInfo", "hits misses currsize terms max_terms evictions")

@@ -29,6 +29,7 @@ gives the regularized evaluation :func:`z_num_with_bound`.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -98,7 +99,9 @@ def _bucket(w: Word) -> tuple[int, int]:
     return len(w) - w.count("\0"), len(w) - len(w.rstrip("\1"))
 
 
-@term_bounded_cache(size=lambda rule: 1 + len(rule[1]) + sum(map(len, rule[2])))
+# Stores nothing: a call counter for the benchmark's cache_info/cache_clear hooks,
+# until hsw counts its own work.
+@functools.lru_cache(maxsize=0)
 def _reg_word(w: Word) -> tuple[Word, tuple[Word, ...], tuple[tuple[Word, ...], ...]]:
     """One-step rule of a word with no leading zero letters and ``m >= 1`` trailing units.
 
@@ -197,7 +200,9 @@ def z_st(p: HPoly) -> RegularizedValue:
     One worklist pass: a word with trailing unit letters waits in its bucket
     (:func:`_bucket`) under its ``S^s T^t``, and the largest bucket goes
     first, so each reachable word is rewritten once by its rule
-    (:func:`_reg_word`), into maps looked up once per ``S^s T^t``.
+    (:func:`_reg_word`), into maps looked up once per ``S^s T^t``.  Rules
+    are not stored: a pass never asks for one twice, and a rule memo shared
+    between passes cost more time and memory than it saved.
     Coefficients are ``int`` over one denominator; the state is scaled only
     when a bucket's coefficients are not all divisible by its run ``m``, and
     the pass divides only where an output term is not integral.

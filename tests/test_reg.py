@@ -232,10 +232,15 @@ def test_one_rewrite_per_reachable_word():
     # 4,096 times here, and made 3,070 new word-pair products
     p = parse_poly("*".join(["e[1]e[1]e[1]e[1]e[1]e[1]"] * 2))
     halg.clear_caches()
+    reg._reg_word.cache_clear()
     star_misses = halg._star_words_cached.cache_info().misses
-    z_st(p)
+    first = z_st(p)
     info = reg._reg_word.cache_info()
     assert (info.hits, info.misses) == (0, 2048)
+    # the rule stores nothing: a second pass rewrites every reachable word again
+    assert z_st(p) == first
+    info = reg._reg_word.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 4096, 0)
     assert halg._star_words_cached.cache_info().misses == star_misses
 
 
