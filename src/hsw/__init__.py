@@ -74,7 +74,6 @@ from .mzveval import (
     InadmissibleIndexError,
     QuadratureError,
     UnsupportedWordError,
-    check_assumptions,
     verify_harmonic_hom,
     word_to_mzv,
     zeta,

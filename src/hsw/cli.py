@@ -43,9 +43,8 @@ from .mzveval import (
     UnsupportedWordError,
     verify_harmonic_hom,
     word_to_mzv,
-    zeta_batch,
 )
-from .reg import Evaluator, exact_sum, verify_regularization, z_num_with_bound, z_st
+from .reg import exact_sum, verify_regularization, z_num_with_bound, z_st
 from .reporting import CheckResult
 from .trig import verify_coincidence, verify_reflection_product
 from .series import DEFAULT_ORDER
@@ -180,12 +179,12 @@ def _ray(wp: WPoly) -> frozenset:
     return frozenset((k, c / lead) for k, c in wp.terms.items())
 
 
-def relation_records(weight: int, evaluator: Evaluator) -> Iterator[dict]:
+def relation_records(weight: int, evaluator: H0Evaluator) -> Iterator[dict]:
     """Distinct zeta-value relations induced by the coefficients of the given even weight.
 
-    The first coefficient that induces a relation names its source.  Every
-    record is built, in one :func:`~hsw.mzveval.zeta_batch` over the weight's
-    indices, before the first is yielded."""
+    The first coefficient that induces a relation names its source.  The
+    relations' words are evaluated in one :meth:`~hsw.mzveval.H0Evaluator.prefetch`
+    before the first record is built."""
     if weight % 2 or weight < 2:
         raise ValueError("weight must be a positive even integer")
     sources: list[tuple[str, list[int], WPoly]] = []
@@ -213,23 +212,21 @@ def relation_records(weight: int, evaluator: Evaluator) -> Iterator[dict]:
             continue
         seen.add(text)
         relations.append((kind, degrees, poly, factor, terms, text))
-    records = []
-    with zeta_batch(ks for *_, terms, _ in relations for _, ks in terms):
-        for kind, degrees, poly, factor, terms, text in relations:
-            # Both sums are exact and rounded once, after the scaling, by int true division.
-            residual, bound, scale = exact_sum(poly.terms, evaluator)
-            n, d = factor.numerator, factor.denominator * scale
-            records.append({
-                "type": "relation",
-                "weight": weight,
-                "source": kind,
-                "degrees": degrees,
-                "relation": text,
-                "terms": [{"coeff": c, "index": list(ks)} for c, ks in terms],
-                "residual": residual * n / d,
-                "bound": bound * abs(n) / d,
-            })
-    yield from records
+    evaluator.prefetch(w for _, _, poly, *_ in relations for w in poly.terms)
+    for kind, degrees, poly, factor, terms, text in relations:
+        # Both sums are exact and rounded once, after the scaling, by int true division.
+        residual, bound, scale = exact_sum(poly.terms, evaluator)
+        n, d = factor.numerator, factor.denominator * scale
+        yield {
+            "type": "relation",
+            "weight": weight,
+            "source": kind,
+            "degrees": degrees,
+            "relation": text,
+            "terms": [{"coeff": c, "index": list(ks)} for c, ks in terms],
+            "residual": residual * n / d,
+            "bound": bound * abs(n) / d,
+        }
 
 
 def _coincidence(args: argparse.Namespace) -> tuple[dict, Iterator[CheckResult]]:

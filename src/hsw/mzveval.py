@@ -21,13 +21,13 @@ scale share their series, each bit for bit as alone.
 ``(value, bound)``: a ``{0,1}`` word goes through :func:`zeta`, at ``2^-60``
 of the least first term of its weight and with the sign ``(-1)^depth``
 applied once; any other word runs at the evaluator's tolerance.  It caches
-each result once, under the word; :meth:`H0Evaluator.prefetch` fills that
-cache for many words and returns it, the map :func:`verify_harmonic_hom`
-reads.  Inside a :func:`zeta_batch` block, :func:`zeta` of a listed index
-reads one kernel pass over every listed index, run at the first such call;
-``relations`` evaluates each weight in one such block, one plan of two
-prefix walks.  :func:`zeta` and :func:`word_to_mzv` serve the zeta index
-where a user types or reads it.
+each result once, under the word, and only :meth:`H0Evaluator.prefetch`
+fills it: real-letter words in one kernel batch, ``{0,1}`` words in one
+:func:`zeta_batch` block, where :func:`zeta` of a listed index reads one
+kernel pass over every listed index.  A call that misses prefetches its
+word; ``relations`` prefetches a weight's words, one plan of two walks.
+:func:`zeta` and :func:`word_to_mzv` serve the zeta index where a user
+types or reads it.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, product
 from typing import Callable, Iterable, Iterator
 
-from .halg import HPoly, Word, format_word, s_chain, s_word, star_terms, to_word
+from .halg import Word, format_word, s_word, star_terms, to_word
 from .monoid import LETTERS, UNIT, MonoidElement, rational
 from .reporting import CheckResult
 from . import reg
@@ -54,7 +54,6 @@ __all__ = [
     "zeta",
     "zeta_batch",
     "H0Evaluator",
-    "check_assumptions",
     "verify_harmonic_hom",
 ]
 
@@ -292,8 +291,8 @@ class H0Evaluator:
     returns ``(value, bound)``.  ``{0,1}``-alphabet words go through
     :func:`zeta`; words with real rational letters through the same kernel
     at the evaluator's absolute tolerance, refusing a word whose bound
-    exceeds it.  :meth:`prefetch` fills the cache for many words, with
-    real-letter ones in one kernel batch, and returns it.
+    exceeds it.  :meth:`prefetch`, the one path that fills the cache, takes
+    many words at once and returns it.
     """
 
     def __init__(self, tol: float = 1e-7):
@@ -301,30 +300,30 @@ class H0Evaluator:
         self._cache: dict[Word, tuple[float, float]] = {}
 
     def __call__(self, letters: tuple[MonoidElement, ...]) -> tuple[float, float]:
-        return self._value(to_word(letters))
-
-    def _value(self, w: Word) -> tuple[float, float]:
+        w = to_word(letters)
         hit = self._cache.get(w)
-        if hit is None:
-            if not w.strip("\0\1"):
-                ks = word_to_mzv(w)
-                v, b = zeta(ks)
-                hit = (-v if len(ks) % 2 else v), b
-            else:
-                hit = self._iterint([w])[w]
-            self._cache[w] = hit
-        return hit
+        return self.prefetch([w])[w] if hit is None else hit
 
     def prefetch(self, words: Iterable[Word]) -> dict[Word, tuple[float, float]]:
-        """The word-keyed cache, filled as calls would for every listed word; an error names the first failing one."""
-        words = dict.fromkeys(w for w in words if w not in self._cache)
+        """The word-keyed cache, filled for every listed word; an error names the first failing one.
+
+        Real-letter words take one kernel batch, ``{0,1}`` words one :func:`zeta_batch`.
+        """
+        words = list(dict.fromkeys(w for w in words if w not in self._cache))
+        real = [w for w in words if w.strip("\0\1")]
+        zetas = [w for w in words if not w.strip("\0\1")]
         try:
-            self._cache.update(self._iterint([w for w in words if w.strip("\0\1")]))
-            for w in [w for w in words if w not in self._cache]:  # {0,1} words
-                self._value(w)
+            if real:
+                self._cache.update(self._iterint(real))
+            indices = list(map(word_to_mzv, zetas))
+            with zeta_batch(indices):
+                for w, ks in zip(zetas, indices):
+                    v, b = zeta(ks)
+                    self._cache[w] = (-v if len(ks) % 2 else v), b
         except (ValueError, QuadratureError):
-            for w in words:
-                self._value(w)
+            if len(words) > 1:
+                for w in words:
+                    self.prefetch([w])
             raise
         return self._cache
 
@@ -336,41 +335,6 @@ class H0Evaluator:
                     f"tolerance {self.tol} is below the double-precision resolution of {format_word(w)}"
                 )
         return values
-
-
-def check_assumptions(n_max: int = 3, k_max: int = 6, tol: float = 1e-8) -> Iterator[CheckResult]:
-    """Numeric conditions pinning the regularized evaluation to the sine series.
-
-    (i)   Z applied to ``(2n+1)! s[1,2]^n`` equals ``(-pi^2)^n`` for n <= n_max;
-    (ii)  Z(s[1,1]) = 0 exactly (the T-coefficient is discarded by construction);
-    (iii) Z(s[1,k]) = -zeta(k) for 2 <= k <= k_max.
-    """
-    evaluator = H0Evaluator()
-    for n in range(n_max + 1):
-        w_poly = HPoly.from_word(s_chain(UNIT, 2, n)) * math.factorial(2 * n + 1)
-        value = reg.z_num_with_bound(w_poly, evaluator)[0]
-        expected = (-(math.pi**2)) ** n
-        err = abs(value - expected)
-        yield CheckResult(
-            item=f"sine-coefficient n={n}",
-            passed=err < tol,
-            data={"value": value, "expected": expected, "error": err},
-        )
-    t_value = reg.z_num_with_bound(HPoly.from_word(s_word(UNIT, 1)), evaluator)[0]
-    yield CheckResult(
-        item="unit-letter value",
-        passed=t_value == 0.0,
-        data={"value": t_value, "expected": 0.0, "error": abs(t_value)},
-    )
-    for k in range(2, k_max + 1):
-        value = reg.z_num_with_bound(HPoly.from_word(s_word(UNIT, k)), evaluator)[0]
-        expected = -zeta((k,))[0]
-        err = abs(value - expected)
-        yield CheckResult(
-            item=f"depth-one value k={k}",
-            passed=err < tol,
-            data={"value": value, "expected": expected, "error": err},
-        )
 
 
 def verify_harmonic_hom(

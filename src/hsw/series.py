@@ -14,7 +14,6 @@ products per degree instead of nested powers.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 from .halg import HPoly, harmonic, sum_by_key
 
@@ -168,10 +167,6 @@ class Series1(_Series):
         """Substitute ``-x`` for ``x`` (flip odd-degree coefficients)."""
         return Series1({n: (p if n % 2 == 0 else -p) for n, p in self.coeffs.items()}, self.order)
 
-    def shift_sum(self) -> "Series2":
-        """Substitute ``x + y`` for ``x``: binomially spread coefficients."""
-        out = {(i, n - i): p * comb(n, i) for n, p in self.coeffs.items() for i in range(n + 1)}
-        return Series2(out, self.order)
 
 class Series2(_Series):
     """Bivariate truncated series in ``x`` and ``y``; keys are ``(i, j)`` with ``i + j <= order``."""
@@ -195,15 +190,6 @@ class Series2(_Series):
 
     def _prefix(self, key: tuple[int, int]) -> str:
         return "".join(f"{v}^{e}*" for v, e in zip("xy", key) if e)
-
-    @classmethod
-    def from_x(cls, f: Series1) -> "Series2":
-        """Inject a univariate series as a series in the first variable."""
-        return cls({(n, 0): p for n, p in f.coeffs.items()}, f.order)
-
-    @classmethod
-    def from_y(cls, f: Series1) -> "Series2":
-        return cls({(0, n): p for n, p in f.coeffs.items()}, f.order)
 
     def coeff(self, i: int, j: int) -> HPoly:
         if not self._in_range((i, j), self.order):

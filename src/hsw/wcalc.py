@@ -16,8 +16,8 @@ presented as ``WPoly`` (the generated subring); general ideal membership in
 the full harmonic algebra is out of scope.
 
 ``verify_addition`` / ``verify_pythagoras`` cross-check the abstract
-coefficients against series computed directly from the trig module: two
-independent routes that must agree exactly.
+coefficients against harmonic products of the trig module's sine and cosine
+coefficients: two independent routes that must agree exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Iterator
 
-from .halg import HPoly, LinComb, Rational, combine, format_terms, harmonic, integer_sum, power_text, s_chain
+from .halg import (
+    HPoly, LinComb, Rational, combine, format_terms, harmonic, integer_sum, power_text, s_chain, sum_by_key,
+)
 from .memo import term_bounded_cache
 from .monoid import MonoidElement
 from .reporting import CheckResult
@@ -197,14 +199,15 @@ def ap_witness_addition(i: int, j: int) -> tuple[Fraction, int, int]:
 
 
 def addition_series2(z: MonoidElement, order: int) -> Series2:
-    """The addition-formula defect computed directly on truncated series."""
-    s = sine(z, order)
-    c = cosine(z, order)
-    return (
-        s.shift_sum()
-        - Series2.from_x(s).star(Series2.from_y(c))
-        - Series2.from_x(c).star(Series2.from_y(s))
-    )
+    """The addition-formula defect on truncated series, from the coefficients ``s_n``, ``c_n`` of sine and cosine.
+
+    Its ``x^i y^j`` coefficient is ``C(i+j, i) s_{i+j} - s_i * c_j - c_i * s_j``, summed from the nonzero terms.
+    """
+    s, c = sine(z, order).coeffs, cosine(z, order).coeffs
+    terms = [((i, n - i), p * comb(n, i)) for n, p in s.items() for i in range(n + 1)]
+    for f, g in ((s, c), (c, s)):
+        terms += [((i, j), -harmonic(p, q)) for i, p in f.items() for j, q in g.items() if i + j <= order]
+    return Series2(sum_by_key(terms), order)
 
 
 def pythagoras_series(z: MonoidElement, order: int) -> Series1:

@@ -16,7 +16,6 @@ from hsw.mzveval import (
     InadmissibleIndexError,
     QuadratureError,
     UnsupportedWordError,
-    check_assumptions,
     verify_harmonic_hom,
     _index_word,
     _iterint_estimates,
@@ -491,6 +490,21 @@ class TestPrefetch:
         with pytest.raises(QuadratureError, match=message):
             ev.prefetch([w(rational(q)) for q in letters])
 
+    @pytest.mark.parametrize(
+        "zeta_first, error, message",
+        [
+            (True, InadmissibleIndexError, r"^word s\[1,1\]s\[1,1\] is not admissible$"),
+            (False, QuadratureError, r"^tolerance 1e-30 is below the double-precision resolution of s\[2,1\]$"),
+        ],
+        ids=["zeta-first", "real-first"],
+    )
+    def test_failing_mixed_batch_names_first_word_in_order(self, zeta_first, error, message):
+        # the real-letter batch fails first in either order; the word-by-word retry
+        # then meets the inadmissible {0,1} word s[1,1]s[1,1] first or second
+        words = [w(UNIT, UNIT), w(rational(2))]
+        with pytest.raises(error, match=message):
+            H0Evaluator(tol=1e-30).prefetch(words if zeta_first else words[::-1])
+
 
 ZETA_INDICES = [ks for weight in range(2, 13) for depth in range(1, weight) for ks in compositions(weight, depth)]
 
@@ -622,10 +636,6 @@ def test_error_messages_show_word_text():
 
 
 class TestAssumptionChecks:
-    def test_all_pass(self):
-        items = list(check_assumptions(n_max=3, k_max=6, tol=1e-8))
-        assert all(item.passed for item in items)
-
     def test_w_values_alternate_sign(self):
         ev = H0Evaluator()
         for n in range(4):

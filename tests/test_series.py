@@ -105,34 +105,6 @@ class TestDerivativeAndShift:
         assert d.coeff(2) == w * 3
         assert Series1({0: w}, 3).derivative().is_zero
 
-    def test_shift_sum_linear(self):
-        w = HPoly.from_word(s_word(Z, 1))
-        f = Series1({1: w}, 3)
-        g = f.shift_sum()
-        assert g.coeff(1, 0) == w
-        assert g.coeff(0, 1) == w
-        assert g.coeff(1, 1).is_zero
-
-    def test_shift_sum_binomials(self):
-        w = HPoly.from_word(s_word(Z, 2))
-        f = Series1({4: w}, 4)
-        g = f.shift_sum()
-        for i in range(5):
-            assert g.coeff(i, 4 - i) == w * math.comb(4, i)
-
-    def test_shift_sum_of_one(self):
-        f = Series1.one(3)
-        g = f.shift_sum()
-        assert g.coeff(0, 0) == HPoly.one()
-        assert all(k == (0, 0) for k in g.coeffs)
-
-    def test_shift_sum_multiplicative(self):
-        rng = random.Random(21)
-        for _ in range(5):
-            f = Series1({d: random_poly(rng, 2, ALPHABET_01Z) for d in (0, 1, 2)}, 4)
-            g = Series1({d: random_poly(rng, 2, ALPHABET_01Z) for d in (0, 2)}, 4)
-            assert f.star(g).shift_sum() == f.shift_sum().star(g.shift_sum())
-
     def test_negate_argument(self):
         f = Series1({0: HPoly.one(), 1: e1, 2: e1 * 2, 3: e1 * 5}, 3)
         g = f.negate_argument()
@@ -159,12 +131,15 @@ class TestAlgebraLawsOnSeries:
 
 class TestSeries2:
     def test_injections_and_product(self):
-        f = Series1({1: e1}, 4)
-        fx = Series2.from_x(f)
-        fy = Series2.from_y(f)
+        # a series in x alone times one in y alone: each pair of coefficients lands at its own key
+        w2 = HPoly.from_word(s_word(Z, 2))
+        fx = Series2({(0, 0): HPoly.one(), (1, 0): e1}, 4)
+        fy = Series2({(0, 1): e1, (0, 2): w2}, 4)
         prod = fx.star(fy)
-        assert prod.coeff(1, 1) == harmonic(e1, e1)
-        assert prod.coeff(2, 0).is_zero
+        assert prod.coeffs == {(0, 1): e1, (0, 2): w2, (1, 1): harmonic(e1, e1), (1, 2): harmonic(e1, w2)}
+        assert prod.order == 4
+        # truncation: (1, 0) times (2, 2) would be degree 5
+        assert fx.star(Series2({(2, 2): e1}, 4)).coeffs == {(2, 2): e1}
 
     def test_truncation(self):
         f = Series2({(1, 1): e1}, 4)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from hsw.halg import HPoly, harmonic, s_chain, s_word
 from hsw.monoid import UNIT, cyclic, rational
+from hsw import wcalc
+from hsw.series import Series1, Series2
 from hsw.wcalc import (
     NoWitnessError,
     WPoly,
@@ -230,3 +232,27 @@ class TestBridges:
         assert all(r.passed for r in verify_addition(Z, 6))
         assert all(r.passed for r in verify_pythagoras(Z, 3))
         assert all(r.passed for r in verify_pythagoras(UNIT, 3))
+
+    # A direct-route coefficient off by one word fails its own item and no other.
+    OFF = HPoly.from_word(s_word(Z, 1))
+
+    @pytest.mark.parametrize("i, j", [(0, 0), (1, 2), (3, 2), (4, 4), (0, 7)])
+    def test_addition_bridge_fails_one_item(self, monkeypatch, i, j):
+        def mutated(z, order):
+            direct = addition_series2(z, order)
+            return Series2({**direct.coeffs, (i, j): direct.coeff(i, j) + self.OFF}, order)
+
+        monkeypatch.setattr(wcalc, "addition_series2", mutated)
+        failed = [r.item for r in verify_addition(Z, 8) if not r.passed]
+        assert failed == [f"addition-coefficient x^{i}y^{j}"]
+
+    # an odd degree 2n + 1 fails item n through its parity check
+    @pytest.mark.parametrize("degree, item", [(0, 0), (4, 2), (10, 5), (3, 1)])
+    def test_pythagoras_bridge_fails_one_item(self, monkeypatch, degree, item):
+        def mutated(z, order):
+            direct = pythagoras_series(z, order)
+            return Series1({**direct.coeffs, degree: direct.coeff(degree) + self.OFF}, order)
+
+        monkeypatch.setattr(wcalc, "pythagoras_series", mutated)
+        failed = [r.item for r in verify_pythagoras(Z, 5) if not r.passed]
+        assert failed == [f"pythagoras-coefficient x^{2 * item}"]
