@@ -32,6 +32,10 @@ notation; in terms of them the recursion reads
     s_{a,k} w * s_{b,l} w' =
         s_{ab,k}(w * s_{b,l}w') + s_{ab,l}(s_{a,k}w * w') - s_{ab,k+l}(w * w').
 
+It follows from the letter recursion, whose cross terms cancel, and holds for
+any letters ``a`` and ``b``, so a leading zero run ``e_0^k = s_{0,k}`` is one
+block too.
+
 :class:`LinComb` is the sparse linear combination shared by ``HPoly``, the
 W-polynomials of :mod:`hsw.wcalc` and the S/T normal forms of :mod:`hsw.reg`;
 :meth:`LinComb.sum` is their one n-ary sum, which copies no partial sum, and
@@ -46,11 +50,12 @@ a term is not integral.
 Polynomials are immutable by convention, so they can be shared across threads.
 Word-pair products are memoized within a budget of stored terms
 (:mod:`hsw.memo`); concurrent recomputation only stores an equal value twice.
-A product missing from the memo is built in one row of its suffix pairs'
-products, local to the call and rewritten in place from the last suffix up;
-each cell is built from three neighbours.  Nothing recurses, whatever the word
-lengths, and only the product asked for is stored: the suffix pairs' products
-die with the call.  The fill never reads the memo, so it alone fixes the order
+A product missing from the memo is built in one row of products of its words'
+block suffixes, local to the call and rewritten in place from the last block
+up; each cell is one merge of three neighbours by the block recursion above,
+so a zero letter adds no cell of its own.  Nothing recurses, whatever the word
+lengths, and only the product asked for is stored: the suffixes' products die
+with the call.  The fill never reads the memo, so it alone fixes the order
 of a product's words, whatever the memo holds.
 
 Text grammar (shared with the command line)::
@@ -330,37 +335,72 @@ def concat(p: HPoly, q: HPoly) -> HPoly:
     ))
 
 
-def _merge(ab: Word, first: dict, second: dict, both: dict) -> dict[Word, int]:
-    """``e_ab (first + second - e_0 both)``, the step of the product recursion."""
-    # The first part's words are distinct; the other two merge in, dropping sums that cancel.
-    out = dict(zip(map(ab.__add__, first), first.values()))
+# A block: one letter and the zero letters after it; a leading zero run is one block.
+_BLOCK = re.compile(".\0*", re.DOTALL)
+
+
+def _merge(p1: Word, p2: Word, p3: Word, first: dict, second: dict, both: dict) -> dict[Word, int]:
+    """``p1 first + p2 second - p3 both``, the step of the block recursion."""
+    # Each part's words are distinct; the first's go in, the others merge into them,
+    # dropping sums that cancel.  Plain loops and ``in`` tests cost less per word
+    # than dict(zip(map(p1.__add__, ...))) and out.get.
+    out = {}
+    for w, c in first.items():
+        out[p1 + w] = c
     for w, c in second.items():
-        w = ab + w
-        c = out[w] = out.get(w, 0) + c
-        if not c:
-            del out[w]
-    ab += "\0"
+        w = p2 + w
+        if w in out:
+            c += out[w]
+            if c:
+                out[w] = c
+            else:
+                del out[w]
+        else:
+            out[w] = c
     for w, c in both.items():
-        w = ab + w
-        c = out[w] = out.get(w, 0) - c
-        if not c:
-            del out[w]
+        w = p3 + w
+        if w in out:
+            c = out[w] - c
+            if c:
+                out[w] = c
+            else:
+                del out[w]
+        else:
+            out[w] = -c
     return out
 
 
 @term_bounded_cache()
 def _star_words_cached(u: Word, v: Word) -> dict[Word, int]:
-    # row[j] is the product of v[j:] and the suffix of u reached so far, rewritten
-    # in place from the last suffix up; diag keeps the cell a write overwrote.
+    # row[j] is the product of v from its block j on and the suffix of u reached so
+    # far, rewritten in place from the last block of u up; diag keeps the cell a
+    # write overwrote and right the cell just written.  The cell of s_{a,k}w and
+    # s_{b,l}w' is ab 0^{k-1} below + ab 0^{l-1} right - ab 0^{k+l-1} diag.
     # Only (u, v) itself is stored.
-    n = len(v)
-    row = [{v[j:]: 1} for j in range(n + 1)]
-    for i in range(len(u) - 1, -1, -1):
-        a = u[i]
-        diag, row[n] = row[n], {u[i:]: 1}
+    us = _BLOCK.findall(u) if "\0" in u else u  # a zero-free word's blocks are its letters
+    vs = _BLOCK.findall(v) if "\0" in v else v
+    n = len(vs)
+    row = [{v: 1}]
+    heads = []  # per block of v: its letter, its zeros, and its zeros with one more
+    q = 0
+    for b in vs:
+        zl = b[1:]
+        heads.append((b[0], zl, "\0" + zl))
+        q += len(b)
+        row.append({v[q:]: 1})
+    i = len(u)
+    for blk in reversed(us):
+        i -= len(blk)
+        a, zk = blk[0], blk[1:]
+        diag = row[n]
+        right = row[n] = {u[i:]: 1}
         for j in range(n - 1, -1, -1):
-            below = row[j]  # u[i + 1:] * v[j:]
-            diag, row[j] = below, _merge(mul(a, v[j]), below, row[j + 1], diag)
+            b, zl, zl0 = heads[j]
+            ab = mul(a, b)
+            p1 = ab + zk
+            below = row[j]  # w * s_{b,l}w'
+            right = row[j] = _merge(p1, ab + zl, p1 + zl0, below, right, diag)
+            diag = below
     return row[0]
 
 

@@ -190,10 +190,15 @@ def ap_witness_addition(i: int, j: int) -> tuple[Fraction, int, int]:
     """
     if (i + j) % 2 == 0:
         raise NoWitnessError(f"no generator witness at even total degree ({i},{j})")
+    return _witness(i, j, addition_defect_coeff(i, j))
+
+
+def _witness(i: int, j: int, defect: WPoly) -> tuple[Fraction, int, int]:
+    """:func:`ap_witness_addition` at odd ``i + j``, checked against the coefficient ``defect``."""
     m = (i - 1) // 2 if i % 2 == 1 else i // 2
     n = (i + j - 1) // 2 - m
     scalar = Fraction(1, factorial(i) * factorial(j))
-    if addition_defect_coeff(i, j) != g_gen(m, n) * scalar:
+    if defect != g_gen(m, n) * scalar:
         raise AssertionError(f"witness factorization failed at ({i},{j})")
     return scalar, m, n
 
@@ -233,7 +238,7 @@ def verify_addition(z: MonoidElement, max_degree: int = 9) -> Iterator[CheckResu
             ok = not reduced
             if total % 2 == 1:
                 try:
-                    scalar, m, n = ap_witness_addition(i, j)
+                    scalar, m, n = _witness(i, j, wp)
                     record["witness"] = {"scalar": str(scalar), "m": m, "n": n}
                 except AssertionError as exc:
                     record["witness"] = {"error": str(exc)}

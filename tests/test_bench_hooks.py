@@ -64,7 +64,7 @@ def test_instrumented_quadrature_hook():
 
 
 def test_instrumented_relations_reach_zeta():
-    # Relation values go through H0Evaluator.__call__, which calls the wrapped zeta.
+    # relation_records fills the evaluator with H0Evaluator.prefetch, which calls the wrapped zeta.
     result = traced_run("relations", "--weight", "4")
     assert result["code"] == 0
     assert result["roots"] == ["cli.main"]

@@ -773,6 +773,17 @@ def plain_star(u: Word, v: Word) -> dict[Word, int]:
 ALPHABET_CANCEL = (ZERO, UNIT, ZERO, UNIT, Z)
 
 
+def block_words(max_weight):
+    """A leading zero run, then s-blocks, every zero run 0-5 letters long; cut to ``max_weight``.
+
+    With no block after it the word is all zeros; a cut may end it inside a block.
+    """
+    block = st.tuples(st.sampled_from((UNIT.id, Z.id, cyclic(2).id)), st.integers(0, 5))
+    return st.tuples(st.integers(0, 5), st.lists(block, max_size=3)).map(
+        lambda run: ("\0" * run[0] + "".join(a + "\0" * k for a, k in run[1]))[:max_weight]
+    )
+
+
 class TestProductMaps:
     """Word-pair products: built in one call-local row, whose merges delete a word when its
     sum cancels; only the products callers ask for are memoized."""
@@ -791,6 +802,23 @@ class TestProductMaps:
                 terms = star_terms(u[i:], v[j:])
                 assert all(terms.values())
                 assert terms == plain_star(u[i:], v[j:])
+
+    @settings(max_examples=150, deadline=None)
+    @given(block_words(7), block_words(5))
+    @example(Z.id, UNIT.id)
+    @example(ZERO.id, ZERO.id)
+    @example(ZERO.id * 3, ZERO.id * 2)
+    @example(ZERO.id * 2 + Z.id + ZERO.id, ZERO.id + UNIT.id)
+    @example(Z.id + ZERO.id * 5, UNIT.id + ZERO.id * 4)
+    def test_block_edges(self, u, v):
+        # the fill steps over blocks: zero runs of every length up to 5, leading and all-zero runs
+        assert star_terms(u, v) == plain_star(u, v)
+
+    def test_long_zero_free_word(self):
+        # 300 blocks against one: no table of a fixed size holds the row
+        u = "".join(cyclic(1 + i % 3).id for i in range(300))
+        for v in (cyclic(2).id, UNIT.id, ZERO.id):
+            assert star_terms(u, v) == plain_star(u, v)
 
     @settings(max_examples=100, deadline=None)
     @given(words(ALPHABET_CANCEL, 6), words(ALPHABET_CANCEL, 6))
