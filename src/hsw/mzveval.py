@@ -15,8 +15,11 @@ Bradley, Broadhurst and Lisonek, "Special values of multiple polylogarithms",
 2001): the integral splits at ``y = m0/R`` into products of power series in
 the letters, run in fixed-point integers to each word's tolerance
 (:func:`_iterint_estimates`); the bound counts the truncation and every
-rounding, with nothing fitted.  Words that share a split, term count and
-scale share their series, each bit for bit as alone.
+rounding, with nothing fitted.  Where one series at ``y = 1`` (the head
+alone, ``m0 > 1``) or ``y = 0`` (the tail alone, ``m1 > 1``) takes fewer
+steps than the two of the split, a word takes that cut, with one factor's
+bound.  Words that share a cut, term count and scale share their series,
+each bit for bit as alone.
 :class:`H0Evaluator` is the one numeric entry point for words, returning
 ``(value, bound)``: a ``{0,1}`` word goes through :func:`zeta`, at ``2^-60``
 of the least first term of its weight and with the sign ``(-1)^depth``
@@ -80,8 +83,8 @@ def word_to_mzv(w: Word) -> tuple[int, ...]:
     return tuple(len(run) + 1 for run in w.split("\1")[1:])
 
 
-# A word whose split series need more terms than this is refused: a letter
-# lies too close to 1 for the requested tolerance.
+# A word whose series need more terms than this on every cut is refused: a
+# letter lies too close to 1 for the requested tolerance.
 MAX_TERMS = 10_000
 
 
@@ -131,13 +134,20 @@ def _split(m0: Fraction, m1: Fraction) -> tuple[int, int, tuple[int, int], tuple
     return big_r.numerator, big_r.denominator, (big_r / m0).as_integer_ratio(), (big_r / m1).as_integer_ratio()
 
 
+def _terms(p: int, q: int, target: float) -> int:
+    """The series terms ``N`` at letter modulus ``>= R = p/q > 1`` that leave ``R^-N/(R-1) <= 2^(target-1)``."""
+    need = 1 - target - (math.log2(p - q) - math.log2(q))
+    return max(1, math.ceil(need / (math.log2(p) - math.log2(q))))
+
+
 def _iterint_estimates(tols: dict[Word, float]) -> dict[Word, tuple[float, float]]:
-    """``I(w)`` with a bound for every nonempty word ``w`` of ``tols``, to its tolerance, split at ``y = m0/R``.
+    """``I(w)`` with a bound for every nonempty word ``w`` of ``tols``, to its tolerance, by the cheapest cut.
 
     ``m0 = min |a|`` over a word's nonzero letters and ``m1 = min |1 - a|``
     over its letters other than 1 (the unit letter counts as the number 1),
     so a zero letter is zero on the head side and a unit letter zero on the
-    tail side; ``{0,1}`` words get ``R = m0 + m1 = 2``.  Then
+    tail side; ``{0,1}`` words get ``R = m0 + m1 = 2``.  The split at
+    ``y = m0/R`` gives
     ``I(a_1..a_k) = sum_j G(a_1..a_j; y) (-1)^(k-j) G(1-a_k..1-a_{j+1}; 1-y)``.
     Rescaled to ``x = 1``, every nonzero letter has modulus ``>= R > 1``, so
     ``N`` terms leave at most ``R^-N/(R-1)`` of a factor of modulus at most
@@ -145,9 +155,15 @@ def _iterint_estimates(tols: dict[Word, float]) -> dict[Word, tuple[float, float
     rounding units, carried through the products exactly, plus two units in
     the last place of the result; ``N`` and the scale come from the word's
     ``tol`` and ``k``, so that all but those two units add up to at most
-    ``5/16 tol``.  Words of one ``(m0, m1, N, scale)`` share their series
-    (:func:`_walk_prefixes`), whatever their tolerances, and words of one
-    zero/unit letter pattern their factors' error units.
+    ``5/16 tol``.  If ``m0 > 1`` the cut ``y = 1`` leaves the head alone,
+    ``I(w) = G(a_1..a_k; 1)`` at ``R = m0``; if ``m1 > 1`` the cut ``y = 0``
+    the tail alone, ``I(w) = (-1)^k G(1-a_k..1-a_1; 1)`` at ``R = m1``.  One
+    factor then runs to the split's error target, and its bound is its
+    truncation and rounding units alone.  Each ``(m0, m1, k, tol)`` takes the
+    cut of fewest series steps, ``2N`` for the split and ``N`` for one side,
+    ties going to the split.  Words of one cut, ``N`` and scale share their
+    series (:func:`_walk_prefixes`), whatever their tolerances, and words of
+    one zero/unit letter pattern their factors' error units.
     """
     for w, tol in tols.items():
         if not tol > 0:
@@ -170,28 +186,52 @@ def _iterint_estimates(tols: dict[Word, float]) -> dict[Word, tuple[float, float
     groups: dict[tuple[int, int, int, float], list[Word]] = {}
     for w, tol in tols.items():
         groups.setdefault((ord(min(w.translate(rank0))), ord(min(w.translate(rank1))), len(w), tol), []).append(w)
-    # keys that get the same split, term count and scale share their series
+    # keys that get the same cut, term count and scale share their series
     plans: dict[tuple, list[Word]] = {}
     for (r0, r1, k, tol), group in groups.items():
-        p, q, *_ = split = _split(by_m0[r0], by_m1[r1])
-        # log2 of R - 1, of the bound on a factor and of each factor's error
-        # target: then the k + 1 products' errors add up to at most 5/16 tol.
-        gap = math.log2(p - q) - math.log2(q)
-        size = max(0.0, -gap)
+        m0, m1 = by_m0[r0], by_m1[r1]
+        p, q, *_ = split = _split(m0, m1)
+        # log2 of the bound on a split factor and of each factor's error
+        # target: then the split's k + 1 products' errors add up to at most 5/16 tol.
+        size = max(0.0, math.log2(q) - math.log2(p - q))
         target = min(size, math.log2(tol) - math.log2(16 * (k + 1)) - size)
-        need, log_r = 1 - target - gap, math.log2(p) - math.log2(q)
-        if need > MAX_TERMS * log_r:
+        # each cut as its walks and its (p, q, head scale, tail scale); a one-sided
+        # cut has no scale on the side it drops
+        cuts = [(2, split)]
+        if m0 > 1:
+            cuts.append((1, (*m0.as_integer_ratio(), (1, 1), None)))
+        if m1 > 1:
+            cuts.append((1, (*m1.as_integer_ratio(), None, (1, 1))))
+        options = [(walks * n, cut, n) for walks, cut in cuts if (n := _terms(cut[0], cut[1], target)) <= MAX_TERMS]
+        if not options:
             raise QuadratureError(f"{format_word(group[0])} needs more than {MAX_TERMS} series terms to reach {tol}")
-        n_terms = max(1, math.ceil(need / log_r))
+        # the fewest series steps; min keeps the first of equals, so a tie goes to the split
+        _, cut, n_terms = min(options, key=operator.itemgetter(0))
         bits = (4 * k * n_terms).bit_length() + max(0, math.ceil(-target))
-        plans.setdefault((split, n_terms, bits), []).extend(group)
+        plans.setdefault((cut, n_terms, bits), []).extend(group)
     out: dict[Word, tuple[float, float]] = {}
-    for ((p, q, (hp, hq), (tp, tq)), n_terms, bits), group in plans.items():
+    for ((p, q, head_scale, tail_scale), n_terms, bits), group in plans.items():
         trunc = -(-(q ** (n_terms + 1) << bits) // (p**n_terms * (p - q)))
-        one = 1 << 2 * bits
+        (hp, hq), (tp, tq) = head_scale or (1, 1), tail_scale or (1, 1)
         head_forms = {a: (x.numerator * hp, x.denominator * hq) for a, x in nums.items()}
         tail_forms = {a: ((x.denominator - x.numerator) * tp, x.denominator * tq) for a, x in nums.items()}
         rev = [w[::-1] for w in group]
+        if head_scale is None or tail_scale is None:
+            # one factor at x = 1: G(a_1..a_k), or (-1)^k G(1-a_k..1-a_1); its error in
+            # units is the truncation plus n_terms coefficient errors of 2 units per
+            # letter, 1 per zero letter (head) or unit letter (tail)
+            flip = head_scale is None
+            seqs, forms, zero = (rev, tail_forms, "\1") if flip else (group, head_forms, "\0")
+            sums = _walk_prefixes(seqs, forms, n_terms, bits)
+            one = 1 << bits
+            for w, s in zip(group, seqs):
+                value = sums.pop(s)[-1] / one
+                if flip and len(w) % 2:
+                    value = -value
+                units = trunc + n_terms * (2 * len(w) - w.count(zero))
+                out[w] = value, math.nextafter(units / one + 2 * math.ulp(value), math.inf)
+            continue
+        one = 1 << 2 * bits
         heads = _walk_prefixes(group, head_forms, n_terms, bits)
         tails = _walk_prefixes(rev, tail_forms, n_terms, bits)
         units_of: dict[str, tuple[list[int], list[int], int]] = {}

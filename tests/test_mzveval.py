@@ -1,4 +1,5 @@
 import functools
+import inspect
 import math
 import time
 from fractions import Fraction
@@ -251,8 +252,10 @@ class TestIterint:
         assert H0Evaluator()(())[0] == 1.0
 
     def test_log_two(self):
-        v = H0Evaluator()(to_letters(w(rational(2))))[0]
+        # the error asked for is below 1e-10, so the tolerance is too: the default 1e-7 allows more
+        v, bound = H0Evaluator(tol=1e-11)(to_letters(w(rational(2))))
         assert abs(v + math.log(2)) < 1e-10
+        assert abs(v + math.log(2)) <= bound
 
     def test_dilogarithm(self):
         v = H0Evaluator()(to_letters(w(rational(2), ZERO)))[0]
@@ -369,6 +372,73 @@ class TestIterintClosedForms:
     def test_tolerance_not_positive(self, tol):
         with pytest.raises(ValueError):
             H0Evaluator(tol=tol)(real_word(2))
+
+
+def cut_reference(letters) -> mpmath.mpf:
+    """``I(a) = log(1 - 1/a)`` and ``I(a, 0) = -Li_2(1/a)``; any other word by nested quadrature."""
+    if len(letters) == 1:
+        return mpmath.log(1 - 1 / mpf_of(letters[0]))
+    if letters[1:] == (0,):
+        return -mpmath.polylog(2, 1 / mpf_of(letters[0]))
+    return nested_quad(letters)
+
+
+# (letters, tol, cut): y = 1 needs m0 > 1 and y = 0 needs m1 > 1, so (-1, 0) can only be
+# split; (-2, 3) has m0 = m1 = 2, a tie of 2N = N steps.  At tol 0.1 one term of I(26)
+# is enough and the truncation is most of its error; at the tighter tolerances the
+# rounding units alone still cover every case's true error.
+CUT_CASES = [
+    ((2,), 1e-7, "head"),
+    ((2,), 1e-13, "head"),
+    ((2, 0), 1e-7, "head"),
+    ((5, 0), 1e-13, "head"),
+    ((26,), 0.1, "head"),
+    ((-2,), 1e-7, "tail"),
+    ((-2,), 1e-13, "tail"),
+    ((-3,), 1e-9, "tail"),
+    ((-1, 0), 1e-7, "split"),
+    ((-1, 0), 1e-13, "split"),
+    ((-2, 3), 1e-7, "split"),
+    ((-2, 3), 1e-13, "split"),
+]
+
+
+class TestCuts:
+    """Each word takes the cut of fewest series steps: one walk for the head or tail alone, two for the split."""
+
+    @pytest.fixture(autouse=True)
+    def thirty_digits(self):
+        with mpmath.workdps(30):
+            yield
+
+    @pytest.mark.parametrize("letters, tol, cut", CUT_CASES)
+    def test_cut_within_bound(self, monkeypatch, letters, tol, cut):
+        forms = []
+        walk = mzveval._walk_prefixes
+        monkeypatch.setattr(mzveval, "_walk_prefixes", lambda seqs, f, *rest: forms.append(f) or walk(seqs, f, *rest))
+        word = w(*real_word(*letters))
+        value, bound = _iterint_estimates({word: tol})[word]
+        assert abs(mpmath.mpf(value) - cut_reference(letters)) <= bound <= tol
+        assert len(forms) == (2 if cut == "split" else 1)
+        # unscaled, a letter a is a in the head walk and 1 - a in the tail walk
+        a = Fraction(letters[0])
+        if cut != "split":
+            assert forms[0][word[0]] == {"head": a, "tail": 1 - a}[cut].as_integer_ratio()
+
+    def test_one_sided_bound_needs_its_truncation(self):
+        # the kernel with the truncation left out of a one-sided bound misses some reference
+        source = inspect.getsource(mzveval._iterint_estimates)
+        assert source.count("units = trunc + n_terms") == 1
+        namespace = dict(vars(mzveval))
+        exec(source.replace("units = trunc + n_terms", "units = n_terms"), namespace)
+        mutant = namespace["_iterint_estimates"]
+        missed = []
+        for letters, tol, cut in CUT_CASES:
+            word = w(*real_word(*letters))
+            value, bound = mutant({word: tol})[word]
+            if abs(mpmath.mpf(value) - cut_reference(letters)) > bound:
+                missed.append(cut)
+        assert missed and "split" not in missed
 
 
 BATCH_LETTERS = [ZERO.id, UNIT.id] + [rational(q).id for q in (2, 3, Fraction(5, 2), -2, Fraction(7, 3), -1)]
